@@ -3,9 +3,8 @@ reductions and the fully-entangled-fraction witness."""
 
 __version__ = "0.1.0"
 
-from .constants import HERMITICITY_TOL, NPT_TOL, RECON_TOL, WITNESS_TOL, ZERO_PROB_TOL
-from .linalg import (HermitianSpectrum, NotHermitianError, ginibre, haar_state,
-                     haar_unitary, hermitian_eig, kron, singular_values_3x3)
+from .constants import HERMITICITY_TOL, NPT_TOL, WITNESS_TOL, ZERO_PROB_TOL
+from .linalg import ginibre, haar_state, haar_unitary
 from .rng import substream
 from .states import (DensityMatrix, IcpsParams, InvalidParamsError, InvalidStateError,
                      QuasiPureParams, apply_white_noise, make_icps, make_quasi_pure,

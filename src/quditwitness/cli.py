@@ -87,13 +87,11 @@ COLUMNS = ["d", "r", "alpha", "v", "strategy", "mode", "samples", "entangled",
 
 
 def cmd_icps_sweep(args) -> int:
-    cfg = _config(args.strategies, "single", args.combined_selection)
     modes = [args.mode] if args.mode != "both" else ["single", "parallel"]
     rows = []
     for mode in modes:
-        cfg_m = DetectionConfig(strategies=cfg.strategies, mode=Mode(mode),
-                                combined_selection=cfg.combined_selection)
-        est = estimate_icps_sensitivity(args.d, args.r, cfg=cfg_m, n_samples=args.samples,
+        cfg = _config(args.strategies, mode, args.combined_selection)
+        est = estimate_icps_sensitivity(args.d, args.r, cfg=cfg, n_samples=args.samples,
                                         seed=args.seed, workers=args.workers,
                                         ground_truth=IcpsGroundTruth(args.ground_truth))
         for label, e in est.items():
@@ -110,8 +108,6 @@ def cmd_random_sweep(args) -> int:
     rows = []
     modes = [args.mode] if args.mode != "both" else ["single", "parallel"]
     for noise in args.noise:
-        if not 0.0 <= noise <= 1.0:
-            raise InvalidParamsError(f"noise level must be in [0, 1], got {noise}")
         for mode in modes:
             e = estimate_quasi_pure_sensitivity(args.d, noise, mode=Mode(mode),
                                                 n_samples=args.samples, seed=args.seed,
@@ -145,14 +141,15 @@ def cmd_grid(args) -> int:
 
 def cmd_analytic(args) -> int:
     sens = analytic_sensitivity(args.d, args.r)
+    # validate --alpha before printing anything
+    p = None if args.alpha is None else IcpsParams(args.d, args.r, args.alpha, 1.0)
     print(f"d={args.d} r={args.r} selection_classes={sens.total_classes}")
     for name, frac in [("scenario_i", sens.scenario_i),
                        ("scenario_ii", sens.scenario_ii),
                        ("scenario_ii_unordered", sens.scenario_ii_unordered),
                        ("combined", sens.combined)]:
         print(f"{name} = {frac} = {float(frac):.10f}")
-    if args.alpha is not None:
-        p = IcpsParams(args.d, args.r, args.alpha, 1.0)
+    if p is not None:
         v_a, v_b = icps_thresholds(p)
         print(f"alpha={args.alpha!r} v_a={v_a!r} v_b={v_b!r} "
               f"entanglement_threshold={icps_entanglement_threshold(p)!r}")

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
-from .states import DensityMatrix
-from .witness import PAULI, WitnessOutcome, outcome_from_score
+from .witness import PAULI, WitnessOutcome, _as_matrix, outcome_from_score
 
 # Bloch-vector scale of the transformation-matrix rows (1, s, s, s): with the
 # tetrahedral projectors Pi_i = (1 + b_i . sigma)/2 and |b_i| = 1, the rows
@@ -64,13 +62,6 @@ def singlet_projector_op() -> np.ndarray:
     return np.eye(4, dtype=complex) - 4.0 * np.outer(psi_minus, psi_minus.conj())
 
 
-def _as_matrix(rho2) -> np.ndarray:
-    mat = rho2.mat if isinstance(rho2, DensityMatrix) else np.asarray(rho2)
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit (4x4) state, got shape {mat.shape}")
-    return mat
-
-
 def _two_copy_expectation(rho4: np.ndarray, op_a: np.ndarray, op_a2: np.ndarray) -> float:
     """Tr[rho x rho . S_bb' (op_a x op_a2)_aa'] in the (a, b, a', b') order.
 
@@ -79,7 +70,7 @@ def _two_copy_expectation(rho4: np.ndarray, op_a: np.ndarray, op_a2: np.ndarray)
     """
     val = 0.0
     for k in range(3):
-        op = kron(kron(op_a, PAULI[k]), kron(op_a2, PAULI[k]))
+        op = np.kron(np.kron(op_a, PAULI[k]), np.kron(op_a2, PAULI[k]))
         val += np.trace(rho4 @ op).real
     return val
 
@@ -87,7 +78,7 @@ def _two_copy_expectation(rho4: np.ndarray, op_a: np.ndarray, op_a2: np.ndarray)
 def collective_R_pauli(rho2) -> np.ndarray:
     """R_ij from two-copy expectations with Pauli settings on (a, a')."""
     mat = _as_matrix(rho2)
-    rho4 = kron(mat, mat)
+    rho4 = np.kron(mat, mat)
     r = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
@@ -99,7 +90,7 @@ def pi_matrix(rho2, basis: MinimalBasis | None = None) -> CollectiveData:
     """The 10 independent two-copy moments of the minimal-basis settings."""
     basis = basis or minimal_basis()
     mat = _as_matrix(rho2)
-    rho4 = kron(mat, mat)
+    rho4 = np.kron(mat, mat)
     pi = np.empty((4, 4))
     settings = 0
     for i in range(4):

@@ -7,9 +7,6 @@ between "zero" and "signal".
 # Maximum |M - M^dag| entry for a matrix to count as Hermitian.
 HERMITICITY_TOL = 1e-10
 
-# Maximum reconstruction error allowed for eigendecompositions.
-RECON_TOL = 1e-9
-
 # Witness scores must exceed this to count as a detection; keeps numerically
 # zero scores of separable states from being reported as entanglement.
 WITNESS_TOL = 1e-12

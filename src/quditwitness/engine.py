@@ -4,6 +4,10 @@ Work is split into fixed-size chunks; chunk c of a task draws every random
 number it needs, in a fixed order, from substream(seed, tag, ..., c).  Chunk
 results are integer count vectors and addition is commutative, so aggregate
 results are bit-identical for any worker count.
+
+icps and grid chunks share one Schmidt-form counting kernel.  Every sampled
+state is pure plus white noise, so scores_from_amplitudes scores each
+reduction in closed form.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import numpy as np
 
 from .constants import NPT_TOL, WITNESS_TOL
 from .linalg import haar_unitary
+from .oracles import npt_threshold, visibility_thresholds
 from .rng import substream
 from .transforms import LutKind, qudit_hadamard
 from .witness import scores_from_amplitudes
@@ -24,24 +29,26 @@ _TAG_QUASI = 1
 _TAG_GRID = 2
 
 
-def _ordered_pairs(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """n ordered distinct level pairs, uniform; shape (n, 2)."""
-    i = rng.integers(0, d, size=n)
-    j = rng.integers(0, d - 1, size=n)
-    j = j + (j >= i)
-    return np.stack([i, j], axis=1)
+def _selections(rng: np.random.Generator, d: int, n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform level selections (pa, pb) for n samples; columns 2k, 2k+1 form pair k.
+
+    Single mode: one ordered distinct pair per side, shape (n, 2).  Parallel
+    mode: one permutation per side, shape (n, d), i.e. d // 2 disjoint pairs.
+    """
+    def draw() -> np.ndarray:
+        if mode == "parallel":
+            return rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+        i = rng.integers(0, d, size=n)
+        j = rng.integers(0, d - 1, size=n)
+        return np.stack([i, j + (j >= i)], axis=1)
+    return draw(), draw()
 
 
-def _permutations(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    return rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
-
-
-def _schmidt_amps(s: np.ndarray, a: np.ndarray, b: np.ndarray, h: np.ndarray,
-                  kind: LutKind, u: np.ndarray | None = None,
-                  v: np.ndarray | None = None) -> np.ndarray:
+def _schmidt_amps(a: np.ndarray, b: np.ndarray, s: np.ndarray, h: np.ndarray,
+                  kind: LutKind, u: np.ndarray | None, v: np.ndarray | None) -> np.ndarray:
     """Amplitudes of (U_A x V_B)|psi> on the four selected components.
 
-    s: (n, d) Schmidt coefficients; a, b: (n, 2) selected levels; the |psi>
+    a, b: (n, 2) selected levels; s: (n, d) Schmidt coefficients.  The |psi>
     amplitude matrix is diag(s), so each strategy reduces to a small gather.
     """
     n = s.shape[0]
@@ -63,58 +70,67 @@ def _schmidt_amps(s: np.ndarray, a: np.ndarray, b: np.ndarray, h: np.ndarray,
     return np.einsum("nqk,nk,npk->nqp", u_rows, s.astype(complex), v_rows).reshape(n, 4)
 
 
-def _state_amps(psi_flat: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """Gather the four selected amplitudes from full state vectors (n, d*d)."""
-    idx = (a[:, :, None] * d + b[:, None, :]).reshape(-1, 4)
-    return np.take_along_axis(psi_flat, idx, axis=1)
+def _state_amps(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gather the four selected amplitudes from amplitude matrices z (n, d, d)."""
+    rows = np.arange(len(z))[:, None, None]
+    return z[rows, a[:, :, None], b[:, None, :]].reshape(-1, 4)
 
 
-def _strategy_detections(s_or_psi: np.ndarray, vis: np.ndarray, d: int, kind: LutKind,
-                         mode: str, rng: np.random.Generator, h: np.ndarray,
-                         schmidt: bool, shared_sel) -> np.ndarray:
-    """Detection flags (n,) for one strategy; draws selections (and unitaries)."""
-    n = len(vis)
-    u = v = None
-    if kind is LutKind.RANDOM_BOTH:
-        if not schmidt:
-            raise ValueError("random unitaries are redundant for Haar-random states")
-        u = haar_unitary(d, rng, size=n)
-        v = haar_unitary(d, rng, size=n)
+def _detected(vis: np.ndarray, d: int, sel: tuple[np.ndarray, np.ndarray],
+              gather, *state) -> np.ndarray:
+    """Flags (n,): the witness detects on some pair of the selection.
 
-    def amps(a, b):
-        if schmidt:
-            return _schmidt_amps(s_or_psi, a, b, h, kind, u, v)
-        return _state_amps(s_or_psi, a, b, d)
-
-    if mode == "single":
-        a, b = shared_sel if shared_sel is not None else (
-            _ordered_pairs(rng, d, n), _ordered_pairs(rng, d, n))
-        scores, _ = scores_from_amplitudes(amps(a, b), vis, d * d)
-        return scores > WITNESS_TOL
-    # parallel: disjoint pairs from one permutation per side
-    pa, pb = shared_sel if shared_sel is not None else (
-        _permutations(rng, d, n), _permutations(rng, d, n))
-    hit = np.zeros(n, dtype=bool)
-    for k in range(d // 2):
-        a, b = pa[:, 2 * k:2 * k + 2], pb[:, 2 * k:2 * k + 2]
-        scores, _ = scores_from_amplitudes(amps(a, b), vis, d * d)
+    gather(a, b, *state) returns the (n, 4) pure-component amplitudes on pair (a, b).
+    """
+    pa, pb = sel
+    hit = np.zeros(len(vis), dtype=bool)
+    for k in range(pa.shape[1] // 2):
+        amps = gather(pa[:, 2 * k:2 * k + 2], pb[:, 2 * k:2 * k + 2], *state)
+        scores, _ = scores_from_amplitudes(amps, vis, d * d)
         hit |= scores > WITNESS_TOL
     return hit
+
+
+def _schmidt_detections(rng: np.random.Generator, alpha: np.ndarray, vis: np.ndarray,
+                        ent: np.ndarray, d: int, r: int, kinds: tuple[LutKind, ...],
+                        mode: str, shared: bool) -> list[int]:
+    """Detections [per strategy..., combined] among the samples in the mask ent.
+
+    Sample i has Schmidt coefficients (alpha_i, ..., alpha_i, alpha_r, 0, ...)
+    and visibility vis_i.  Draw order: shared selections (if shared), then per
+    strategy Haar U and V (random_both only) and its selections (if not shared).
+    """
+    n = len(alpha)
+    s = np.zeros((n, d))
+    s[:, : r - 1] = alpha[:, None]
+    s[:, r - 1] = np.sqrt(np.clip(1.0 - (r - 1) * alpha ** 2, 0.0, None))
+    h = qudit_hadamard(d)
+    shared_sel = _selections(rng, d, n, mode) if shared else None
+    counts = []
+    any_hit = np.zeros(n, dtype=bool)
+    for kind in kinds:
+        u = v = None
+        if kind is LutKind.RANDOM_BOTH:
+            u = haar_unitary(d, rng, size=n)
+            v = haar_unitary(d, rng, size=n)
+        sel = shared_sel if shared else _selections(rng, d, n, mode)
+        hit = _detected(vis, d, sel, _schmidt_amps, s, h, kind, u, v)
+        counts.append(int((hit & ent).sum()))
+        any_hit |= hit
+    counts.append(int((any_hit & ent).sum()))
+    return counts
 
 
 def _icps_entangled_mask(alpha: np.ndarray, v: np.ndarray, d: int, r: int,
                          ground_truth: str) -> np.ndarray:
     """Conditioning rule for the sampled states; see montecarlo.IcpsGroundTruth."""
-    alpha_r = np.sqrt(np.clip(1.0 - (r - 1) * alpha ** 2, 0.0, None))
-    d2 = d * d
-    v_a = 1.0 / (1.0 + d2 * alpha ** 2)
-    v_b = 1.0 / (1.0 + d2 * alpha * alpha_r)
     if ground_truth == "npt":
-        thr = v_b if r == 2 else np.minimum(v_a, v_b)
+        thr = npt_threshold(d, r, alpha)
     elif ground_truth == "piecewise":
+        v_a, v_b = visibility_thresholds(d, r, alpha)
         thr = np.where(alpha > 1.0 / np.sqrt(r), v_a, v_b)
     elif ground_truth == "rank2":
-        thr = 1.0 / (1.0 + d2 * alpha * np.maximum(alpha, np.sqrt(1.0 - alpha ** 2)))
+        thr = np.minimum(*visibility_thresholds(d, 2, alpha))
     else:
         raise ValueError(f"unknown ground truth rule {ground_truth!r}")
     return v > thr
@@ -125,27 +141,21 @@ def _icps_chunk(seed: int, chunk_idx: int, n: int, d: int, r: int,
                 ground_truth: str) -> np.ndarray:
     """Counts [sampled, entangled, det_per_strategy..., det_combined]."""
     rng = substream(seed, _TAG_ICPS, chunk_idx)
-    amax = 1.0 / np.sqrt(r - 1)
-    alpha = rng.uniform(0.0, amax, n)
+    alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), n)
     vis = rng.uniform(0.0, 1.0, n)
     ent = _icps_entangled_mask(alpha, vis, d, r, ground_truth)
-    s = np.zeros((n, d))
-    s[:, : r - 1] = alpha[:, None]
-    s[:, r - 1] = np.sqrt(np.clip(1.0 - (r - 1) * alpha ** 2, 0.0, None))
-    h = qudit_hadamard(d)
-    shared_sel = None
-    if shared:
-        shared_sel = ((_ordered_pairs(rng, d, n), _ordered_pairs(rng, d, n))
-                      if mode == "single" else
-                      (_permutations(rng, d, n), _permutations(rng, d, n)))
-    counts = [n, int(ent.sum())]
-    any_hit = np.zeros(n, dtype=bool)
-    for kind in kinds:
-        hit = _strategy_detections(s, vis, d, kind, mode, rng, h, True, shared_sel)
-        counts.append(int((hit & ent).sum()))
-        any_hit |= hit
-    counts.append(int((any_hit & ent).sum()))
-    return np.array(counts, dtype=np.int64)
+    counts = _schmidt_detections(rng, alpha, vis, ent, d, r, kinds, mode, shared)
+    return np.array([n, int(ent.sum()), *counts], dtype=np.int64)
+
+
+def _grid_chunk(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int,
+                alpha: float, vis: float, kinds: tuple[LutKind, ...],
+                mode: str, shared: bool) -> np.ndarray:
+    """Counts [trials, det_per_strategy..., det_combined] for one fixed state."""
+    rng = substream(seed, _TAG_GRID, cell_idx, chunk_idx)
+    counts = _schmidt_detections(rng, np.full(n, alpha), np.full(n, vis),
+                                 np.ones(n, dtype=bool), d, r, kinds, mode, shared)
+    return np.array([n, *counts], dtype=np.int64)
 
 
 def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noise: float,
@@ -160,36 +170,8 @@ def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noise: float,
     # amplitude matrix.
     lam = np.linalg.svd(z, compute_uv=False)
     ent = vis * lam[:, 0] * lam[:, 1] - (1.0 - vis) / (d * d) > NPT_TOL
-    vis_arr = np.full(n, vis)
-    hit = _strategy_detections(z.reshape(n, d * d), vis_arr, d, LutKind.IDENTITY,
-                               mode, rng, None, False, None)
+    hit = _detected(np.full(n, vis), d, _selections(rng, d, n, mode), _state_amps, z)
     return np.array([n, int(ent.sum()), int((hit & ent).sum())], dtype=np.int64)
-
-
-def _grid_chunk(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int,
-                alpha: float, vis: float, kinds: tuple[LutKind, ...],
-                mode: str, shared: bool) -> np.ndarray:
-    """Counts [trials, det_per_strategy..., det_combined] for one fixed state."""
-    rng = substream(seed, _TAG_GRID, cell_idx, chunk_idx)
-    s_row = np.zeros(d)
-    s_row[: r - 1] = alpha
-    s_row[r - 1] = np.sqrt(max(1.0 - (r - 1) * alpha ** 2, 0.0))
-    s = np.tile(s_row, (n, 1))
-    vis_arr = np.full(n, vis)
-    h = qudit_hadamard(d)
-    shared_sel = None
-    if shared:
-        shared_sel = ((_ordered_pairs(rng, d, n), _ordered_pairs(rng, d, n))
-                      if mode == "single" else
-                      (_permutations(rng, d, n), _permutations(rng, d, n)))
-    counts = [n]
-    any_hit = np.zeros(n, dtype=bool)
-    for kind in kinds:
-        hit = _strategy_detections(s, vis_arr, d, kind, mode, rng, h, True, shared_sel)
-        counts.append(int(hit.sum()))
-        any_hit |= hit
-    counts.append(int(any_hit.sum()))
-    return np.array(counts, dtype=np.int64)
 
 
 _CHUNK_FNS = {"icps": _icps_chunk, "quasi": _quasi_chunk, "grid": _grid_chunk}

@@ -1,62 +1,7 @@
-"""Dense complex linear algebra sized for two-qudit operators (up to 144x144).
-
-Everything is a plain ``numpy.ndarray``; matrices are small enough that dense
-storage wins on clarity and cache locality.
-"""
+"""Random matrices and states: Ginibre matrices, Haar unitaries, Haar pure states."""
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
-
-from .constants import HERMITICITY_TOL
-
-
-class NotHermitianError(ValueError):
-    """Raised when an operation requires a Hermitian matrix and gets none."""
-
-
-class HermitianSpectrum(NamedTuple):
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b."""
-    return np.kron(a, b)
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
-
-
-def hermitian_eig(m: np.ndarray) -> HermitianSpectrum:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Raises NotHermitianError if the symmetry check fails; the decomposition
-    satisfies m = V diag(w) V^dag up to RECON_TOL.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh(m)
-    return HermitianSpectrum(values, vectors)
-
-
-def singular_values_3x3(t: np.ndarray) -> np.ndarray:
-    """Singular values of a real 3x3 matrix, descending.
-
-    Their sum equals the trace of the principal square root of t^T t.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {t.shape}")
-    return np.linalg.svd(t, compute_uv=False)
 
 
 def ginibre(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

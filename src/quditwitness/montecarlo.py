@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine
 from .detection import CombinedSelection, DetectionConfig, Mode
-from .states import IcpsParams
+from .states import IcpsParams, InvalidParamsError, QuasiPureParams
 from .oracles import icps_is_entangled
 from .transforms import LutKind
 
@@ -118,6 +118,7 @@ def estimate_icps_sensitivity(d: int, r: int, cfg: DetectionConfig | None = None
     entangled per ground_truth enter the denominator.  The combined entry is
     the OR over the configured strategies within each sample.
     """
+    IcpsParams(d, r, 0.0, 0.0)  # validates d and r
     cfg = cfg or DetectionConfig()
     kinds = _strategy_kinds(cfg)
     shared = cfg.combined_selection is CombinedSelection.SHARED
@@ -141,7 +142,8 @@ def estimate_quasi_pure_sensitivity(d: int, noise_level: float, mode: Mode = Mod
     the Haar ensemble is invariant under them.
     """
     if not 0.0 <= noise_level <= 1.0:
-        raise ValueError(f"noise level must be in [0, 1], got {noise_level}")
+        raise InvalidParamsError(f"noise level must be in [0, 1], got {noise_level}")
+    QuasiPureParams(d, 1.0 - noise_level)  # validates d
     tasks = [("quasi", (seed, c, size, d, noise_level, mode.value))
              for c, size in enumerate(engine.chunk_sizes(n_samples))]
     total = np.sum(engine.run_tasks(tasks, workers), axis=0)
@@ -156,6 +158,7 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, cfg: DetectionConfig | None 
     strategy (or one shared selection, per cfg).  The separable flag uses the
     exact entanglement boundary.
     """
+    IcpsParams(d, r, 0.0, 0.0)  # validates d and r
     cfg = cfg or DetectionConfig()
     kinds = _strategy_kinds(cfg)
     shared = cfg.combined_selection is CombinedSelection.SHARED

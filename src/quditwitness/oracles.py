@@ -51,32 +51,39 @@ def is_npt(rho: DensityMatrix, sys: str = "b") -> bool:
     return bool(eig_min < -NPT_TOL)
 
 
-def icps_thresholds(p: IcpsParams) -> tuple[float, float]:
-    """The two visibility thresholds (v_a, v_b).
+def visibility_thresholds(d: int, r: int, alpha):
+    """The two visibility thresholds (v_a, v_b) for a float or an array alpha.
 
     v_a = 1/(1 + d^2 alpha^2) is the boundary for matched core-core
     selections; v_b = 1/(1 + d^2 alpha alpha_r) for matched core-edge
-    selections.  The state is entangled (equivalently NPT, equivalently
-    detectable by the best selection) iff v exceeds the applicable minimum,
-    see icps_entanglement_threshold.
+    selections.  Every threshold in the package is derived from these two.
+    A float alpha stays a float: Python's float ** 2 can differ from numpy's
+    array square in the last bit, and the scalar API keeps the float result.
     """
-    d2 = p.d * p.d
-    v_a = 1.0 / (1.0 + d2 * p.alpha ** 2)
-    v_b = 1.0 / (1.0 + d2 * p.alpha * p.alpha_r)
-    return v_a, v_b
+    alpha_r = np.sqrt(np.clip(1.0 - (r - 1) * alpha ** 2, 0.0, None))
+    return 1.0 / (1.0 + d * d * alpha ** 2), 1.0 / (1.0 + d * d * alpha * alpha_r)
+
+
+def npt_threshold(d: int, r: int, alpha):
+    """Exact entanglement (NPT) boundary in v, for a float or an array alpha.
+
+    The noise floor (1-v)/d^2 against the largest product of two distinct
+    Schmidt coefficients: min(v_a, v_b) for r >= 3, and v_b for r = 2, where
+    only the core-edge pair exists.  Above it the best selection detects.
+    """
+    v_a, v_b = visibility_thresholds(d, r, alpha)
+    return v_b if r == 2 else np.minimum(v_a, v_b)
+
+
+def icps_thresholds(p: IcpsParams) -> tuple[float, float]:
+    """(v_a, v_b) of one state; see visibility_thresholds."""
+    v_a, v_b = visibility_thresholds(p.d, p.r, p.alpha)
+    return float(v_a), float(v_b)
 
 
 def icps_entanglement_threshold(p: IcpsParams) -> float:
-    """Exact entanglement boundary in v.
-
-    Equals the smallest visibility at which some partial-transpose eigenvalue
-    turns negative: the noise floor (1-v)/d^2 against the largest product of
-    two distinct Schmidt coefficients.  For r >= 3 this is min(v_a, v_b); for
-    r = 2 only the core-edge pair exists, so the boundary is v_b for every
-    alpha.
-    """
-    v_a, v_b = icps_thresholds(p)
-    return min(v_a, v_b) if p.r >= 3 else v_b
+    """Exact entanglement boundary in v of one state; see npt_threshold."""
+    return float(npt_threshold(p.d, p.r, p.alpha))
 
 
 def icps_is_entangled(p: IcpsParams) -> bool:
@@ -190,8 +197,7 @@ class AnalyticSensitivity:
 
 def analytic_sensitivity(d: int, r: int) -> AnalyticSensitivity:
     """Detection fractions when v lies above both thresholds (identity map)."""
-    if not 2 <= r <= d:
-        raise ValueError(f"need 2 <= r <= d, got r={r}, d={d}")
+    IcpsParams(d, r, 0.0, 0.0)  # raises InvalidParamsError unless 2 <= r <= d
     total = d * d * (d - 1) * (d - 1)
     return AnalyticSensitivity(
         scenario_i=Fraction(2 * (r - 1) * (r - 2), total),

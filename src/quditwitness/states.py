@@ -78,9 +78,6 @@ class DensityMatrix:
             raise InvalidStateError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
         return self
 
-    def purity(self) -> float:
-        return float(np.vdot(self.mat, self.mat).real)
-
 
 @dataclass(frozen=True)
 class IcpsParams:
@@ -124,7 +121,6 @@ class QuasiPureParams:
 
     d: int
     v: float
-    seed: int = 0
 
     def __post_init__(self):
         if self.d < 2:

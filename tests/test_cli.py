@@ -123,6 +123,21 @@ def test_analytic_command(capsys):
     assert "v_a=" in out and "v_b=" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["icps-sweep", "--d", "3", "--r", "5"],
+    ["icps-sweep", "--d", "1", "--r", "1"],
+    ["grid", "--d", "2", "--r", "3"],
+    ["random-sweep", "--d", "1", "--noise", "0.2"],
+    ["analytic", "--d", "3", "--r", "5"],
+    ["analytic", "--d", "3", "--r", "2", "--alpha", "2"],
+])
+def test_out_of_range_params_exit_3(argv, capsys):
+    assert main(argv + (["--workers", "1"] if argv[0] != "analytic" else [])) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_collective_verify(capsys):
     assert main(["collective-verify", "--n", "50", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -1,74 +1,24 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from quditwitness import (HermitianSpectrum, NotHermitianError, haar_state, haar_unitary,
-                          hermitian_eig, kron, singular_values_3x3, substream)
-from quditwitness.linalg import ginibre
+from quditwitness import haar_state, haar_unitary, substream
+from quditwitness.witness import score_from_t
 
-I2 = np.eye(2)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
-H2 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-
-
-def test_kron_identities():
-    assert_allclose(kron(I2, I2), np.eye(4))
-    assert_allclose(kron(SZ, SZ), np.diag([1, -1, -1, 1]).astype(complex))
-
-
-def test_kron_hadamard_pair_on_00():
-    vec = kron(H2, H2) @ np.array([1, 0, 0, 0.0])
-    assert_allclose(vec, np.full(4, 0.5), atol=1e-15)
-
-
-def test_kron_associative_bilinear(rng):
-    for _ in range(10):
-        a, b, c = (ginibre(2, rng) for _ in range(3))
-        assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-        x, y = rng.standard_normal(2)
-        assert_allclose(kron(x * a + y * b, c), x * kron(a, c) + y * kron(b, c), atol=1e-12)
-
-
-def test_hermitian_eig_examples():
-    spec = hermitian_eig(np.diag([3.0, 1.0]))
-    assert_allclose(spec.values, [1.0, 3.0])
-    assert_allclose(hermitian_eig(SX).values, [-1.0, 1.0])
-    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    proj = np.outer(bell, bell.conj())
-    assert_allclose(hermitian_eig(proj).values, [0, 0, 0, 1], atol=1e-12)
-
-
-def test_hermitian_eig_reconstruction_and_trace(rng):
-    for dim in (3, 8, 25):
-        g = ginibre(dim, rng)
-        m = g + g.conj().T
-        values, vectors = hermitian_eig(m)
-        recon = (vectors * values) @ vectors.conj().T
-        assert np.abs(recon - m).max() <= 1e-9
-        assert abs(values.sum() - m.trace().real) <= 1e-9
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotHermitianError):
-        hermitian_eig(np.zeros((2, 3)))
-
+# The witness score is Tr sqrt(T^T T) - 1, computed as the sum of the singular
+# values of T; these checks pin that linear-algebra identity on score_from_t.
 
 def test_singular_values_examples():
-    assert_allclose(singular_values_3x3(np.diag([1.0, -1.0, 1.0])), [1, 1, 1])
-    assert_allclose(singular_values_3x3(np.zeros((3, 3))), [0, 0, 0])
-    assert_allclose(singular_values_3x3(np.diag([0.3, 0.3, 1.0])), [1.0, 0.3, 0.3])
+    assert abs(score_from_t(np.diag([1.0, -1.0, 1.0])) - 2.0) <= 1e-12
+    assert abs(score_from_t(np.zeros((3, 3))) + 1.0) <= 1e-12
+    assert abs(score_from_t(np.diag([0.3, 0.3, 1.0])) - 0.6) <= 1e-12
 
 
 def test_singular_values_match_sqrt_of_gram(rng):
     # independent oracle: sum of singular values = Tr sqrt(T^T T) by eigenvalues
     for _ in range(20):
         t = rng.standard_normal((3, 3))
-        sv = singular_values_3x3(t)
         gram_eigs = np.linalg.eigvalsh(t.T @ t)
-        assert abs(sv.sum() - np.sqrt(np.clip(gram_eigs, 0, None)).sum()) <= 1e-10
+        assert abs(score_from_t(t) + 1.0 - np.sqrt(np.clip(gram_eigs, 0, None)).sum()) <= 1e-10
 
 
 def test_singular_values_rotation_invariant(rng):
@@ -76,7 +26,7 @@ def test_singular_values_rotation_invariant(rng):
     for _ in range(5):
         q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        assert_allclose(singular_values_3x3(q1 @ t @ q2), singular_values_3x3(t), atol=1e-10)
+        assert abs(score_from_t(q1 @ t @ q2) - score_from_t(t)) <= 1e-10
 
 
 def test_haar_unitary_unitarity_and_scalar_case(rng):
@@ -111,9 +61,3 @@ def test_haar_state_distribution_matches_rotated_reference():
         x = np.abs(sample[:, 0]) ** 2
         assert abs(x.mean() - 1 / dim) <= 4 * np.sqrt(1 / dim ** 2 / n) * 2
         assert abs((x ** 2).mean() - 2 / (dim * (dim + 1))) <= 5e-4
-
-
-def test_spectrum_namedtuple_fields(rng):
-    spec = hermitian_eig(np.eye(3))
-    assert isinstance(spec, HermitianSpectrum)
-    assert spec.values.shape == (3,) and spec.vectors.shape == (3, 3)

@@ -47,6 +47,16 @@ def test_threshold_product_limit():
     assert v_b > 1 - 1e-6
 
 
+def test_scalar_thresholds_are_python_float_arithmetic():
+    # at this alpha Python's alpha ** 2 and numpy's array square differ in
+    # the last bit; the scalar API (printed by `analytic --alpha`) must keep
+    # the Python float result and return Python floats
+    p = IcpsParams(11, 2, 0.7454248080083349, 0.5)
+    assert icps_thresholds(p) == (0.014655313875233644, 0.016360187389642677)
+    assert all(type(x) is float for x in (*icps_thresholds(p), icps_entanglement_threshold(p)))
+    assert icps_entanglement_threshold(p) == 0.016360187389642677
+
+
 def test_threshold_d4_value_and_sign_change():
     p = IcpsParams(4, 4, 0.3, 0.5)
     _, v_b = icps_thresholds(p)

@@ -1,7 +1,7 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from quditwitness import (DensityMatrix, fef_witness, haar_unitary, is_npt, kron,
+from quditwitness import (WITNESS_TOL, ZERO_PROB_TOL, DensityMatrix, fef_witness, haar_unitary, is_npt,
                           pauli_decompose, substream)
 from quditwitness.witness import (PAULI, scores_from_amplitudes, scores_from_submatrices,
                                   score_from_t)
@@ -83,7 +83,7 @@ def test_soundness_against_ppt_oracle(rng):
 def test_local_unitary_invariance(rng):
     for _ in range(20):
         rho = random_density(rng, 2, 2)
-        u = kron(haar_unitary(2, rng), haar_unitary(2, rng))
+        u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
         rotated = two_qubit(u @ rho.mat @ u.conj().T)
         assert abs(fef_witness(rotated).score - fef_witness(rho).score) <= 1e-9
 
@@ -133,9 +133,47 @@ def test_zero_weight_amplitudes_never_detect():
     assert scores[0] == -1.0
 
 
+def _pure_plus_noise_blocks(m, v, total_dim):
+    noise = (1 - v) / total_dim
+    return (v[:, None, None] * np.einsum("ni,nj->nij", m, m.conj())
+            + noise[:, None, None] * np.eye(4))
+
+
+def test_closed_form_scores_match_svd_reference():
+    # the closed form in |det M| against the SVD path on the same 4x4 blocks
+    # v m m^dag + (1-v)/D I, at several D, plus edge rows
+    rng = substream(2025, 3)
+    n = 100_000
+    m = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    m *= rng.uniform(0, 1, n)[:, None] / np.linalg.norm(m, axis=1, keepdims=True)
+    v = rng.uniform(0, 1, n)
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    product = np.kron([0.6, 0.8j], [1, -1] / np.sqrt(2))
+    edges = [
+        (np.zeros(4), 0.7),          # all-zero m
+        (0.9 * product, 0.95),       # product m, det 0
+        (product, 1.0),              # pure product reduction, score 0
+        (bell, 0.5),                 # maximally entangled m
+        (bell, 1.0),                 # v = 1
+        (m[0], 0.0),                 # v = 0
+        (m[1], 1.0),                 # v = 1
+        (1e-8 * bell, 1.0),          # weight 2e-16 < ZERO_PROB_TOL
+    ]
+    m = np.vstack([m, [e[0] for e in edges]]).astype(complex)
+    v = np.concatenate([v, [e[1] for e in edges]])
+    for total_dim in (4, 9, 25, 81):
+        scores, weights = scores_from_amplitudes(m, v, total_dim)
+        ref, ref_weights = scores_from_submatrices(_pure_plus_noise_blocks(m, v, total_dim))
+        assert np.abs(scores - ref).max() <= 1e-12
+        assert np.abs(weights - ref_weights).max() <= 1e-12
+        assert np.array_equal(scores > WITNESS_TOL, ref > WITNESS_TOL)
+        assert np.all(scores[-1:] == -1.0) and weights[-1] < ZERO_PROB_TOL
+    assert scores[n + 3] > WITNESS_TOL and abs(scores[n + 4] - 2.0) <= 1e-12
+
+
 def test_score_from_t_matches_pauli_expectation(rng):
     for _ in range(10):
         rho = random_density(rng, 2, 2)
-        t = np.array([[np.trace(rho.mat @ kron(PAULI[m], PAULI[n])).real
+        t = np.array([[np.trace(rho.mat @ np.kron(PAULI[m], PAULI[n])).real
                        for n in range(3)] for m in range(3)])
         assert abs(score_from_t(t) - fef_witness(rho).score) <= 1e-12
