@@ -7,8 +7,8 @@ check).  Every output file starts with comment lines recording the version,
 the full parameter set and the seed; re-running with the same seed produces
 byte-identical files for any worker count.
 
-Exit codes: 0 success, 2 usage error, 3 parse/validation error, 4 numeric
-failure.
+Exit codes: 0 success, 2 usage error, 3 parse/validation or I/O error, 4
+numeric failure.
 """
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ from . import __version__
 from .detection import CombinedSelection, DetectionConfig, Mode
 from .linalg import ginibre
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridSpec, IcpsGroundTruth,
-                         estimate_icps_sensitivity, estimate_quasi_pure_sensitivity,
-                         sweep_icps_grid)
+                         estimate_icps_sensitivity, sweep_icps_grid, sweep_quasi_pure)
 from .collective import fef_from_collective, pi_matrix
 from .oracles import analytic_sensitivity, icps_thresholds, icps_entanglement_threshold
 from .rng import substream
@@ -47,6 +46,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -105,15 +111,12 @@ def cmd_icps_sweep(args) -> int:
 
 
 def cmd_random_sweep(args) -> int:
-    rows = []
     modes = [args.mode] if args.mode != "both" else ["single", "parallel"]
-    for noise in args.noise:
-        for mode in modes:
-            e = estimate_quasi_pure_sensitivity(args.d, noise, mode=Mode(mode),
-                                                n_samples=args.samples, seed=args.seed,
-                                                workers=args.workers)
-            rows.append([args.d, None, None, 1.0 - noise, LutKind.IDENTITY.value, mode,
-                         e.sampled, e.entangled, e.detected, e.value, e.ci95, args.seed])
+    table = sweep_quasi_pure(args.d, args.noise, [Mode(m) for m in modes],
+                             n_samples=args.samples, seed=args.seed, workers=args.workers)
+    rows = [[args.d, None, None, 1.0 - noise, LutKind.IDENTITY.value, mode,
+             e.sampled, e.entangled, e.detected, e.value, e.ci95, args.seed]
+            for noise, ests in zip(args.noise, table) for mode, e in zip(modes, ests)]
     params = dict(d=args.d, noise="+".join(repr(x) for x in args.noise), mode=args.mode,
                   samples=args.samples, seed=args.seed)
     _write_table(args.out, "random-sweep", params, COLUMNS, rows)
@@ -184,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, samples_default=DEFAULT_SAMPLES):
         p.add_argument("--samples", type=_positive_int, default=samples_default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_positive_int, default=_default_workers())
+        p.add_argument("--seed", type=_nonnegative_int, default=0)
+        p.add_argument("--workers", type=_positive_int, default=None,
+                       help="pool size (default: $QUDITWITNESS_WORKERS, else the CPU count)")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
     p = sub.add_parser("icps-sweep", help="sensitivity table over the Schmidt-form ensemble")
@@ -218,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["single", "parallel"], default="single")
     p.add_argument("--combined-selection", choices=[c.value for c in CombinedSelection],
                    default=CombinedSelection.FRESH.value)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=_default_workers())
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_grid)
 
@@ -232,16 +236,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collective-verify",
                        help="check the 10-setting collective witness against direct evaluation")
     p.add_argument("--n", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_collective_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "workers", 1) is None:
+        try:
+            args.workers = _default_workers()
+        except ValueError:
+            print("error: QUDITWITNESS_WORKERS must be an integer, got "
+                  f"{os.environ['QUDITWITNESS_WORKERS']!r}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
-    except (ParseError, InvalidStateError, InvalidParamsError) as exc:
+    except (ParseError, InvalidStateError, InvalidParamsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (np.linalg.LinAlgError, ZeroProbabilityError, ArithmeticError) as exc:

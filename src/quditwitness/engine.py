@@ -5,9 +5,10 @@ number it needs, in a fixed order, from substream(seed, tag, ..., c).  Chunk
 results are integer count vectors and addition is commutative, so aggregate
 results are bit-identical for any worker count.
 
-icps and grid chunks share one Schmidt-form counting kernel.  Every sampled
-state is pure plus white noise, so scores_from_amplitudes scores each
-reduction in closed form.
+icps and grid chunks share one Schmidt-form counting kernel.  A quasi chunk
+draws its Haar states and their SVD once for a whole table of noise levels
+and modes.  Every sampled state is pure plus white noise, so
+scores_from_amplitudes scores each reduction in closed form.
 """
 from __future__ import annotations
 
@@ -76,17 +77,20 @@ def _state_amps(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z[rows, a[:, :, None], b[:, None, :]].reshape(-1, 4)
 
 
-def _detected(vis: np.ndarray, d: int, sel: tuple[np.ndarray, np.ndarray],
-              gather, *state) -> np.ndarray:
-    """Flags (n,): the witness detects on some pair of the selection.
-
-    gather(a, b, *state) returns the (n, 4) pure-component amplitudes on pair (a, b).
-    """
+def _pairs(sel: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (a, b) level pairs of a selection: columns 2k, 2k+1 of each side."""
     pa, pb = sel
+    return [(pa[:, 2 * k:2 * k + 2], pb[:, 2 * k:2 * k + 2]) for k in range(pa.shape[1] // 2)]
+
+
+def _detected(vis: np.ndarray, d: int, amps) -> np.ndarray:
+    """Flags (n,): the witness detects on some pair.
+
+    amps yields, per pair, the (n, 4) pure-component amplitudes on that pair.
+    """
     hit = np.zeros(len(vis), dtype=bool)
-    for k in range(pa.shape[1] // 2):
-        amps = gather(pa[:, 2 * k:2 * k + 2], pb[:, 2 * k:2 * k + 2], *state)
-        scores, _ = scores_from_amplitudes(amps, vis, d * d)
+    for m in amps:
+        scores, _ = scores_from_amplitudes(m, vis, d * d)
         hit |= scores > WITNESS_TOL
     return hit
 
@@ -114,7 +118,7 @@ def _schmidt_detections(rng: np.random.Generator, alpha: np.ndarray, vis: np.nda
             u = haar_unitary(d, rng, size=n)
             v = haar_unitary(d, rng, size=n)
         sel = shared_sel if shared else _selections(rng, d, n, mode)
-        hit = _detected(vis, d, sel, _schmidt_amps, s, h, kind, u, v)
+        hit = _detected(vis, d, (_schmidt_amps(a, b, s, h, kind, u, v) for a, b in _pairs(sel)))
         counts.append(int((hit & ent).sum()))
         any_hit |= hit
     counts.append(int((any_hit & ent).sum()))
@@ -158,20 +162,33 @@ def _grid_chunk(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int
     return np.array([n, *counts], dtype=np.int64)
 
 
-def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noise: float,
-                 mode: str) -> np.ndarray:
-    """Counts [sampled, entangled, detected] for Haar states at fixed noise."""
+def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float, ...],
+                 modes: tuple[str, ...]) -> np.ndarray:
+    """Counts [sampled, (entangled, detected) per (noise, mode)...] for Haar states.
+
+    Entries run noise-major.  One Haar draw and one SVD serve every noise
+    level and mode; each mode draws its selections from the generator state
+    right after the state draw, so an entry equals a chunk run for its
+    (noise, mode) alone.
+    """
     rng = substream(seed, _TAG_QUASI, chunk_idx)
-    vis = 1.0 - noise
     z = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
+    after_draw = rng.bit_generator.state
     # NPT iff vis * (product of two largest Schmidt coefficients) beats the
     # noise floor; the Schmidt coefficients are the singular values of the
     # amplitude matrix.
     lam = np.linalg.svd(z, compute_uv=False)
-    ent = vis * lam[:, 0] * lam[:, 1] - (1.0 - vis) / (d * d) > NPT_TOL
-    hit = _detected(np.full(n, vis), d, _selections(rng, d, n, mode), _state_amps, z)
-    return np.array([n, int(ent.sum()), int((hit & ent).sum())], dtype=np.int64)
+    vis = [1.0 - noise for noise in noises]
+    ent = [v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL for v in vis]
+    counts = np.zeros((len(noises), len(modes), 2), dtype=np.int64)
+    for j, mode in enumerate(modes):
+        rng.bit_generator.state = after_draw
+        amps = [_state_amps(a, b, z) for a, b in _pairs(_selections(rng, d, n, mode))]
+        for i, v in enumerate(vis):
+            hit = _detected(np.full(n, v), d, amps)
+            counts[i, j] = ent[i].sum(), (hit & ent[i]).sum()
+    return np.concatenate([[n], counts.ravel()])
 
 
 _CHUNK_FNS = {"icps": _icps_chunk, "quasi": _quasi_chunk, "grid": _grid_chunk}

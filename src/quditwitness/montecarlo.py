@@ -9,6 +9,7 @@ certify.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,13 +142,31 @@ def estimate_quasi_pure_sensitivity(d: int, noise_level: float, mode: Mode = Mod
     Ground truth is the NPT criterion; no local unitaries are applied since
     the Haar ensemble is invariant under them.
     """
-    if not 0.0 <= noise_level <= 1.0:
-        raise InvalidParamsError(f"noise level must be in [0, 1], got {noise_level}")
-    QuasiPureParams(d, 1.0 - noise_level)  # validates d
-    tasks = [("quasi", (seed, c, size, d, noise_level, mode.value))
+    return sweep_quasi_pure(d, [noise_level], [mode], n_samples, seed, workers)[0][0]
+
+
+def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode],
+                     n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
+                     workers: int = 1) -> list[list[SensitivityEstimate]]:
+    """estimate_quasi_pure_sensitivity for every (noise level, mode) in one run.
+
+    Returns out[i][j] for noise_levels[i] and modes[j]; each entry equals the
+    single-pair estimate at the same seed.  Every chunk draws its Haar states
+    once for all pairs, and one process pool serves the whole table.
+    """
+    noises = tuple(noise_levels)
+    mode_names = tuple(Mode(m).value for m in modes)
+    for noise in noises:
+        if not 0.0 <= noise <= 1.0:
+            raise InvalidParamsError(f"noise level must be in [0, 1], got {noise}")
+    QuasiPureParams(d, 1.0)  # validates d
+    tasks = [("quasi", (seed, c, size, d, noises, mode_names))
              for c, size in enumerate(engine.chunk_sizes(n_samples))]
     total = np.sum(engine.run_tasks(tasks, workers), axis=0)
-    return SensitivityEstimate(int(total[2]), int(total[1]), int(total[0]), seed)
+    sampled = int(total[0])
+    pairs = total[1:].reshape(len(noises), len(mode_names), 2)
+    return [[SensitivityEstimate(int(det), int(ent), sampled, seed) for ent, det in row]
+            for row in pairs]
 
 
 def sweep_icps_grid(d: int, r: int, grid: GridSpec, cfg: DetectionConfig | None = None,

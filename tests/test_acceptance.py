@@ -9,10 +9,10 @@ import numpy as np
 from quditwitness import (DetectionConfig, IcpsParams, LevelSelection, LutStrategy, Mode,
                           Scenario, analytic_fef_score, analytic_sensitivity,
                           brute_force_counts, estimate_icps_sensitivity,
-                          estimate_quasi_pure_sensitivity, fef_from_collective, fef_witness,
+                          fef_from_collective, fef_witness,
                           haar_unitary, icps_entanglement_threshold, icps_thresholds,
                           make_icps, pi_matrix, random_product_mixture,
-                          reduce_to_two_qubits, substream)
+                          reduce_to_two_qubits, substream, sweep_quasi_pure)
 from quditwitness.cli import main
 from quditwitness.states import DensityMatrix, schmidt_vector
 from conftest import random_density
@@ -77,14 +77,19 @@ def test_criterion_1_icps_table():
 def test_criterion_2_quasi_pure_table():
     print()
     ok = True
-    for mode in ("single", "parallel"):
-        for (d, noise), ref in TABLE_QUASI[mode].items():
-            est = estimate_quasi_pure_sensitivity(d, noise, mode=Mode(mode),
-                                                  n_samples=N_TABLE, seed=SEED_TABLE + 1)
-            got = 100 * est.value
-            ok &= check(f"criterion 2: quasi-pure d={d} noise={noise:.0%} {mode}",
-                        abs(got - ref) <= TOL_PP,
-                        f"got {got:.1f}  expected {ref}  dev {abs(got - ref):.2f}pp")
+    modes = tuple(TABLE_QUASI)
+    # one sweep per d: its counts equal per-(noise, mode) estimates at the same seed
+    for d in dict.fromkeys(d for d, _ in TABLE_QUASI["single"]):
+        noises = [noise for dd, noise in TABLE_QUASI["single"] if dd == d]
+        table = sweep_quasi_pure(d, noises, [Mode(m) for m in modes],
+                                 n_samples=N_TABLE, seed=SEED_TABLE + 1)
+        for noise, row in zip(noises, table):
+            for mode, est in zip(modes, row):
+                ref = TABLE_QUASI[mode][(d, noise)]
+                got = 100 * est.value
+                ok &= check(f"criterion 2: quasi-pure d={d} noise={noise:.0%} {mode}",
+                            abs(got - ref) <= TOL_PP,
+                            f"got {got:.1f}  expected {ref}  dev {abs(got - ref):.2f}pp")
     assert ok
 
 

@@ -134,8 +134,53 @@ def test_analytic_command(capsys):
 def test_out_of_range_params_exit_3(argv, capsys):
     assert main(argv + (["--workers", "1"] if argv[0] != "analytic" else [])) == 3
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == "" and one_error_line(err)
+
+
+def one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_workers_env_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("QUDITWITNESS_WORKERS", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    capsys.readouterr()
+    argv = ["random-sweep", "--d", "3", "--noise", "0.2", "--samples", "100"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err) and "QUDITWITNESS_WORKERS" in err
+    # an explicit --workers never reads the variable
+    assert main(argv + ["--workers", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["icps-sweep", "--d", "3", "--r", "2", "--workers", "1"],
+    ["random-sweep", "--d", "3", "--noise", "0.2", "--workers", "1"],
+    ["grid", "--d", "3", "--r", "2", "--workers", "1"],
+    ["collective-verify"],
+])
+def test_negative_seed_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "-1"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_missing_state_file_exit_3(tmp_path, capsys):
+    assert main(["fef", str(tmp_path / "missing.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err)
+
+
+def test_out_into_missing_directory_exit_3(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.csv"
+    assert main(["random-sweep", "--d", "3", "--noise", "0.2", "--samples", "100",
+                 "--workers", "1", "--out", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err)
+    assert not out_path.exists()
 
 
 def test_collective_verify(capsys):

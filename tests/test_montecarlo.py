@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from quditwitness import (COMBINED_KEY, CombinedSelection, DetectionConfig, GridSpec,
-                          IcpsGroundTruth, IcpsParams, LutKind, LutStrategy, Mode,
-                          SensitivityEstimate, brute_force_sensitivity,
+                          IcpsGroundTruth, IcpsParams, InvalidParamsError, LutKind,
+                          LutStrategy, Mode, SensitivityEstimate, brute_force_sensitivity,
                           estimate_icps_sensitivity, estimate_quasi_pure_sensitivity,
-                          make_icps, sweep_icps_grid, wilson_halfwidth)
+                          make_icps, sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
 from quditwitness import engine
 
 
@@ -40,6 +40,23 @@ def test_reproducible_across_worker_counts():
     qa = estimate_quasi_pure_sensitivity(3, 0.4, n_samples=40_000, seed=9, workers=1)
     qb = estimate_quasi_pure_sensitivity(3, 0.4, n_samples=40_000, seed=9, workers=2)
     assert (qa.detected, qa.entangled) == (qb.detected, qb.entangled)
+
+
+def test_quasi_pure_sweep_equals_per_pair_estimates():
+    # unsorted, repeated noises; odd d; two chunks, so workers=2 splits them
+    noises, modes = (0.6, 0.2, 0.6), (Mode.PARALLEL, Mode.SINGLE)
+    kwargs = dict(n_samples=17_000, seed=10)
+    tables = [sweep_quasi_pure(5, noises, modes, workers=w, **kwargs) for w in (1, 2)]
+    assert tables[0] == tables[1]
+    for noise, row in zip(noises, tables[0]):
+        for mode, est in zip(modes, row):
+            assert est == estimate_quasi_pure_sensitivity(5, noise, mode=mode, **kwargs)
+    assert tables[0][0] == tables[0][2]
+
+
+def test_quasi_pure_sweep_rejects_any_bad_noise():
+    with pytest.raises(InvalidParamsError):
+        sweep_quasi_pure(3, [0.2, 1.5], [Mode.SINGLE], n_samples=100)
 
 
 def test_ground_truth_denominators_ordered():

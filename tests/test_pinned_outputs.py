@@ -49,6 +49,12 @@ RUNS = {
                   "--samples", "17000", "--seed", "6"],
     "random-d3": ["random-sweep", "--d", "3", "--noise", "0.3", "--mode", "both",
                   "--samples", "2000", "--seed", "7"],
+    # odd d leaves a level out of every permutation; unsorted, repeated noises
+    "random-d5-parallel-unsorted-repeat": ["random-sweep", "--d", "5", "--noise", "0.6", "0.2",
+                                           "0.6", "--mode", "parallel", "--samples", "17000",
+                                           "--seed", "8"],
+    "random-d4-single-17000": ["random-sweep", "--d", "4", "--noise", "0.3", "--mode", "single",
+                               "--samples", "17000", "--seed", "9"],
 }
 
 
