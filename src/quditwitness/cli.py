@@ -37,9 +37,7 @@ STRATEGY_CHOICES = [k.value for k in LutKind]
 
 def _default_workers() -> int:
     env = os.environ.get("QUDITWITNESS_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return _positive_int(env) if env else os.cpu_count() or 1
 
 
 def _positive_int(text: str) -> int:
@@ -185,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state_file")
     p.set_defaults(func=cmd_fef)
 
-    def common(p, samples_default=DEFAULT_SAMPLES):
-        p.add_argument("--samples", type=_positive_int, default=samples_default)
+    def run_options(p):
         p.add_argument("--seed", type=_nonnegative_int, default=0)
         p.add_argument("--workers", type=_positive_int, default=None,
                        help="pool size (default: $QUDITWITNESS_WORKERS, else the CPU count)")
@@ -202,14 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
                    default=CombinedSelection.FRESH.value)
     p.add_argument("--ground-truth", choices=[g.value for g in IcpsGroundTruth],
                    default=IcpsGroundTruth.RANK2.value)
-    common(p)
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    run_options(p)
     p.set_defaults(func=cmd_icps_sweep)
 
     p = sub.add_parser("random-sweep", help="sensitivity on Haar-random noisy pure states")
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--noise", type=float, nargs="+", required=True)
     p.add_argument("--mode", choices=["single", "parallel", "both"], default="both")
-    common(p)
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    run_options(p)
     p.set_defaults(func=cmd_random_sweep)
 
     p = sub.add_parser("grid", help="alpha-v sensitivity grid for fixed (d, r)")
@@ -222,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["single", "parallel"], default="single")
     p.add_argument("--combined-selection", choices=[c.value for c in CombinedSelection],
                    default=CombinedSelection.FRESH.value)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=None)
-    p.add_argument("--out", default=None)
+    run_options(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("analytic", help="exact thresholds and detection fractions")
@@ -246,8 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "workers", 1) is None:
         try:
             args.workers = _default_workers()
-        except ValueError:
-            print("error: QUDITWITNESS_WORKERS must be an integer, got "
+        except (ValueError, argparse.ArgumentTypeError):
+            print("error: QUDITWITNESS_WORKERS must be a positive integer, got "
                   f"{os.environ['QUDITWITNESS_WORKERS']!r}", file=sys.stderr)
             return 2
     try:

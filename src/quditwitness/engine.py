@@ -5,10 +5,12 @@ number it needs, in a fixed order, from substream(seed, tag, ..., c).  Chunk
 results are integer count vectors and addition is commutative, so aggregate
 results are bit-identical for any worker count.
 
-icps and grid chunks share one Schmidt-form counting kernel.  A quasi chunk
-draws its Haar states and their SVD once for a whole table of noise levels
-and modes.  Every sampled state is pure plus white noise, so
-scores_from_amplitudes scores each reduction in closed form.
+icps and grid chunks share one Schmidt-form counting kernel, which gathers
+the selected entries of M = U diag(s) V^T with (U, V) from
+transforms._local_unitaries.  A quasi chunk draws its Haar states and their
+SVD once for a whole table of noise levels and modes.  Every sampled state is
+pure plus white noise, so scores_from_amplitudes scores each reduction in
+closed form.
 """
 from __future__ import annotations
 
@@ -17,10 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .constants import NPT_TOL, WITNESS_TOL
-from .linalg import haar_unitary
 from .oracles import npt_threshold, visibility_thresholds
 from .rng import substream
-from .transforms import LutKind, qudit_hadamard
+from .states import InvalidParamsError
+from .transforms import LutKind, LutStrategy, _local_unitaries
 from .witness import scores_from_amplitudes
 
 CHUNK = 16384
@@ -45,30 +47,26 @@ def _selections(rng: np.random.Generator, d: int, n: int, mode: str) -> tuple[np
     return draw(), draw()
 
 
-def _schmidt_amps(a: np.ndarray, b: np.ndarray, s: np.ndarray, h: np.ndarray,
-                  kind: LutKind, u: np.ndarray | None, v: np.ndarray | None) -> np.ndarray:
+def _rows(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx (n, 2) of a shared (d, d) matrix or of per-sample (n, d, d) ones."""
+    return m[idx] if m.ndim == 2 else np.take_along_axis(m, idx[:, :, None], axis=1)
+
+
+def _schmidt_amps(a: np.ndarray, b: np.ndarray, s: np.ndarray,
+                  u: np.ndarray | None, v: np.ndarray | None) -> np.ndarray:
     """Amplitudes of (U_A x V_B)|psi> on the four selected components.
 
-    a, b: (n, 2) selected levels; s: (n, d) Schmidt coefficients.  The |psi>
-    amplitude matrix is diag(s), so each strategy reduces to a small gather.
+    a, b: (n, 2) selected levels; s: (n, d) Schmidt coefficients; u, v as
+    returned by transforms._local_unitaries (None is the identity).  The
+    amplitude matrix is U diag(s) V^T.
     """
-    n = s.shape[0]
-    if kind is LutKind.IDENTITY:
+    n, d = s.shape
+    if u is None:
+        # diag(s) V^T: entry (i, j) = s_i V[j, i]
+        v = np.eye(d, dtype=complex) if v is None else v
         s_a = np.take_along_axis(s, a, axis=1)
-        eq = a[:, :, None] == b[:, None, :]
-        return (s_a[:, :, None] * eq).reshape(n, 4).astype(complex)
-    if kind is LutKind.HADAMARD_B:
-        # amplitude matrix diag(s) H^T: entry (i, j) = s_i H[j, i]
-        s_a = np.take_along_axis(s, a, axis=1)
-        h_gather = h[b[:, None, :], a[:, :, None]]
-        return (s_a[:, :, None] * h_gather).reshape(n, 4)
-    if kind is LutKind.HADAMARD_BOTH:
-        # H diag(s) H^T: entry (i, j) = sum_k H[i, k] s_k H[j, k]
-        return np.einsum("nk,nqk,npk->nqp", s.astype(complex), h[a], h[b]).reshape(n, 4)
-    # RANDOM_BOTH: U diag(s) V^T with per-sample Haar U, V
-    u_rows = np.take_along_axis(u, a[:, :, None], axis=1)
-    v_rows = np.take_along_axis(v, b[:, :, None], axis=1)
-    return np.einsum("nqk,nk,npk->nqp", u_rows, s.astype(complex), v_rows).reshape(n, 4)
+        return (s_a[:, :, None] * v[b[:, None, :], a[:, :, None]]).reshape(n, 4)
+    return np.einsum("nqk,nk,npk->nqp", _rows(u, a), s, _rows(v, b)).reshape(n, 4)
 
 
 def _state_amps(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -102,23 +100,20 @@ def _schmidt_detections(rng: np.random.Generator, alpha: np.ndarray, vis: np.nda
 
     Sample i has Schmidt coefficients (alpha_i, ..., alpha_i, alpha_r, 0, ...)
     and visibility vis_i.  Draw order: shared selections (if shared), then per
-    strategy Haar U and V (random_both only) and its selections (if not shared).
+    strategy its local unitaries (Haar U then V for random_both) and its
+    selections (if not shared).
     """
     n = len(alpha)
     s = np.zeros((n, d))
     s[:, : r - 1] = alpha[:, None]
     s[:, r - 1] = np.sqrt(np.clip(1.0 - (r - 1) * alpha ** 2, 0.0, None))
-    h = qudit_hadamard(d)
     shared_sel = _selections(rng, d, n, mode) if shared else None
     counts = []
     any_hit = np.zeros(n, dtype=bool)
     for kind in kinds:
-        u = v = None
-        if kind is LutKind.RANDOM_BOTH:
-            u = haar_unitary(d, rng, size=n)
-            v = haar_unitary(d, rng, size=n)
+        u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
         sel = shared_sel if shared else _selections(rng, d, n, mode)
-        hit = _detected(vis, d, (_schmidt_amps(a, b, s, h, kind, u, v) for a, b in _pairs(sel)))
+        hit = _detected(vis, d, (_schmidt_amps(a, b, s, u, v) for a, b in _pairs(sel)))
         counts.append(int((hit & ent).sum()))
         any_hit |= hit
     counts.append(int((any_hit & ent).sum()))
@@ -191,24 +186,20 @@ def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     return np.concatenate([[n], counts.ravel()])
 
 
-_CHUNK_FNS = {"icps": _icps_chunk, "quasi": _quasi_chunk, "grid": _grid_chunk}
-
-
-def _run_task(task: tuple) -> np.ndarray:
-    name, args = task
-    return _CHUNK_FNS[name](*args)
-
-
-def run_tasks(tasks: list[tuple], workers: int = 1) -> list[np.ndarray]:
-    """Execute chunk tasks, possibly across processes; order-preserving."""
+def run_tasks(chunk_fn, tasks: list[tuple], workers: int = 1) -> list[np.ndarray]:
+    """chunk_fn(*task) for every task, possibly across processes; order-preserving."""
     if workers <= 1 or len(tasks) <= 1:
-        return [_run_task(t) for t in tasks]
+        return [chunk_fn(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        return list(pool.map(chunk_fn, *zip(*tasks),
+                             chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
-    sizes = [chunk] * (n // chunk)
-    if n % chunk:
-        sizes.append(n % chunk)
+def chunk_sizes(n: int) -> list[int]:
+    """Sizes of the CHUNK-row chunks that cover n >= 1 samples; the last may be short."""
+    if n < 1:
+        raise InvalidParamsError(f"n_samples must be >= 1, got {n}")
+    sizes = [CHUNK] * (n // CHUNK)
+    if n % CHUNK:
+        sizes.append(n % CHUNK)
     return sizes

@@ -108,6 +108,14 @@ def _strategy_kinds(cfg: DetectionConfig) -> tuple[LutKind, ...]:
     return tuple(kinds)
 
 
+def _estimates(kinds: tuple[LutKind, ...], detected: np.ndarray, entangled: int, sampled: int,
+               seed: int) -> dict[str, SensitivityEstimate]:
+    """Per-strategy estimates, then the combined one; detected has one count per entry."""
+    labels = [kind.value for kind in kinds] + [COMBINED_KEY]
+    return {label: SensitivityEstimate(int(k), entangled, sampled, seed)
+            for label, k in zip(labels, detected)}
+
+
 def estimate_icps_sensitivity(d: int, r: int, cfg: DetectionConfig | None = None,
                               n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
                               workers: int = 1,
@@ -123,15 +131,10 @@ def estimate_icps_sensitivity(d: int, r: int, cfg: DetectionConfig | None = None
     cfg = cfg or DetectionConfig()
     kinds = _strategy_kinds(cfg)
     shared = cfg.combined_selection is CombinedSelection.SHARED
-    tasks = [("icps", (seed, c, size, d, r, kinds, cfg.mode.value, shared, ground_truth.value))
+    tasks = [(seed, c, size, d, r, kinds, cfg.mode.value, shared, ground_truth.value)
              for c, size in enumerate(engine.chunk_sizes(n_samples))]
-    total = np.sum(engine.run_tasks(tasks, workers), axis=0)
-    sampled, entangled = int(total[0]), int(total[1])
-    out = {}
-    for i, kind in enumerate(kinds):
-        out[kind.value] = SensitivityEstimate(int(total[2 + i]), entangled, sampled, seed)
-    out[COMBINED_KEY] = SensitivityEstimate(int(total[-1]), entangled, sampled, seed)
-    return out
+    total = np.sum(engine.run_tasks(engine._icps_chunk, tasks, workers), axis=0)
+    return _estimates(kinds, total[2:], int(total[1]), int(total[0]), seed)
 
 
 def estimate_quasi_pure_sensitivity(d: int, noise_level: float, mode: Mode = Mode.SINGLE,
@@ -160,9 +163,9 @@ def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode
         if not 0.0 <= noise <= 1.0:
             raise InvalidParamsError(f"noise level must be in [0, 1], got {noise}")
     QuasiPureParams(d, 1.0)  # validates d
-    tasks = [("quasi", (seed, c, size, d, noises, mode_names))
+    tasks = [(seed, c, size, d, noises, mode_names)
              for c, size in enumerate(engine.chunk_sizes(n_samples))]
-    total = np.sum(engine.run_tasks(tasks, workers), axis=0)
+    total = np.sum(engine.run_tasks(engine._quasi_chunk, tasks, workers), axis=0)
     sampled = int(total[0])
     pairs = total[1:].reshape(len(noises), len(mode_names), 2)
     return [[SensitivityEstimate(int(det), int(ent), sampled, seed) for ent, det in row]
@@ -184,23 +187,16 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, cfg: DetectionConfig | None 
     amax = 1.0 / math.sqrt(r - 1)
     cells = [((ia + 0.5) / grid.alpha_steps * amax, (iv + 0.5) / grid.v_steps)
              for ia in range(grid.alpha_steps) for iv in range(grid.v_steps)]
-    tasks = []
-    spans = []
-    for cell_idx, (alpha, v) in enumerate(cells):
-        sizes = engine.chunk_sizes(grid.trials_per_cell)
-        spans.append((len(tasks), len(sizes)))
-        tasks.extend(("grid", (seed, cell_idx, c, size, d, r, alpha, v, kinds,
-                               cfg.mode.value, shared))
-                     for c, size in enumerate(sizes))
-    results = engine.run_tasks(tasks, workers)
+    sizes = engine.chunk_sizes(grid.trials_per_cell)
+    tasks = [(seed, cell_idx, c, size, d, r, alpha, v, kinds, cfg.mode.value, shared)
+             for cell_idx, (alpha, v) in enumerate(cells) for c, size in enumerate(sizes)]
+    results = engine.run_tasks(engine._grid_chunk, tasks, workers)
+    # every cell has the same chunks, so its totals are a sum over one axis
+    totals = np.reshape(results, (len(cells), len(sizes), -1)).sum(axis=1)
     out = []
-    for cell_idx, (alpha, v) in enumerate(cells):
-        start, count = spans[cell_idx]
-        total = np.sum(results[start:start + count], axis=0)
+    for (alpha, v), total in zip(cells, totals):
         trials = int(total[0])
-        estimates = {kind.value: SensitivityEstimate(int(total[1 + i]), trials, trials, seed)
-                     for i, kind in enumerate(kinds)}
-        estimates[COMBINED_KEY] = SensitivityEstimate(int(total[-1]), trials, trials, seed)
         separable = not icps_is_entangled(IcpsParams(d, r, alpha, v))
-        out.append(GridCell(alpha=alpha, v=v, separable=separable, estimates=estimates))
+        out.append(GridCell(alpha=alpha, v=v, separable=separable,
+                            estimates=_estimates(kinds, total[1:], trials, trials, seed)))
     return out

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constants import NPT_TOL, WITNESS_TOL
 from .states import DensityMatrix, IcpsParams
-from .transforms import LevelSelection, LutStrategy, apply_lut
+from .transforms import LevelSelection, LutStrategy, apply_lut, block_indices
 from .witness import scores_from_submatrices
 
 
@@ -125,11 +125,17 @@ def analytic_fef_score(p: IcpsParams, scenario: Scenario) -> float:
     raise InvalidScenarioError(f"no closed form for scenario {scenario.value}: it never detects")
 
 
+def _selection_table(d: int) -> np.ndarray:
+    """(m, 4) rows (a0, a1, b0, b1) of all m = d^2 (d-1)^2 classes, lexicographic."""
+    pairs = np.array([(x, y) for x in range(d) for y in range(d) if x != y], dtype=int)
+    pairs = pairs.reshape(-1, 2)  # (0, 2) when d = 1
+    m = len(pairs)
+    return np.concatenate([np.repeat(pairs, m, axis=0), np.tile(pairs, (m, 1))], axis=1)
+
+
 def all_selections(d: int) -> list[LevelSelection]:
     """All d^2 (d-1)^2 selection classes, lexicographic in (a0, a1, b0, b1)."""
-    return [LevelSelection(a0, a1, b0, b1)
-            for a0 in range(d) for a1 in range(d) if a1 != a0
-            for b0 in range(d) for b1 in range(d) if b1 != b0]
+    return [LevelSelection(*row) for row in _selection_table(d).tolist()]
 
 
 @dataclass(frozen=True)
@@ -157,18 +163,17 @@ def brute_force_counts(rho: DensityMatrix, lut: LutStrategy,
         raise ValueError("selection enumeration assumes equal local dimensions")
     d = rho.dim_a
     transformed = apply_lut(rho, lut, rng)
-    sels = all_selections(d)
-    idx = np.stack([s.indices(d) for s in sels])
+    table = _selection_table(d)
+    idx = block_indices(table, d)
     blocks = transformed.mat[idx[:, :, None], idx[:, None, :]]
     scores, _ = scores_from_submatrices(blocks)
     hits = scores > WITNESS_TOL
     by_scenario = None
     if r is not None:
         by_scenario = {sc: 0 for sc in Scenario}
-        for sel, hit in zip(sels, hits):
-            if hit:
-                by_scenario[classify_selection(sel, r)] += 1
-    return BruteForceCounts(total=len(sels), detected=int(hits.sum()), by_scenario=by_scenario)
+        for row in table[hits].tolist():
+            by_scenario[classify_selection(LevelSelection(*row), r)] += 1
+    return BruteForceCounts(total=len(table), detected=int(hits.sum()), by_scenario=by_scenario)
 
 
 def brute_force_sensitivity(rho: DensityMatrix, lut: LutStrategy,

@@ -34,14 +34,15 @@ class LevelSelection:
         if self.a0 == self.a1 or self.b0 == self.b1:
             raise ValueError("selected levels must be distinct on each side")
 
-    def swapped(self) -> "LevelSelection":
-        """Flip both qubits simultaneously (a0<->a1, b0<->b1)."""
-        return LevelSelection(self.a1, self.a0, self.b1, self.b0)
-
     def indices(self, d: int) -> np.ndarray:
         """Row indices of the selected two-qubit block in the d*d product basis."""
-        return np.array([self.a0 * d + self.b0, self.a0 * d + self.b1,
-                         self.a1 * d + self.b0, self.a1 * d + self.b1])
+        return block_indices(np.array([self.a0, self.a1, self.b0, self.b1]), d)
+
+
+def block_indices(sel: np.ndarray, d: int) -> np.ndarray:
+    """Product-basis rows (a0 b0, a0 b1, a1 b0, a1 b1) of selections sel[..., (a0, a1, b0, b1)]."""
+    a, b = sel[..., :2], sel[..., 2:]
+    return (a[..., :, None] * d + b[..., None, :]).reshape(*sel.shape[:-1], 4)
 
 
 class LutKind(str, Enum):
@@ -91,7 +92,12 @@ def qudit_hadamard(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
 
 
-def _local_unitaries(d: int, s: LutStrategy, rng: np.random.Generator | None) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _local_unitaries(d: int, s: LutStrategy, rng: np.random.Generator | None,
+                     size: int | None = None) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(U_A, V_B) of a strategy, None for the identity: the one LutKind-to-unitary map.
+
+    random_both draws what is not pinned, U before V; size gives (size, d, d) stacks.
+    """
     if s.kind is LutKind.IDENTITY:
         return None, None
     if s.kind is LutKind.HADAMARD_B:
@@ -103,8 +109,8 @@ def _local_unitaries(d: int, s: LutStrategy, rng: np.random.Generator | None) ->
     if u is None or v is None:
         if rng is None:
             raise ValueError("random_both without stored unitaries needs an rng")
-        u = haar_unitary(d, rng) if u is None else u
-        v = haar_unitary(d, rng) if v is None else v
+        u = haar_unitary(d, rng, size=size) if u is None else u
+        v = haar_unitary(d, rng, size=size) if v is None else v
     return u, v
 
 

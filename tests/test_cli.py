@@ -142,17 +142,19 @@ def one_error_line(err: str) -> bool:
 
 
 def test_bad_workers_env_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("QUDITWITNESS_WORKERS", "abc")
-    with pytest.raises(SystemExit) as info:
-        main(["--version"])
-    assert info.value.code == 0
-    capsys.readouterr()
+    # the variable gets the same check as --workers: non-integers and values < 1
     argv = ["random-sweep", "--d", "3", "--noise", "0.2", "--samples", "100"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and one_error_line(err) and "QUDITWITNESS_WORKERS" in err
-    # an explicit --workers never reads the variable
-    assert main(argv + ["--workers", "1"]) == 0
+    for value in ("abc", "0", "-3"):
+        monkeypatch.setenv("QUDITWITNESS_WORKERS", value)
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and one_error_line(err) and "QUDITWITNESS_WORKERS" in err
+        # an explicit --workers never reads the variable
+        assert main(argv + ["--workers", "1"]) == 0
 
 
 @pytest.mark.parametrize("argv", [

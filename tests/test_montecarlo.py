@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from quditwitness import (COMBINED_KEY, CombinedSelection, DetectionConfig, GridSpec,
                           IcpsGroundTruth, IcpsParams, InvalidParamsError, LutKind,
                           LutStrategy, Mode, SensitivityEstimate, brute_force_sensitivity,
                           estimate_icps_sensitivity, estimate_quasi_pure_sensitivity,
                           make_icps, sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
-from quditwitness import engine
+from quditwitness import engine, haar_unitary
+from quditwitness.transforms import _local_unitaries
 
 
 def test_wilson_halfwidth_value():
@@ -167,13 +169,45 @@ def test_wilson_coverage_on_known_probability():
 
 
 def test_engine_chunk_sizes():
-    assert engine.chunk_sizes(10, 4) == [4, 4, 2]
-    assert engine.chunk_sizes(8, 4) == [4, 4]
+    chunk = engine.CHUNK
+    assert engine.chunk_sizes(2 * chunk + 5) == [chunk, chunk, 5]
+    assert engine.chunk_sizes(2 * chunk) == [chunk, chunk]
+    assert engine.chunk_sizes(5) == [5]
     assert sum(engine.chunk_sizes(100_000)) == 100_000
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_schmidt_amps_match_local_unitary_product(d, rng):
+    # the gather equals entries of U diag(s) V^T for the unitaries that
+    # transforms._local_unitaries hands out (None is the identity)
+    n = 40
+    s = np.abs(rng.standard_normal((n, d)))
+    s /= np.linalg.norm(s, axis=1, keepdims=True)
+    pairs = [_local_unitaries(d, LutStrategy(kind), rng, size=n) for kind in LutKind]
+    pairs.append(_local_unitaries(d, LutStrategy.random_both(haar_unitary(d, rng),
+                                                             haar_unitary(d, rng)), rng))
+    pairs.append((None, haar_unitary(d, rng)))  # the gather with a non-symmetric V
+    for u, v in pairs:
+        uu, vv = (np.broadcast_to(np.eye(d) if w is None else w, (n, d, d)) for w in (u, v))
+        m = uu @ (s[:, :, None] * np.swapaxes(vv, 1, 2))
+        for mode in ("single", "parallel"):
+            for a, b in engine._pairs(engine._selections(rng, d, n, mode)):
+                expected = m[np.arange(n)[:, None, None], a[:, :, None], b[:, None, :]]
+                assert_allclose(engine._schmidt_amps(a, b, s, u, v), expected.reshape(n, 4),
+                                atol=1e-14)
+
+
+def test_entry_points_reject_zero_samples(monkeypatch):
+    monkeypatch.setattr(engine, "run_tasks", None)  # fails if any work starts
+    with pytest.raises(InvalidParamsError):
+        estimate_icps_sensitivity(3, 2, n_samples=0)
+    with pytest.raises(InvalidParamsError):
+        sweep_quasi_pure(3, [0.2], [Mode.SINGLE], n_samples=0)
+    with pytest.raises(InvalidParamsError):
+        estimate_quasi_pure_sensitivity(3, 0.2, n_samples=-1)
+
+
 def test_pinned_unitaries_rejected_in_sweeps(rng):
-    from quditwitness import haar_unitary
     cfg = DetectionConfig(strategies=(LutStrategy.random_both(
         u_a=haar_unitary(3, rng), v_b=haar_unitary(3, rng)),))
     with pytest.raises(ValueError):

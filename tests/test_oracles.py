@@ -10,6 +10,7 @@ from quditwitness import (IcpsParams, InvalidScenarioError, LevelSelection, LutS
                           fef_witness, haar_unitary, icps_entanglement_threshold,
                           icps_is_entangled, icps_thresholds, is_npt, make_icps,
                           maximally_mixed, partial_transpose, reduce_to_two_qubits, substream)
+from quditwitness.oracles import all_selections
 from quditwitness.states import DensityMatrix
 from conftest import random_density
 
@@ -127,6 +128,16 @@ def test_classify_selection_examples():
     assert classify_selection(LevelSelection(0, 1, 0, 2), 3) is Scenario.VIOLATED_CORE
     assert classify_selection(LevelSelection(0, 2, 0, 1), 3) is Scenario.VIOLATED_EDGE
     assert classify_selection(LevelSelection(3, 4, 3, 4), 3) is Scenario.VIOLATED_EDGE
+
+
+def test_selection_table_matches_loop_enumeration():
+    # the vectorised table and block rule against the explicit loops they replace
+    for d in range(2, 6):
+        loop = [(a0, a1, b0, b1) for a0 in range(d) for a1 in range(d) if a1 != a0
+                for b0 in range(d) for b1 in range(d) if b1 != b0]
+        assert [(s.a0, s.a1, s.b0, s.b1) for s in all_selections(d)] == loop
+        assert [list(s.indices(d)) for s in all_selections(d)] == \
+               [[a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1] for a0, a1, b0, b1 in loop]
 
 
 def test_brute_force_rank2():

@@ -27,6 +27,9 @@ RUNS = {
     **{f"icps-d4r2-fresh-{gt}": ["icps-sweep", "--d", "4", "--r", "2", *ALL4, "--mode", "both",
                                  "--ground-truth", gt, "--samples", "3000", "--seed", "22"]
        for gt in ("npt", "piecewise", "rank2")},
+    # d = 2: the Hadamard is 2x2 and every selection takes both levels
+    "icps-d2r2-all4-both": ["icps-sweep", "--d", "2", "--r", "2", *ALL4, "--mode", "both",
+                            "--samples", "17000", "--seed", "23"],
     "grid-d4r3-all-single": ["grid", "--d", "4", "--r", "3", "--alpha-steps", "3",
                              "--v-steps", "3", "--trials", "300", "--strategy", "all",
                              "--mode", "single", "--seed", "4"],

@@ -141,7 +141,8 @@ def test_simultaneous_swap_leaves_score_unchanged(rng):
         rho = random_density(rng, 4, 4)
         sel = random_selection(4, rng)
         s1 = fef_witness(reduce_to_two_qubits(rho, sel)[0]).score
-        s2 = fef_witness(reduce_to_two_qubits(rho, sel.swapped())[0]).score
+        swapped = LevelSelection(sel.a1, sel.a0, sel.b1, sel.b0)
+        s2 = fef_witness(reduce_to_two_qubits(rho, swapped)[0]).score
         assert abs(s1 - s2) <= 1e-10
 
 
