@@ -18,8 +18,7 @@ from .oracles import (AnalyticSensitivity, BruteForceCounts, InvalidScenarioErro
                       icps_entanglement_threshold, icps_is_entangled, icps_thresholds,
                       is_npt, partial_transpose)
 from .detection import (CombinedSelection, DetectionConfig, Mode, TrialResult,
-                        disjoint_selections, evaluate_selection, parallel_trial,
-                        run_trial, single_trial)
+                        disjoint_selections, evaluate_selection, run_trial)
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridCell, GridSpec,
                          IcpsGroundTruth, SensitivityEstimate,
                          estimate_icps_sensitivity, estimate_quasi_pure_sensitivity,

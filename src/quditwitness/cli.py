@@ -4,8 +4,8 @@ Subcommands: fef (witness one serialized state), icps-sweep and random-sweep
 (sensitivity tables), grid (alpha-v sensitivity grids), analytic (exact
 thresholds and detection fractions), collective-verify (cross-method identity
 check).  Every output file starts with comment lines recording the version,
-the full parameter set and the seed; re-running with the same seed produces
-byte-identical files for any worker count.
+the command and every option but --workers and --out; re-running with the
+same seed produces byte-identical files for any worker count.
 
 Exit codes: 0 success, 2 usage error, 3 parse/validation or I/O error, 4
 numeric failure.
@@ -35,11 +35,6 @@ from .witness import fef_witness
 STRATEGY_CHOICES = [k.value for k in LutKind]
 
 
-def _default_workers() -> int:
-    env = os.environ.get("QUDITWITNESS_WORKERS")
-    return _positive_int(env) if env else os.cpu_count() or 1
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -54,21 +49,39 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _write_table(out: str | None, command: str, params: dict, columns: list[str],
-                 rows: list[list]) -> None:
-    lines = [f"# quditwitness {__version__}",
-             f"# command: {command}",
-             "# params: " + " ".join(f"{k}={v}" for k, v in params.items()),
-             ",".join(columns)]
-    for row in rows:
-        lines.append(",".join("" if cell is None else
-                              (repr(cell) if isinstance(cell, float) else str(cell))
-                              for cell in row))
+COLUMNS = ["d", "r", "alpha", "v", "strategy", "mode", "samples", "entangled",
+           "detected", "sensitivity", "ci95", "seed"]
+
+# The `# params:` record is every option of the subcommand but these, in parser
+# order: argparse sets each option's default in that order before parsing.
+_UNRECORDED = ("command", "func", "workers", "out")
+
+
+def _cell(value) -> str:
+    if isinstance(value, list):
+        return "+".join(_cell(x) for x in value)
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_table(args, rows: list[list], columns: list[str] = COLUMNS) -> None:
+    params = " ".join(f"{k}={_cell(v)}" for k, v in vars(args).items() if k not in _UNRECORDED)
+    lines = [f"# quditwitness {__version__}", f"# command: {args.command}",
+             f"# params: {params}", ",".join(columns)]
+    lines += [",".join(_cell(cell) for cell in row) for row in rows]
     text = "\n".join(lines) + "\n"
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(args.out).write_text(text)
+
+
+def _row(args, label: str, mode: str, e, alpha=None, v=None) -> list:
+    return [args.d, getattr(args, "r", None), alpha, v, label, mode, e.sampled,
+            e.entangled, e.detected, e.value, e.ci95, args.seed]
+
+
+def _modes(args) -> list[str]:
+    return ["single", "parallel"] if args.mode == "both" else [args.mode]
 
 
 def _config(strategies: list[str], mode: str, combined: str) -> DetectionConfig:
@@ -86,57 +99,40 @@ def cmd_fef(args) -> int:
     return 0
 
 
-COLUMNS = ["d", "r", "alpha", "v", "strategy", "mode", "samples", "entangled",
-           "detected", "sensitivity", "ci95", "seed"]
-
-
 def cmd_icps_sweep(args) -> int:
-    modes = [args.mode] if args.mode != "both" else ["single", "parallel"]
     rows = []
-    for mode in modes:
+    for mode in _modes(args):
         cfg = _config(args.strategies, mode, args.combined_selection)
         est = estimate_icps_sensitivity(args.d, args.r, cfg=cfg, n_samples=args.samples,
                                         seed=args.seed, workers=args.workers,
                                         ground_truth=IcpsGroundTruth(args.ground_truth))
-        for label, e in est.items():
-            rows.append([args.d, args.r, None, None, label, mode, e.sampled,
-                         e.entangled, e.detected, e.value, e.ci95, args.seed])
-    params = dict(d=args.d, r=args.r, mode=args.mode, strategies="+".join(args.strategies),
-                  combined_selection=args.combined_selection, ground_truth=args.ground_truth,
-                  samples=args.samples, seed=args.seed)
-    _write_table(args.out, "icps-sweep", params, COLUMNS, rows)
+        rows += [_row(args, label, mode, e) for label, e in est.items()]
+    _write_table(args, rows)
     return 0
 
 
 def cmd_random_sweep(args) -> int:
-    modes = [args.mode] if args.mode != "both" else ["single", "parallel"]
+    modes = _modes(args)
     table = sweep_quasi_pure(args.d, args.noise, [Mode(m) for m in modes],
                              n_samples=args.samples, seed=args.seed, workers=args.workers)
-    rows = [[args.d, None, None, 1.0 - noise, LutKind.IDENTITY.value, mode,
-             e.sampled, e.entangled, e.detected, e.value, e.ci95, args.seed]
-            for noise, ests in zip(args.noise, table) for mode, e in zip(modes, ests)]
-    params = dict(d=args.d, noise="+".join(repr(x) for x in args.noise), mode=args.mode,
-                  samples=args.samples, seed=args.seed)
-    _write_table(args.out, "random-sweep", params, COLUMNS, rows)
+    _write_table(args, [_row(args, LutKind.IDENTITY.value, mode, e, v=1.0 - noise)
+                        for noise, ests in zip(args.noise, table)
+                        for mode, e in zip(modes, ests)])
     return 0
 
 
 def cmd_grid(args) -> int:
     strategies = STRATEGY_CHOICES[:3] if args.strategy == "all" else [args.strategy]
-    cfg = _config(strategies, args.mode, args.combined_selection)
-    cells = sweep_icps_grid(args.d, args.r, GridSpec(args.alpha_steps, args.v_steps, args.trials),
-                            cfg=cfg, seed=args.seed, workers=args.workers)
+    spec = GridSpec(args.alpha_steps, args.v_steps, args.trials)
     rows = []
-    for cell in cells:
-        for label, e in cell.estimates.items():
-            if args.strategy != "all" and label == COMBINED_KEY:
-                continue  # combined duplicates the single requested strategy
-            rows.append([args.d, args.r, cell.alpha, cell.v, label, args.mode, e.sampled,
-                         e.entangled, e.detected, e.value, e.ci95, args.seed,
-                         str(cell.separable).lower()])
-    params = dict(d=args.d, r=args.r, alpha_steps=args.alpha_steps, v_steps=args.v_steps,
-                  trials=args.trials, strategy=args.strategy, mode=args.mode, seed=args.seed)
-    _write_table(args.out, "grid", params, COLUMNS + ["separable"], rows)
+    for mode in _modes(args):
+        cfg = _config(strategies, mode, args.combined_selection)
+        cells = sweep_icps_grid(args.d, args.r, spec, cfg=cfg, seed=args.seed, workers=args.workers)
+        rows += [_row(args, label, mode, e, cell.alpha, cell.v) + [str(cell.separable).lower()]
+                 for cell in cells for label, e in cell.estimates.items()
+                 # combined duplicates the single requested strategy
+                 if args.strategy == "all" or label != COMBINED_KEY]
+    _write_table(args, rows, COLUMNS + ["separable"])
     return 0
 
 
@@ -241,11 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "workers", 1) is None:
+        env = os.environ.get("QUDITWITNESS_WORKERS")
         try:
-            args.workers = _default_workers()
+            args.workers = _positive_int(env) if env else os.cpu_count() or 1
         except (ValueError, argparse.ArgumentTypeError):
-            print("error: QUDITWITNESS_WORKERS must be a positive integer, got "
-                  f"{os.environ['QUDITWITNESS_WORKERS']!r}", file=sys.stderr)
+            print(f"error: QUDITWITNESS_WORKERS must be a positive integer, got {env!r}",
+                  file=sys.stderr)
             return 2
     try:
         return args.func(args)

@@ -33,7 +33,6 @@ class MinimalBasis:
 
     projectors: np.ndarray  # (4, 2, 2)
     bloch: np.ndarray       # (4, 3)
-    s: float
 
 
 @dataclass(frozen=True)
@@ -44,16 +43,16 @@ class CollectiveData:
     settings_count: int
 
 
-def minimal_basis(s: float = S_PARAM) -> MinimalBasis:
+def minimal_basis() -> MinimalBasis:
     bloch = _SIGNS / np.sqrt(3.0)
     projectors = np.array([(np.eye(2) + sum(b[k] * PAULI[k] for k in range(3))) / 2.0
                            for b in bloch])
-    return MinimalBasis(projectors=projectors, bloch=bloch, s=s)
+    return MinimalBasis(projectors=projectors, bloch=bloch)
 
 
-def transformation_matrix(s: float = S_PARAM) -> np.ndarray:
-    """Rows (1, +-s, +-s, +-s) following the tetrahedral sign pattern."""
-    return np.hstack([np.ones((4, 1)), s * _SIGNS])
+def transformation_matrix() -> np.ndarray:
+    """Rows (1, +-s, +-s, +-s) with s = S_PARAM, following the tetrahedral sign pattern."""
+    return np.hstack([np.ones((4, 1)), S_PARAM * _SIGNS])
 
 
 def singlet_projector_op() -> np.ndarray:
@@ -86,9 +85,9 @@ def collective_R_pauli(rho2) -> np.ndarray:
     return r
 
 
-def pi_matrix(rho2, basis: MinimalBasis | None = None) -> CollectiveData:
+def pi_matrix(rho2) -> CollectiveData:
     """The 10 independent two-copy moments of the minimal-basis settings."""
-    basis = basis or minimal_basis()
+    basis = minimal_basis()
     mat = _as_matrix(rho2)
     rho4 = np.kron(mat, mat)
     pi = np.empty((4, 4))
@@ -101,15 +100,14 @@ def pi_matrix(rho2, basis: MinimalBasis | None = None) -> CollectiveData:
     return CollectiveData(pi_matrix=pi, settings_count=settings)
 
 
-def collective_R_minimal(rho2, basis: MinimalBasis | None = None) -> np.ndarray:
+def collective_R_minimal(rho2) -> np.ndarray:
     """R recovered from the minimal-basis moments via the congruence inverse.
 
     The identity component sits in row/column 0 of the recovered block; R is
     its lower-right 3x3 part.
     """
-    basis = basis or minimal_basis()
-    data = pi_matrix(rho2, basis)
-    m_inv = np.linalg.inv(transformation_matrix(basis.s))
+    data = pi_matrix(rho2)
+    m_inv = np.linalg.inv(transformation_matrix())
     g = CALIBRATION * m_inv @ data.pi_matrix @ m_inv.T
     return g[1:, 1:]
 

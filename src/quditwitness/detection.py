@@ -83,29 +83,20 @@ def disjoint_selections(d: int, rng: np.random.Generator) -> list[LevelSelection
             for k in range(d // 2)]
 
 
-def single_trial(rho: DensityMatrix, cfg: DetectionConfig, rng: np.random.Generator) -> TrialResult:
-    """One protocol round: per strategy, one random selection and one witness call."""
+def run_trial(rho: DensityMatrix, cfg: DetectionConfig, rng: np.random.Generator) -> TrialResult:
+    """One protocol round: per strategy, one local unitary and a witness call per selection.
+
+    cfg.mode picks the selections: one random pair, or floor(d/2) disjoint
+    pairs.  Draw order: the shared selections (if shared), then per strategy
+    its local unitary and its own selections (if fresh).
+    """
     d = rho.dim_a
-    shared = random_selection(d, rng) if cfg.combined_selection is CombinedSelection.SHARED else None
+    def draw() -> list[LevelSelection]:
+        return [random_selection(d, rng)] if cfg.mode is Mode.SINGLE else disjoint_selections(d, rng)
+    shared = draw() if cfg.combined_selection is CombinedSelection.SHARED else None
     outcomes = []
     for strat in cfg.strategies:
         transformed = apply_lut(rho, strat, rng)
-        sel = shared if shared is not None else random_selection(d, rng)
-        outcomes.append(evaluate_selection(transformed, sel, strat))
-    return TrialResult(detected=any(o.detected for o in outcomes), outcomes=tuple(outcomes))
-
-
-def parallel_trial(rho: DensityMatrix, cfg: DetectionConfig, rng: np.random.Generator) -> TrialResult:
-    """One round of the disjoint-pair protocol over all floor(d/2) selections."""
-    d = rho.dim_a
-    shared = disjoint_selections(d, rng) if cfg.combined_selection is CombinedSelection.SHARED else None
-    outcomes = []
-    for strat in cfg.strategies:
-        transformed = apply_lut(rho, strat, rng)
-        sels = shared if shared is not None else disjoint_selections(d, rng)
+        sels = shared if shared is not None else draw()
         outcomes.extend(evaluate_selection(transformed, sel, strat) for sel in sels)
     return TrialResult(detected=any(o.detected for o in outcomes), outcomes=tuple(outcomes))
-
-
-def run_trial(rho: DensityMatrix, cfg: DetectionConfig, rng: np.random.Generator) -> TrialResult:
-    return (single_trial if cfg.mode is Mode.SINGLE else parallel_trial)(rho, cfg, rng)

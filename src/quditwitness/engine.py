@@ -1,9 +1,10 @@
 """Vectorised, deterministically chunked kernels behind the ensemble sweeps.
 
-Work is split into fixed-size chunks; chunk c of a task draws every random
-number it needs, in a fixed order, from substream(seed, tag, ..., c).  Chunk
-results are integer count vectors and addition is commutative, so aggregate
-results are bit-identical for any worker count.
+Work is split into chunks sized from n and d alone (chunk_sizes); chunk c of
+a task draws every random number it needs, in a fixed order, from
+substream(seed, tag, ..., c).  Chunk results are integer count vectors and
+addition is commutative, so aggregate results are bit-identical for any
+worker count.
 
 icps and grid chunks share one Schmidt-form counting kernel, which gathers
 the selected entries of M = U diag(s) V^T with (U, V) from
@@ -19,13 +20,15 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .constants import NPT_TOL, WITNESS_TOL
+from .linalg import ginibre
 from .oracles import npt_threshold, visibility_thresholds
 from .rng import substream
-from .states import InvalidParamsError
+from .states import InvalidParamsError, last_schmidt_coefficient
 from .transforms import LutKind, LutStrategy, _local_unitaries
 from .witness import scores_from_amplitudes
 
 CHUNK = 16384
+CHUNK_ENTRIES = CHUNK * 16 * 16  # rows * d^2 cap: a complex (n, d, d) stack is <= 64 MiB
 
 _TAG_ICPS = 0
 _TAG_QUASI = 1
@@ -69,12 +72,6 @@ def _schmidt_amps(a: np.ndarray, b: np.ndarray, s: np.ndarray,
     return np.einsum("nqk,nk,npk->nqp", _rows(u, a), s, _rows(v, b)).reshape(n, 4)
 
 
-def _state_amps(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Gather the four selected amplitudes from amplitude matrices z (n, d, d)."""
-    rows = np.arange(len(z))[:, None, None]
-    return z[rows, a[:, :, None], b[:, None, :]].reshape(-1, 4)
-
-
 def _pairs(sel: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (a, b) level pairs of a selection: columns 2k, 2k+1 of each side."""
     pa, pb = sel
@@ -106,7 +103,7 @@ def _schmidt_detections(rng: np.random.Generator, alpha: np.ndarray, vis: np.nda
     n = len(alpha)
     s = np.zeros((n, d))
     s[:, : r - 1] = alpha[:, None]
-    s[:, r - 1] = np.sqrt(np.clip(1.0 - (r - 1) * alpha ** 2, 0.0, None))
+    s[:, r - 1] = last_schmidt_coefficient(r, alpha)
     shared_sel = _selections(rng, d, n, mode) if shared else None
     counts = []
     any_hit = np.zeros(n, dtype=bool)
@@ -167,7 +164,7 @@ def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     (noise, mode) alone.
     """
     rng = substream(seed, _TAG_QUASI, chunk_idx)
-    z = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    z = ginibre(d, rng, size=n)
     z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
     after_draw = rng.bit_generator.state
     # NPT iff vis * (product of two largest Schmidt coefficients) beats the
@@ -177,9 +174,11 @@ def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     vis = [1.0 - noise for noise in noises]
     ent = [v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL for v in vis]
     counts = np.zeros((len(noises), len(modes), 2), dtype=np.int64)
+    rows = np.arange(n)[:, None, None]
     for j, mode in enumerate(modes):
         rng.bit_generator.state = after_draw
-        amps = [_state_amps(a, b, z) for a, b in _pairs(_selections(rng, d, n, mode))]
+        amps = [z[rows, a[:, :, None], b[:, None, :]].reshape(n, 4)  # selected entries of z
+                for a, b in _pairs(_selections(rng, d, n, mode))]
         for i, v in enumerate(vis):
             hit = _detected(np.full(n, v), d, amps)
             counts[i, j] = ent[i].sum(), (hit & ent[i]).sum()
@@ -195,11 +194,13 @@ def run_tasks(chunk_fn, tasks: list[tuple], workers: int = 1) -> list[np.ndarray
                              chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def chunk_sizes(n: int) -> list[int]:
-    """Sizes of the CHUNK-row chunks that cover n >= 1 samples; the last may be short."""
+def chunk_sizes(n: int, d: int) -> list[int]:
+    """Chunks covering n >= 1 samples: CHUNK rows, or fewer (at least 1) where
+    rows * d^2 would pass CHUNK_ENTRIES, i.e. for d > 16; the last may be short."""
     if n < 1:
         raise InvalidParamsError(f"n_samples must be >= 1, got {n}")
-    sizes = [CHUNK] * (n // CHUNK)
-    if n % CHUNK:
-        sizes.append(n % CHUNK)
+    rows = max(1, min(CHUNK, CHUNK_ENTRIES // (d * d)))
+    sizes = [rows] * (n // rows)
+    if n % rows:
+        sizes.append(n % rows)
     return sizes

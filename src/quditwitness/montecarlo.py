@@ -98,14 +98,15 @@ class GridCell:
     estimates: dict
 
 
-def _strategy_kinds(cfg: DetectionConfig) -> tuple[LutKind, ...]:
-    kinds = []
-    for s in cfg.strategies:
-        if s.u_a is not None or s.v_b is not None:
-            raise ValueError("ensemble sweeps draw fresh unitaries per sample; "
-                             "pinned unitaries are only supported by the trial API")
-        kinds.append(s.kind)
-    return tuple(kinds)
+def _icps_setup(d: int, r: int, cfg: DetectionConfig | None) -> tuple:
+    """Validate (d, r) and cfg; the strategy kinds, mode and shared flag of a sweep."""
+    IcpsParams(d, r, 0.0, 0.0)
+    cfg = cfg or DetectionConfig()
+    if any(s.u_a is not None or s.v_b is not None for s in cfg.strategies):
+        raise ValueError("ensemble sweeps draw fresh unitaries per sample; "
+                         "pinned unitaries are only supported by the trial API")
+    return (tuple(s.kind for s in cfg.strategies), cfg.mode.value,
+            cfg.combined_selection is CombinedSelection.SHARED)
 
 
 def _estimates(kinds: tuple[LutKind, ...], detected: np.ndarray, entangled: int, sampled: int,
@@ -127,12 +128,9 @@ def estimate_icps_sensitivity(d: int, r: int, cfg: DetectionConfig | None = None
     entangled per ground_truth enter the denominator.  The combined entry is
     the OR over the configured strategies within each sample.
     """
-    IcpsParams(d, r, 0.0, 0.0)  # validates d and r
-    cfg = cfg or DetectionConfig()
-    kinds = _strategy_kinds(cfg)
-    shared = cfg.combined_selection is CombinedSelection.SHARED
-    tasks = [(seed, c, size, d, r, kinds, cfg.mode.value, shared, ground_truth.value)
-             for c, size in enumerate(engine.chunk_sizes(n_samples))]
+    kinds, mode, shared = _icps_setup(d, r, cfg)
+    tasks = [(seed, c, size, d, r, kinds, mode, shared, ground_truth.value)
+             for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
     total = np.sum(engine.run_tasks(engine._icps_chunk, tasks, workers), axis=0)
     return _estimates(kinds, total[2:], int(total[1]), int(total[0]), seed)
 
@@ -164,7 +162,7 @@ def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode
             raise InvalidParamsError(f"noise level must be in [0, 1], got {noise}")
     QuasiPureParams(d, 1.0)  # validates d
     tasks = [(seed, c, size, d, noises, mode_names)
-             for c, size in enumerate(engine.chunk_sizes(n_samples))]
+             for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
     total = np.sum(engine.run_tasks(engine._quasi_chunk, tasks, workers), axis=0)
     sampled = int(total[0])
     pairs = total[1:].reshape(len(noises), len(mode_names), 2)
@@ -180,15 +178,12 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, cfg: DetectionConfig | None 
     strategy (or one shared selection, per cfg).  The separable flag uses the
     exact entanglement boundary.
     """
-    IcpsParams(d, r, 0.0, 0.0)  # validates d and r
-    cfg = cfg or DetectionConfig()
-    kinds = _strategy_kinds(cfg)
-    shared = cfg.combined_selection is CombinedSelection.SHARED
+    kinds, mode, shared = _icps_setup(d, r, cfg)
     amax = 1.0 / math.sqrt(r - 1)
     cells = [((ia + 0.5) / grid.alpha_steps * amax, (iv + 0.5) / grid.v_steps)
              for ia in range(grid.alpha_steps) for iv in range(grid.v_steps)]
-    sizes = engine.chunk_sizes(grid.trials_per_cell)
-    tasks = [(seed, cell_idx, c, size, d, r, alpha, v, kinds, cfg.mode.value, shared)
+    sizes = engine.chunk_sizes(grid.trials_per_cell, d)
+    tasks = [(seed, cell_idx, c, size, d, r, alpha, v, kinds, mode, shared)
              for cell_idx, (alpha, v) in enumerate(cells) for c, size in enumerate(sizes)]
     results = engine.run_tasks(engine._grid_chunk, tasks, workers)
     # every cell has the same chunks, so its totals are a sum over one axis

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import NPT_TOL, WITNESS_TOL
-from .states import DensityMatrix, IcpsParams
+from .states import DensityMatrix, IcpsParams, last_schmidt_coefficient
 from .transforms import LevelSelection, LutStrategy, apply_lut, block_indices
 from .witness import scores_from_submatrices
 
@@ -60,7 +60,7 @@ def visibility_thresholds(d: int, r: int, alpha):
     A float alpha stays a float: Python's float ** 2 can differ from numpy's
     array square in the last bit, and the scalar API keeps the float result.
     """
-    alpha_r = np.sqrt(np.clip(1.0 - (r - 1) * alpha ** 2, 0.0, None))
+    alpha_r = last_schmidt_coefficient(r, alpha)
     return 1.0 / (1.0 + d * d * alpha ** 2), 1.0 / (1.0 + d * d * alpha * alpha_r)
 
 

@@ -79,6 +79,11 @@ class DensityMatrix:
         return self
 
 
+def last_schmidt_coefficient(r: int, alpha):
+    """alpha_r = sqrt(1 - (r-1) alpha^2), clipped at 0, for a float or an array alpha."""
+    return np.sqrt(np.clip(1.0 - (r - 1) * alpha ** 2, 0.0, None))
+
+
 @dataclass(frozen=True)
 class IcpsParams:
     """Schmidt-form pure state mixed with white noise.
@@ -105,7 +110,7 @@ class IcpsParams:
 
     @property
     def alpha_r(self) -> float:
-        return float(np.sqrt(max(1.0 - (self.r - 1) * self.alpha ** 2, 0.0)))
+        return float(last_schmidt_coefficient(self.r, self.alpha))
 
     def schmidt_coefficients(self) -> np.ndarray:
         """Length-d vector (alpha, ..., alpha, alpha_r, 0, ..., 0)."""

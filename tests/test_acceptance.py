@@ -203,7 +203,7 @@ def test_criterion_5_soundness_on_ppt_states():
 
     # explicit parallel-mode trials on a subsample (each disjoint pair is one
     # of the enumerated selections, so this cannot add detections)
-    from quditwitness import parallel_trial
+    from quditwitness import run_trial
     par_hits = 0
     for _ in range(500):
         d = int(rng.integers(2, 6))
@@ -211,7 +211,7 @@ def test_criterion_5_soundness_on_ppt_states():
         alpha = float(rng.uniform(0.1, 0.9) / np.sqrt(r - 1))
         thr = icps_entanglement_threshold(IcpsParams(d, r, alpha, 0.5))
         rho = make_icps(IcpsParams(d, r, alpha, float(rng.uniform(0, 0.999 * thr))))
-        par_hits += parallel_trial(rho, DetectionConfig(mode=Mode.PARALLEL), rng).detected
+        par_hits += run_trial(rho, DetectionConfig(mode=Mode.PARALLEL), rng).detected
     ok &= check("criterion 5: parallel-mode trials on PPT states", par_hits == 0,
                 f"detections {par_hits}/500")
     assert ok

@@ -79,6 +79,35 @@ def test_sweep_header_and_columns(tmp_path):
     assert {row[4] for row in rows} == {"identity", "hadamard_b", "hadamard_both", "combined"}
 
 
+def header_lines(argv: list[str], out) -> list[str]:
+    assert main(argv + ["--workers", "1", "--out", str(out)]) == 0
+    return out.read_text().splitlines()[:3]
+
+
+def test_params_line_records_every_option(tmp_path):
+    # pinned bytes: every option but --workers/--out, parser order, lists joined by '+'
+    icps = header_lines(["icps-sweep", "--d", "3", "--r", "2", "--mode", "single",
+                         "--strategies", "identity", "random_both", "--combined-selection",
+                         "shared", "--ground-truth", "npt", "--samples", "200", "--seed", "5"],
+                        tmp_path / "icps.csv")
+    assert icps[2] == ("# params: d=3 r=2 mode=single strategies=identity+random_both "
+                       "combined_selection=shared ground_truth=npt samples=200 seed=5")
+    rand = header_lines(["random-sweep", "--d", "3", "--noise", "0.2", "0.55",
+                         "--samples", "100", "--seed", "4"], tmp_path / "rand.csv")
+    assert rand[1:] == ["# command: random-sweep",
+                        "# params: d=3 noise=0.2+0.55 mode=both samples=100 seed=4"]
+
+
+def test_grid_header_records_combined_selection(tmp_path):
+    argv = ["grid", "--d", "3", "--r", "2", "--alpha-steps", "1", "--v-steps", "1",
+            "--trials", "10", "--combined-selection"]
+    fresh = header_lines(argv + ["fresh"], tmp_path / "fresh.csv")
+    shared = header_lines(argv + ["shared"], tmp_path / "shared.csv")
+    assert fresh[:2] == shared[:2] and fresh[2] != shared[2]
+    assert fresh[2] == ("# params: d=3 r=2 alpha_steps=1 v_steps=1 trials=10 strategy=all "
+                        "mode=single combined_selection=fresh seed=0")
+
+
 def test_random_sweep(tmp_path):
     out = tmp_path / "rand.csv"
     assert main(["random-sweep", "--d", "3", "--noise", "0.2", "0.6", "--mode", "single",

@@ -1,8 +1,8 @@
 import numpy as np
 
 from quditwitness import (CombinedSelection, DetectionConfig, IcpsParams, LevelSelection,
-                          Mode, evaluate_selection, make_icps, maximally_mixed,
-                          parallel_trial, run_trial, single_trial, substream)
+                          Mode, evaluate_selection, make_icps, maximally_mixed, run_trial,
+                          substream)
 from quditwitness.detection import disjoint_selections
 from quditwitness.transforms import LutStrategy
 
@@ -11,8 +11,8 @@ def test_maximally_mixed_never_detected():
     rho = maximally_mixed(4, 4)
     rng = substream(0, 0)
     for _ in range(50):
-        assert not single_trial(rho, DetectionConfig(), rng).detected
-        assert not parallel_trial(rho, DetectionConfig(), rng).detected
+        assert not run_trial(rho, DetectionConfig(mode=Mode.SINGLE), rng).detected
+        assert not run_trial(rho, DetectionConfig(mode=Mode.PARALLEL), rng).detected
 
 
 def test_forced_bell_selection_detects():
@@ -36,7 +36,7 @@ def test_single_trial_rate_matches_enumeration():
     cfg = DetectionConfig(strategies=(LutStrategy.identity(),))
     rng = substream(3, 0)
     n = 4000
-    hits = sum(single_trial(rho, cfg, rng).detected for _ in range(n))
+    hits = sum(run_trial(rho, cfg, rng).detected for _ in range(n))
     assert abs(hits / n - 0.1) <= 0.02  # > 4 sigma
 
 
@@ -53,9 +53,10 @@ def test_parallel_d2_equals_single():
     rho = make_icps(IcpsParams(2, 2, 0.5, 0.9))
     rng = substream(29, 0)
     n = 3000
-    cfg = DetectionConfig(strategies=(LutStrategy.identity(),))
-    ps = sum(single_trial(rho, cfg, rng).detected for _ in range(n)) / n
-    res = [parallel_trial(rho, cfg, rng) for _ in range(n)]
+    cfg_s = DetectionConfig(strategies=(LutStrategy.identity(),), mode=Mode.SINGLE)
+    cfg_p = DetectionConfig(strategies=(LutStrategy.identity(),), mode=Mode.PARALLEL)
+    ps = sum(run_trial(rho, cfg_s, rng).detected for _ in range(n)) / n
+    res = [run_trial(rho, cfg_p, rng) for _ in range(n)]
     assert all(len(t.outcomes) == 1 for t in res)
     pp = sum(t.detected for t in res) / n
     sigma = np.sqrt(ps * (1 - ps) / n + pp * (1 - pp) / n)
@@ -64,8 +65,19 @@ def test_parallel_d2_equals_single():
 
 def test_parallel_d3_has_single_pair_per_strategy():
     rho = make_icps(IcpsParams(3, 3, 0.5, 0.9))
-    res = parallel_trial(rho, DetectionConfig(), substream(7, 0))
+    res = run_trial(rho, DetectionConfig(mode=Mode.PARALLEL), substream(7, 0))
     assert len(res.outcomes) == 3  # floor(3/2) = 1 pair for each of 3 strategies
+
+
+def test_run_trial_outcomes_per_strategy():
+    # one selection per strategy in single mode, floor(5/2) = 2 in parallel mode
+    rho = make_icps(IcpsParams(5, 3, 0.5, 0.9))
+    for combined in CombinedSelection:
+        for mode, per_strategy in ((Mode.SINGLE, 1), (Mode.PARALLEL, 2)):
+            cfg = DetectionConfig(mode=mode, combined_selection=combined)
+            res = run_trial(rho, cfg, substream(19, 0))
+            kinds = [o.strategy for o in res.outcomes]
+            assert kinds == [s.kind for s in cfg.strategies for _ in range(per_strategy)]
 
 
 def test_disjoint_selections_partition_levels():
@@ -85,8 +97,8 @@ def test_parallel_dominates_single():
     cfg_p = DetectionConfig(strategies=(LutStrategy.identity(),), mode=Mode.PARALLEL)
     rng = substream(13, 0)
     n = 3000
-    ps = sum(single_trial(rho, cfg_s, rng).detected for _ in range(n)) / n
-    pp = sum(parallel_trial(rho, cfg_p, rng).detected for _ in range(n)) / n
+    ps = sum(run_trial(rho, cfg_s, rng).detected for _ in range(n)) / n
+    pp = sum(run_trial(rho, cfg_p, rng).detected for _ in range(n)) / n
     sigma = np.sqrt(ps * (1 - ps) / n + pp * (1 - pp) / n)
     assert pp >= ps - 2 * sigma
 
@@ -97,8 +109,8 @@ def test_shared_selection_bounded_by_fresh():
     n = 4000
     fresh = DetectionConfig(combined_selection=CombinedSelection.FRESH)
     shared = DetectionConfig(combined_selection=CombinedSelection.SHARED)
-    pf = sum(single_trial(rho, fresh, rng).detected for _ in range(n)) / n
-    psh = sum(single_trial(rho, shared, rng).detected for _ in range(n)) / n
+    pf = sum(run_trial(rho, fresh, rng).detected for _ in range(n)) / n
+    psh = sum(run_trial(rho, shared, rng).detected for _ in range(n)) / n
     sigma = np.sqrt(pf * (1 - pf) / n + psh * (1 - psh) / n)
     assert psh <= pf + 2 * sigma
 

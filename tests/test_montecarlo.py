@@ -169,11 +169,18 @@ def test_wilson_coverage_on_known_probability():
 
 
 def test_engine_chunk_sizes():
+    # CHUNK-row chunks up to d = 16, then rows * d^2 <= CHUNK_ENTRIES
     chunk = engine.CHUNK
-    assert engine.chunk_sizes(2 * chunk + 5) == [chunk, chunk, 5]
-    assert engine.chunk_sizes(2 * chunk) == [chunk, chunk]
-    assert engine.chunk_sizes(5) == [5]
-    assert sum(engine.chunk_sizes(100_000)) == 100_000
+    for d in range(2, 17):
+        assert engine.chunk_sizes(2 * chunk + 5, d) == [chunk, chunk, 5]
+        assert engine.chunk_sizes(2 * chunk, d) == [chunk, chunk]
+        assert engine.chunk_sizes(5, d) == [5]
+    assert sum(engine.chunk_sizes(100_000, 9)) == 100_000
+    for d in (17, 32, 64, 181, 1000, 3000):
+        sizes = engine.chunk_sizes(3 * chunk + 7, d)
+        assert sum(sizes) == 3 * chunk + 7 and min(sizes) >= 1
+        assert max(sizes) * d * d <= engine.CHUNK_ENTRIES or max(sizes) == 1
+    assert engine.CHUNK_ENTRIES * 16 <= 2 ** 26  # a complex (rows, d, d) stack fits in 64 MiB
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
