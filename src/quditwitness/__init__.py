@@ -22,7 +22,7 @@ from .detection import (CombinedSelection, DetectionConfig, Mode, TrialResult,
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridCell, GridSpec,
                          IcpsGroundTruth, SensitivityEstimate,
                          estimate_icps_sensitivity, estimate_quasi_pure_sensitivity,
-                         sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
+                         sweep_icps, sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
 from .collective import (CollectiveData, MinimalBasis, collective_R_minimal,
                          collective_R_pauli, fef_from_collective, minimal_basis,
                          pi_matrix, singlet_projector_op, transformation_matrix)

@@ -23,7 +23,7 @@ from . import __version__
 from .detection import CombinedSelection, DetectionConfig, Mode
 from .linalg import ginibre
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridSpec, IcpsGroundTruth,
-                         estimate_icps_sensitivity, sweep_icps_grid, sweep_quasi_pure)
+                         sweep_icps, sweep_icps_grid, sweep_quasi_pure)
 from .collective import fef_from_collective, pi_matrix
 from .oracles import analytic_sensitivity, icps_thresholds, icps_entanglement_threshold
 from .rng import substream
@@ -84,7 +84,7 @@ def _modes(args) -> list[str]:
     return ["single", "parallel"] if args.mode == "both" else [args.mode]
 
 
-def _config(strategies: list[str], mode: str, combined: str) -> DetectionConfig:
+def _config(strategies: list[str], combined: str, mode: str = "single") -> DetectionConfig:
     return DetectionConfig(strategies=tuple(LutStrategy(LutKind(s)) for s in strategies),
                            mode=Mode(mode),
                            combined_selection=CombinedSelection(combined))
@@ -100,14 +100,12 @@ def cmd_fef(args) -> int:
 
 
 def cmd_icps_sweep(args) -> int:
-    rows = []
-    for mode in _modes(args):
-        cfg = _config(args.strategies, mode, args.combined_selection)
-        est = estimate_icps_sensitivity(args.d, args.r, cfg=cfg, n_samples=args.samples,
-                                        seed=args.seed, workers=args.workers,
-                                        ground_truth=IcpsGroundTruth(args.ground_truth))
-        rows += [_row(args, label, mode, e) for label, e in est.items()]
-    _write_table(args, rows)
+    modes = _modes(args)
+    table = sweep_icps(args.d, args.r, [Mode(m) for m in modes],
+                       _config(args.strategies, args.combined_selection), args.samples,
+                       args.seed, args.workers, IcpsGroundTruth(args.ground_truth))
+    _write_table(args, [_row(args, label, mode, e)
+                        for mode, est in zip(modes, table) for label, e in est.items()])
     return 0
 
 
@@ -123,16 +121,15 @@ def cmd_random_sweep(args) -> int:
 
 def cmd_grid(args) -> int:
     strategies = STRATEGY_CHOICES[:3] if args.strategy == "all" else [args.strategy]
-    spec = GridSpec(args.alpha_steps, args.v_steps, args.trials)
-    rows = []
-    for mode in _modes(args):
-        cfg = _config(strategies, mode, args.combined_selection)
-        cells = sweep_icps_grid(args.d, args.r, spec, cfg=cfg, seed=args.seed, workers=args.workers)
-        rows += [_row(args, label, mode, e, cell.alpha, cell.v) + [str(cell.separable).lower()]
-                 for cell in cells for label, e in cell.estimates.items()
-                 # combined duplicates the single requested strategy
-                 if args.strategy == "all" or label != COMBINED_KEY]
-    _write_table(args, rows, COLUMNS + ["separable"])
+    cfg = _config(strategies, args.combined_selection, args.mode)
+    cells = sweep_icps_grid(args.d, args.r, GridSpec(args.alpha_steps, args.v_steps, args.trials),
+                            cfg=cfg, seed=args.seed, workers=args.workers)
+    _write_table(args, [_row(args, label, args.mode, e, cell.alpha, cell.v)
+                        + [str(cell.separable).lower()]
+                        for cell in cells for label, e in cell.estimates.items()
+                        # combined duplicates the single requested strategy
+                        if args.strategy == "all" or label != COMBINED_KEY],
+                 COLUMNS + ["separable"])
     return 0
 
 
@@ -249,8 +246,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, InvalidStateError, InvalidParamsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (np.linalg.LinAlgError, ZeroProbabilityError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (np.linalg.LinAlgError, ZeroProbabilityError, ArithmeticError, MemoryError) as exc:
+        print(f"numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
 
 

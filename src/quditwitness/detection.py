@@ -31,14 +31,11 @@ class CombinedSelection(str, Enum):
     SHARED = "shared"
 
 
-def default_strategies() -> tuple[LutStrategy, ...]:
-    """The fixed strategy order: identity, one-sided Hadamard, two-sided Hadamard."""
-    return (LutStrategy.identity(), LutStrategy.hadamard_b(), LutStrategy.hadamard_both())
-
-
 @dataclass(frozen=True)
 class DetectionConfig:
-    strategies: tuple[LutStrategy, ...] = field(default_factory=default_strategies)
+    # the fixed default order: identity, one-sided Hadamard, two-sided Hadamard
+    strategies: tuple[LutStrategy, ...] = field(default_factory=lambda: (
+        LutStrategy.identity(), LutStrategy.hadamard_b(), LutStrategy.hadamard_both()))
     mode: Mode = Mode.SINGLE
     combined_selection: CombinedSelection = CombinedSelection.FRESH
 

@@ -2,16 +2,15 @@
 
 Work is split into chunks sized from n and d alone (chunk_sizes); chunk c of
 a task draws every random number it needs, in a fixed order, from
-substream(seed, tag, ..., c).  Chunk results are integer count vectors and
-addition is commutative, so aggregate results are bit-identical for any
-worker count.
+substream(seed, tag, ..., c).  Chunk results are integer count vectors, so
+aggregate results are bit-identical for any worker count.
 
-icps and grid chunks share one Schmidt-form counting kernel, which gathers
-the selected entries of M = U diag(s) V^T with (U, V) from
-transforms._local_unitaries.  A quasi chunk draws its Haar states and their
-SVD once for a whole table of noise levels and modes.  Every sampled state is
-pure plus white noise, so scores_from_amplitudes scores each reduction in
-closed form.
+icps and grid chunks share one Schmidt-form kernel (_schmidt_amps): with
+(U, V) from transforms._local_unitaries, M = U diag(s) V^T splits into two
+terms, and shared unitaries are gathered from a two-term table.  icps and
+quasi chunks draw their states once for every mode (and noise level).  Every
+sampled state is pure plus white noise, so scores_from_amplitudes scores each
+reduction in closed form.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from .linalg import ginibre
 from .oracles import npt_threshold, visibility_thresholds
 from .rng import substream
 from .states import InvalidParamsError, last_schmidt_coefficient
-from .transforms import LutKind, LutStrategy, _local_unitaries
+from .transforms import LutKind, LutStrategy, _local_unitaries, block_indices
 from .witness import scores_from_amplitudes
 
 CHUNK = 16384
@@ -35,54 +34,54 @@ _TAG_QUASI = 1
 _TAG_GRID = 2
 
 
-def _selections(rng: np.random.Generator, d: int, n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform level selections (pa, pb) for n samples; columns 2k, 2k+1 form pair k.
+def _selections(rng: np.random.Generator, d: int, n: int, mode: str) -> np.ndarray:
+    """Uniform level selections, shape (n, pairs, 4) with rows (a0, a1, b0, b1).
 
-    Single mode: one ordered distinct pair per side, shape (n, 2).  Parallel
-    mode: one permutation per side, shape (n, d), i.e. d // 2 disjoint pairs.
+    Single mode: one ordered distinct pair per side.  Parallel mode: one
+    permutation per side whose columns 2k, 2k+1 form pair k, i.e. d // 2
+    disjoint pairs.  Side A is drawn before side B.
     """
     def draw() -> np.ndarray:
         if mode == "parallel":
-            return rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+            perm = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+            return perm[:, : d // 2 * 2].reshape(n, -1, 2)
         i = rng.integers(0, d, size=n)
         j = rng.integers(0, d - 1, size=n)
-        return np.stack([i, j + (j >= i)], axis=1)
-    return draw(), draw()
+        return np.stack([i, j + (j >= i)], axis=1)[:, None, :]
+    return np.concatenate([draw(), draw()], axis=2)
 
 
-def _rows(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows idx (n, 2) of a shared (d, d) matrix or of per-sample (n, d, d) ones."""
-    return m[idx] if m.ndim == 2 else np.take_along_axis(m, idx[:, :, None], axis=1)
+def _schmidt_amps(sel: np.ndarray, alpha: np.ndarray, d: int, r: int,
+                  u: np.ndarray | None, v: np.ndarray | None):
+    """Yields, per level pair of sel, the (n, 4) selected entries of M = U diag(s) V^T.
 
-
-def _schmidt_amps(a: np.ndarray, b: np.ndarray, s: np.ndarray,
-                  u: np.ndarray | None, v: np.ndarray | None) -> np.ndarray:
-    """Amplitudes of (U_A x V_B)|psi> on the four selected components.
-
-    a, b: (n, 2) selected levels; s: (n, d) Schmidt coefficients; u, v as
-    returned by transforms._local_unitaries (None is the identity).  The
-    amplitude matrix is U diag(s) V^T.
+    s = alpha 1_{<r-1} + alpha_r e_{r-1}, so M = alpha K0 + alpha_r K1 with
+    K0 = U P_{r-1} V^T and K1 = u_{r-1} v_{r-1}^T (columns r-1 of U and V).
+    u, v as returned by transforms._local_unitaries (None is the identity).
+    Shared (d, d) unitaries: one einsum builds the table (K0, K1), gathered at
+    block_indices.  Per-sample (n, d, d) stacks (random_both): one einsum over
+    the selected rows of U and V per pair.
     """
-    n, d = s.shape
-    if u is None:
-        # diag(s) V^T: entry (i, j) = s_i V[j, i]
-        v = np.eye(d, dtype=complex) if v is None else v
-        s_a = np.take_along_axis(s, a, axis=1)
-        return (s_a[:, :, None] * v[b[:, None, :], a[:, :, None]]).reshape(n, 4)
-    return np.einsum("nqk,nk,npk->nqp", _rows(u, a), s, _rows(v, b)).reshape(n, 4)
-
-
-def _pairs(sel: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (a, b) level pairs of a selection: columns 2k, 2k+1 of each side."""
-    pa, pb = sel
-    return [(pa[:, 2 * k:2 * k + 2], pb[:, 2 * k:2 * k + 2]) for k in range(pa.shape[1] // 2)]
+    alpha_r = last_schmidt_coefficient(r, alpha)
+    levels = np.arange(d)
+    basis = np.array([levels < r - 1, levels == r - 1], dtype=float)
+    if u is None or u.ndim == 2:
+        eye = np.eye(d)
+        k0, k1 = np.einsum("qk,jk,pk->jqp", eye if u is None else u, basis,
+                           eye if v is None else v).reshape(2, d * d)
+        idx = block_indices(sel, d)
+        for p in range(sel.shape[1]):
+            yield k0[idx[:, p]] * alpha[:, None] + k1[idx[:, p]] * alpha_r[:, None]
+        return
+    s = np.stack([alpha, alpha_r], axis=1) @ basis
+    for p in range(sel.shape[1]):
+        rows_u = np.take_along_axis(u, sel[:, p, :2, None], axis=1)
+        rows_v = np.take_along_axis(v, sel[:, p, 2:, None], axis=1)
+        yield np.einsum("nqk,nk,npk->nqp", rows_u, s, rows_v).reshape(len(alpha), 4)
 
 
 def _detected(vis: np.ndarray, d: int, amps) -> np.ndarray:
-    """Flags (n,): the witness detects on some pair.
-
-    amps yields, per pair, the (n, 4) pure-component amplitudes on that pair.
-    """
+    """Flags (n,): the witness detects on some pair; amps yields each pair's (n, 4) amplitudes."""
     hit = np.zeros(len(vis), dtype=bool)
     for m in amps:
         scores, _ = scores_from_amplitudes(m, vis, d * d)
@@ -101,16 +100,13 @@ def _schmidt_detections(rng: np.random.Generator, alpha: np.ndarray, vis: np.nda
     selections (if not shared).
     """
     n = len(alpha)
-    s = np.zeros((n, d))
-    s[:, : r - 1] = alpha[:, None]
-    s[:, r - 1] = last_schmidt_coefficient(r, alpha)
     shared_sel = _selections(rng, d, n, mode) if shared else None
     counts = []
     any_hit = np.zeros(n, dtype=bool)
     for kind in kinds:
         u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
         sel = shared_sel if shared else _selections(rng, d, n, mode)
-        hit = _detected(vis, d, (_schmidt_amps(a, b, s, u, v) for a, b in _pairs(sel)))
+        hit = _detected(vis, d, _schmidt_amps(sel, alpha, d, r, u, v))
         counts.append(int((hit & ent).sum()))
         any_hit |= hit
     counts.append(int((any_hit & ent).sum()))
@@ -133,14 +129,23 @@ def _icps_entangled_mask(alpha: np.ndarray, v: np.ndarray, d: int, r: int,
 
 
 def _icps_chunk(seed: int, chunk_idx: int, n: int, d: int, r: int,
-                kinds: tuple[LutKind, ...], mode: str, shared: bool,
+                kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool,
                 ground_truth: str) -> np.ndarray:
-    """Counts [sampled, entangled, det_per_strategy..., det_combined]."""
+    """Counts [sampled, entangled, (det_per_strategy..., det_combined) per mode...].
+
+    alpha, v and the entangled mask are drawn once for every mode; each mode
+    draws its unitaries and selections from the generator state right after
+    that draw, so its counts equal a chunk run for that mode alone.
+    """
     rng = substream(seed, _TAG_ICPS, chunk_idx)
     alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), n)
     vis = rng.uniform(0.0, 1.0, n)
+    after_draw = rng.bit_generator.state
     ent = _icps_entangled_mask(alpha, vis, d, r, ground_truth)
-    counts = _schmidt_detections(rng, alpha, vis, ent, d, r, kinds, mode, shared)
+    counts = []
+    for mode in modes:
+        rng.bit_generator.state = after_draw
+        counts += _schmidt_detections(rng, alpha, vis, ent, d, r, kinds, mode, shared)
     return np.array([n, int(ent.sum()), *counts], dtype=np.int64)
 
 
@@ -174,11 +179,11 @@ def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     vis = [1.0 - noise for noise in noises]
     ent = [v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL for v in vis]
     counts = np.zeros((len(noises), len(modes), 2), dtype=np.int64)
-    rows = np.arange(n)[:, None, None]
+    flat = z.reshape(n, d * d)
     for j, mode in enumerate(modes):
         rng.bit_generator.state = after_draw
-        amps = [z[rows, a[:, :, None], b[:, None, :]].reshape(n, 4)  # selected entries of z
-                for a, b in _pairs(_selections(rng, d, n, mode))]
+        idx = block_indices(_selections(rng, d, n, mode), d)
+        amps = [np.take_along_axis(flat, idx[:, p], axis=1) for p in range(idx.shape[1])]
         for i, v in enumerate(vis):
             hit = _detected(np.full(n, v), d, amps)
             counts[i, j] = ent[i].sum(), (hit & ent[i]).sum()
@@ -200,7 +205,4 @@ def chunk_sizes(n: int, d: int) -> list[int]:
     if n < 1:
         raise InvalidParamsError(f"n_samples must be >= 1, got {n}")
     rows = max(1, min(CHUNK, CHUNK_ENTRIES // (d * d)))
-    sizes = [rows] * (n // rows)
-    if n % rows:
-        sizes.append(n % rows)
-    return sizes
+    return [min(rows, n - start) for start in range(0, n, rows)]

@@ -118,8 +118,7 @@ def _estimates(kinds: tuple[LutKind, ...], detected: np.ndarray, entangled: int,
 
 
 def estimate_icps_sensitivity(d: int, r: int, cfg: DetectionConfig | None = None,
-                              n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                              workers: int = 1,
+                              n_samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1,
                               ground_truth: IcpsGroundTruth = IcpsGroundTruth.RANK2,
                               ) -> dict[str, SensitivityEstimate]:
     """Per-strategy and combined sensitivity over the (alpha, v) ensemble.
@@ -128,11 +127,27 @@ def estimate_icps_sensitivity(d: int, r: int, cfg: DetectionConfig | None = None
     entangled per ground_truth enter the denominator.  The combined entry is
     the OR over the configured strategies within each sample.
     """
-    kinds, mode, shared = _icps_setup(d, r, cfg)
-    tasks = [(seed, c, size, d, r, kinds, mode, shared, ground_truth.value)
+    modes = [(cfg or DetectionConfig()).mode]
+    return sweep_icps(d, r, modes, cfg, n_samples, seed, workers, ground_truth)[0]
+
+
+def sweep_icps(d: int, r: int, modes: Sequence[Mode], cfg: DetectionConfig | None = None,
+               n_samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1,
+               ground_truth: IcpsGroundTruth = IcpsGroundTruth.RANK2,
+               ) -> list[dict[str, SensitivityEstimate]]:
+    """estimate_icps_sensitivity for every mode in one run; cfg.mode is not read.
+
+    Returns one estimate dict per entry of modes; each equals the single-mode
+    estimate at the same seed.  Every chunk draws its (alpha, v) samples once
+    for all modes, and one process pool serves the whole run.
+    """
+    kinds, _, shared = _icps_setup(d, r, cfg)
+    mode_names = tuple(Mode(m).value for m in modes)
+    tasks = [(seed, c, size, d, r, kinds, mode_names, shared, ground_truth.value)
              for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
     total = np.sum(engine.run_tasks(engine._icps_chunk, tasks, workers), axis=0)
-    return _estimates(kinds, total[2:], int(total[1]), int(total[0]), seed)
+    return [_estimates(kinds, detected, int(total[1]), int(total[0]), seed)
+            for detected in total[2:].reshape(len(mode_names), -1)]
 
 
 def estimate_quasi_pure_sensitivity(d: int, noise_level: float, mode: Mode = Mode.SINGLE,
@@ -188,10 +203,6 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, cfg: DetectionConfig | None 
     results = engine.run_tasks(engine._grid_chunk, tasks, workers)
     # every cell has the same chunks, so its totals are a sum over one axis
     totals = np.reshape(results, (len(cells), len(sizes), -1)).sum(axis=1)
-    out = []
-    for (alpha, v), total in zip(cells, totals):
-        trials = int(total[0])
-        separable = not icps_is_entangled(IcpsParams(d, r, alpha, v))
-        out.append(GridCell(alpha=alpha, v=v, separable=separable,
-                            estimates=_estimates(kinds, total[1:], trials, trials, seed)))
-    return out
+    return [GridCell(alpha, v, separable=not icps_is_entangled(IcpsParams(d, r, alpha, v)),
+                     estimates=_estimates(kinds, total[1:], int(total[0]), int(total[0]), seed))
+            for (alpha, v), total in zip(cells, totals)]

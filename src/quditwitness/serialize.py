@@ -48,12 +48,7 @@ def density_to_csv(rho: DensityMatrix) -> str:
     d = rho.dim_a * rho.dim_b
     lines = [f"# dimA={rho.dim_a} dimB={rho.dim_b}",
              ",".join(f"re_{j},im_{j}" for j in range(d))]
-    for row in rho.mat:
-        cells = []
-        for z in row:
-            cells.append(repr(float(z.real)))
-            cells.append(repr(float(z.imag)))
-        lines.append(",".join(cells))
+    lines += [",".join(repr(float(x)) for z in row for x in (z.real, z.imag)) for row in rho.mat]
     return "\n".join(lines) + "\n"
 
 

@@ -114,10 +114,7 @@ class IcpsParams:
 
     def schmidt_coefficients(self) -> np.ndarray:
         """Length-d vector (alpha, ..., alpha, alpha_r, 0, ..., 0)."""
-        s = np.zeros(self.d)
-        s[: self.r - 1] = self.alpha
-        s[self.r - 1] = self.alpha_r
-        return s
+        return np.r_[np.full(self.r - 1, self.alpha), self.alpha_r, np.zeros(self.d - self.r)]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quditwitness import DensityMatrix, maximally_mixed
+from quditwitness import cli
 from quditwitness.cli import main
 from quditwitness.serialize import save_density
 
@@ -212,6 +213,22 @@ def test_out_into_missing_directory_exit_3(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and one_error_line(err)
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("entry, argv", [
+    ("sweep_icps", ["icps-sweep", "--d", "3", "--r", "2"]),
+    ("sweep_quasi_pure", ["random-sweep", "--d", "3", "--noise", "0.2"]),
+    ("sweep_icps_grid", ["grid", "--d", "3", "--r", "2"]),
+])
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 1.0 TiB")])
+def test_memory_error_exit_4(entry, argv, exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, entry, fail)
+    assert main(argv + ["--workers", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert (str(exc) or "MemoryError") in err
 
 
 def test_collective_verify(capsys):

@@ -6,7 +6,8 @@ from quditwitness import (COMBINED_KEY, CombinedSelection, DetectionConfig, Grid
                           IcpsGroundTruth, IcpsParams, InvalidParamsError, LutKind,
                           LutStrategy, Mode, SensitivityEstimate, brute_force_sensitivity,
                           estimate_icps_sensitivity, estimate_quasi_pure_sensitivity,
-                          make_icps, sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
+                          make_icps, sweep_icps, sweep_icps_grid, sweep_quasi_pure,
+                          wilson_halfwidth)
 from quditwitness import engine, haar_unitary
 from quditwitness.transforms import _local_unitaries
 
@@ -183,25 +184,56 @@ def test_engine_chunk_sizes():
     assert engine.CHUNK_ENTRIES * 16 <= 2 ** 26  # a complex (rows, d, d) stack fits in 64 MiB
 
 
+def schmidt_amplitude_matrices(alpha, r, d, u, v):
+    """(n, d, d) stack of U diag(s) V^T for the Schmidt-form s of each alpha."""
+    n = len(alpha)
+    s = np.zeros((n, d))
+    s[:, : r - 1] = alpha[:, None]
+    s[:, r - 1] = np.sqrt(np.maximum(1 - (r - 1) * alpha ** 2, 0))
+    uu, vv = (np.broadcast_to(np.eye(d) if w is None else w, (n, d, d)) for w in (u, v))
+    return uu @ (s[:, :, None] * np.swapaxes(vv, 1, 2))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_schmidt_amps_match_local_unitary_product(d, rng):
-    # the gather equals entries of U diag(s) V^T for the unitaries that
-    # transforms._local_unitaries hands out (None is the identity)
+    # the table gather and the row einsum equal entries of U diag(s) V^T for
+    # the unitaries that transforms._local_unitaries hands out (None is the
+    # identity), at every rank and for alpha up to and at 1/sqrt(r-1)
     n = 40
-    s = np.abs(rng.standard_normal((n, d)))
-    s /= np.linalg.norm(s, axis=1, keepdims=True)
     pairs = [_local_unitaries(d, LutStrategy(kind), rng, size=n) for kind in LutKind]
     pairs.append(_local_unitaries(d, LutStrategy.random_both(haar_unitary(d, rng),
                                                              haar_unitary(d, rng)), rng))
-    pairs.append((None, haar_unitary(d, rng)))  # the gather with a non-symmetric V
-    for u, v in pairs:
-        uu, vv = (np.broadcast_to(np.eye(d) if w is None else w, (n, d, d)) for w in (u, v))
-        m = uu @ (s[:, :, None] * np.swapaxes(vv, 1, 2))
-        for mode in ("single", "parallel"):
-            for a, b in engine._pairs(engine._selections(rng, d, n, mode)):
-                expected = m[np.arange(n)[:, None, None], a[:, :, None], b[:, None, :]]
-                assert_allclose(engine._schmidt_amps(a, b, s, u, v), expected.reshape(n, 4),
-                                atol=1e-14)
+    pairs.append((None, haar_unitary(d, rng)))  # the table with a non-symmetric V
+    for r in range(2, d + 1):
+        alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
+        alpha[0] = 1 / np.sqrt(r - 1)
+        for u, v in pairs:
+            m = schmidt_amplitude_matrices(alpha, r, d, u, v)
+            for mode in ("single", "parallel"):
+                sel = engine._selections(rng, d, n, mode)
+                amps = list(engine._schmidt_amps(sel, alpha, d, r, u, v))
+                assert len(amps) == (1 if mode == "single" else d // 2)
+                for p, got in enumerate(amps):
+                    a, b = sel[:, p, :2], sel[:, p, 2:]
+                    expected = m[np.arange(n)[:, None, None], a[:, :, None], b[:, None, :]]
+                    assert_allclose(got, expected.reshape(n, 4), atol=1e-14)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_icps_sweep_equals_per_mode_estimates(shared):
+    # modes in reversed order; 17000 samples span two chunks, so workers=2 splits them
+    modes = (Mode.PARALLEL, Mode.SINGLE)
+    combined = CombinedSelection.SHARED if shared else CombinedSelection.FRESH
+    cfg = DetectionConfig(strategies=tuple(LutStrategy(k) for k in LutKind),
+                          combined_selection=combined)
+    kwargs = dict(n_samples=17_000, seed=15, ground_truth=IcpsGroundTruth.NPT)
+    tables = [sweep_icps(5, 3, modes, cfg, workers=w, **kwargs) for w in (1, 2)]
+    assert tables[0] == tables[1]
+    for mode, est in zip(modes, tables[0]):
+        single_mode = DetectionConfig(strategies=cfg.strategies, mode=mode,
+                                      combined_selection=combined)
+        assert est == estimate_icps_sensitivity(5, 3, single_mode, **kwargs)
+    assert tables[0][0] != tables[0][1]
 
 
 def test_entry_points_reject_zero_samples(monkeypatch):

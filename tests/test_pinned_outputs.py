@@ -27,6 +27,11 @@ RUNS = {
     **{f"icps-d4r2-fresh-{gt}": ["icps-sweep", "--d", "4", "--r", "2", *ALL4, "--mode", "both",
                                  "--ground-truth", gt, "--samples", "3000", "--seed", "22"]
        for gt in ("npt", "piecewise", "rank2")},
+    # two full chunks and a short one, both modes from one draw per chunk
+    "icps-d5r3-all4-both-shared-npt-40000": ["icps-sweep", "--d", "5", "--r", "3", *ALL4,
+                                             "--mode", "both", "--combined-selection", "shared",
+                                             "--ground-truth", "npt", "--samples", "40000",
+                                             "--seed", "25"],
     # d = 2: the Hadamard is 2x2 and every selection takes both levels
     "icps-d2r2-all4-both": ["icps-sweep", "--d", "2", "--r", "2", *ALL4, "--mode", "both",
                             "--samples", "17000", "--seed", "23"],
