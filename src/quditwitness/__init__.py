@@ -12,16 +12,14 @@ from .states import (DensityMatrix, IcpsParams, InvalidParamsError, InvalidState
 from .transforms import (LevelSelection, LutKind, LutStrategy, ZeroProbabilityError,
                          apply_lut, qudit_hadamard, random_selection, reduce_to_two_qubits)
 from .witness import PauliDecomposition, WitnessOutcome, fef_witness, pauli_decompose
-from .oracles import (AnalyticSensitivity, BruteForceCounts, InvalidScenarioError, Scenario,
-                      all_selections, analytic_fef_score, analytic_sensitivity,
+from .oracles import (AnalyticSensitivity, BruteForceCounts, IcpsGroundTruth, InvalidScenarioError,
+                      Scenario, all_selections, analytic_fef_score, analytic_sensitivity,
                       brute_force_counts, brute_force_sensitivity, classify_selection,
                       icps_entanglement_threshold, icps_is_entangled, icps_thresholds,
                       is_npt, partial_transpose)
 from .detection import (CombinedSelection, DetectionConfig, Mode, TrialResult,
                         disjoint_selections, evaluate_selection, run_trial)
-from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridCell, GridSpec,
-                         IcpsGroundTruth, SensitivityEstimate,
-                         estimate_icps_sensitivity, estimate_quasi_pure_sensitivity,
+from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridCell, GridSpec, SensitivityEstimate,
                          sweep_icps, sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
 from .collective import (CollectiveData, MinimalBasis, collective_R_minimal,
                          collective_R_pauli, fef_from_collective, minimal_basis,

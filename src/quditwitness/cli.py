@@ -22,10 +22,11 @@ import numpy as np
 from . import __version__
 from .detection import CombinedSelection, DetectionConfig, Mode
 from .linalg import ginibre
-from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridSpec, IcpsGroundTruth,
-                         sweep_icps, sweep_icps_grid, sweep_quasi_pure)
+from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridSpec, sweep_icps, sweep_icps_grid,
+                         sweep_quasi_pure)
 from .collective import fef_from_collective, pi_matrix
-from .oracles import analytic_sensitivity, icps_thresholds, icps_entanglement_threshold
+from .oracles import (IcpsGroundTruth, analytic_sensitivity, icps_entanglement_threshold,
+                      icps_thresholds)
 from .rng import substream
 from .states import DensityMatrix, IcpsParams, InvalidParamsError, InvalidStateError
 from .serialize import ParseError, load_density

@@ -10,7 +10,8 @@ icps and grid chunks share one Schmidt-form kernel (_schmidt_amps): with
 terms, and shared unitaries are gathered from a two-term table.  icps and
 quasi chunks draw their states once for every mode (and noise level).  Every
 sampled state is pure plus white noise, so scores_from_amplitudes scores each
-reduction in closed form.
+reduction in closed form.  Which icps samples count as entangled is decided
+only by oracles.conditioning_threshold.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .constants import NPT_TOL, WITNESS_TOL
 from .linalg import ginibre
-from .oracles import npt_threshold, visibility_thresholds
+from .oracles import IcpsGroundTruth, conditioning_threshold
 from .rng import substream
 from .states import InvalidParamsError, last_schmidt_coefficient
 from .transforms import LutKind, LutStrategy, _local_unitaries, block_indices
@@ -113,35 +114,21 @@ def _schmidt_detections(rng: np.random.Generator, alpha: np.ndarray, vis: np.nda
     return counts
 
 
-def _icps_entangled_mask(alpha: np.ndarray, v: np.ndarray, d: int, r: int,
-                         ground_truth: str) -> np.ndarray:
-    """Conditioning rule for the sampled states; see montecarlo.IcpsGroundTruth."""
-    if ground_truth == "npt":
-        thr = npt_threshold(d, r, alpha)
-    elif ground_truth == "piecewise":
-        v_a, v_b = visibility_thresholds(d, r, alpha)
-        thr = np.where(alpha > 1.0 / np.sqrt(r), v_a, v_b)
-    elif ground_truth == "rank2":
-        thr = np.minimum(*visibility_thresholds(d, 2, alpha))
-    else:
-        raise ValueError(f"unknown ground truth rule {ground_truth!r}")
-    return v > thr
-
-
 def _icps_chunk(seed: int, chunk_idx: int, n: int, d: int, r: int,
                 kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool,
-                ground_truth: str) -> np.ndarray:
+                ground_truth: IcpsGroundTruth) -> np.ndarray:
     """Counts [sampled, entangled, (det_per_strategy..., det_combined) per mode...].
 
-    alpha, v and the entangled mask are drawn once for every mode; each mode
-    draws its unitaries and selections from the generator state right after
-    that draw, so its counts equal a chunk run for that mode alone.
+    A sample is entangled when v exceeds oracles.conditioning_threshold.
+    alpha, v and that mask are drawn once for every mode; each mode draws its
+    unitaries and selections from the generator state right after that draw,
+    so its counts equal a chunk run for that mode alone.
     """
     rng = substream(seed, _TAG_ICPS, chunk_idx)
     alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), n)
     vis = rng.uniform(0.0, 1.0, n)
     after_draw = rng.bit_generator.state
-    ent = _icps_entangled_mask(alpha, vis, d, r, ground_truth)
+    ent = vis > conditioning_threshold(d, r, alpha, ground_truth)
     counts = []
     for mode in modes:
         rng.bit_generator.state = after_draw

@@ -1,46 +1,29 @@
 """Ensemble sensitivity estimation: sensitivity tables and (alpha, v) grids.
 
 Sensitivity is the conditional probability of detecting entanglement given
-that the sampled state is entangled.  For the Schmidt-form family the
-conditioning rule is configurable (IcpsGroundTruth); for Haar-random states
-the ground truth is the NPT criterion, the only notion the witness can ever
-certify.
+that the sampled state is entangled.  There is one entry per ensemble:
+sweep_icps (Schmidt-form states, under the conditioning rule
+oracles.IcpsGroundTruth), sweep_quasi_pure (Haar-random states, under the NPT
+criterion, the only notion the witness can ever certify) and sweep_icps_grid
+(fixed states on an (alpha, v) grid).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import engine
 from .detection import CombinedSelection, DetectionConfig, Mode
 from .states import IcpsParams, InvalidParamsError, QuasiPureParams
-from .oracles import icps_is_entangled
+from .oracles import IcpsGroundTruth, icps_is_entangled
 from .transforms import LutKind
 
 DEFAULT_SAMPLES = 100_000
 
 COMBINED_KEY = "combined"
-
-
-class IcpsGroundTruth(str, Enum):
-    """Which sampled states count as entangled in the conditioning.
-
-    NPT: the exact entanglement boundary (partial-transpose criterion).
-    PIECEWISE: the closed-form thresholds applied by alpha regime; identical
-    to NPT except for rank 2 above alpha = 1/sqrt(2), where it misattributes
-    the core-core threshold and so counts some PPT states as entangled.
-    RANK2: the rank-2 boundary applied at every rank; counts additional PPT
-    states for r >= 3.  This is the convention that reproduces the reference
-    sensitivity tables, so it is the default for table runs.
-    """
-
-    NPT = "npt"
-    PIECEWISE = "piecewise"
-    RANK2 = "rank2"
 
 
 def wilson_halfwidth(k: int, n: int, z: float = 1.96) -> float:
@@ -65,12 +48,13 @@ class SensitivityEstimate:
             raise ValueError("counts must satisfy detected <= entangled <= sampled")
 
     @property
-    def value(self) -> float:
-        return self.detected / self.entangled if self.entangled else 0.0
+    def value(self) -> float | None:
+        """detected / entangled; None when no sample is entangled."""
+        return self.detected / self.entangled if self.entangled else None
 
     @property
-    def ci95(self) -> float:
-        return wilson_halfwidth(self.detected, self.entangled)
+    def ci95(self) -> float | None:
+        return wilson_halfwidth(self.detected, self.entangled) if self.entangled else None
 
 
 @dataclass(frozen=True)
@@ -105,8 +89,10 @@ def _icps_setup(d: int, r: int, cfg: DetectionConfig | None) -> tuple:
     if any(s.u_a is not None or s.v_b is not None for s in cfg.strategies):
         raise ValueError("ensemble sweeps draw fresh unitaries per sample; "
                          "pinned unitaries are only supported by the trial API")
-    return (tuple(s.kind for s in cfg.strategies), cfg.mode.value,
-            cfg.combined_selection is CombinedSelection.SHARED)
+    kinds = tuple(s.kind for s in cfg.strategies)
+    if len(set(kinds)) < len(kinds):  # results are keyed by strategy name
+        raise InvalidParamsError(f"repeated strategy in {[k.value for k in kinds]}")
+    return kinds, cfg.mode.value, cfg.combined_selection is CombinedSelection.SHARED
 
 
 def _estimates(kinds: tuple[LutKind, ...], detected: np.ndarray, entangled: int, sampled: int,
@@ -117,58 +103,38 @@ def _estimates(kinds: tuple[LutKind, ...], detected: np.ndarray, entangled: int,
             for label, k in zip(labels, detected)}
 
 
-def estimate_icps_sensitivity(d: int, r: int, cfg: DetectionConfig | None = None,
-                              n_samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1,
-                              ground_truth: IcpsGroundTruth = IcpsGroundTruth.RANK2,
-                              ) -> dict[str, SensitivityEstimate]:
-    """Per-strategy and combined sensitivity over the (alpha, v) ensemble.
-
-    alpha is uniform on [0, 1/sqrt(r-1)], v uniform on [0, 1]; only states
-    entangled per ground_truth enter the denominator.  The combined entry is
-    the OR over the configured strategies within each sample.
-    """
-    modes = [(cfg or DetectionConfig()).mode]
-    return sweep_icps(d, r, modes, cfg, n_samples, seed, workers, ground_truth)[0]
-
-
 def sweep_icps(d: int, r: int, modes: Sequence[Mode], cfg: DetectionConfig | None = None,
                n_samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1,
                ground_truth: IcpsGroundTruth = IcpsGroundTruth.RANK2,
                ) -> list[dict[str, SensitivityEstimate]]:
-    """estimate_icps_sensitivity for every mode in one run; cfg.mode is not read.
+    """Per-strategy and combined sensitivity over the (alpha, v) ensemble, per mode.
 
-    Returns one estimate dict per entry of modes; each equals the single-mode
-    estimate at the same seed.  Every chunk draws its (alpha, v) samples once
-    for all modes, and one process pool serves the whole run.
+    alpha is uniform on [0, 1/sqrt(r-1)], v uniform on [0, 1]; only states
+    entangled per ground_truth enter the denominator.  The combined entry is
+    the OR over the configured strategies within each sample.  Returns one
+    estimate dict per entry of modes (cfg.mode is not read); each equals a
+    one-mode sweep at the same seed.  Every chunk draws its (alpha, v)
+    samples once for all modes, and one process pool serves the whole run.
     """
     kinds, _, shared = _icps_setup(d, r, cfg)
     mode_names = tuple(Mode(m).value for m in modes)
-    tasks = [(seed, c, size, d, r, kinds, mode_names, shared, ground_truth.value)
+    tasks = [(seed, c, size, d, r, kinds, mode_names, shared, IcpsGroundTruth(ground_truth))
              for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
     total = np.sum(engine.run_tasks(engine._icps_chunk, tasks, workers), axis=0)
     return [_estimates(kinds, detected, int(total[1]), int(total[0]), seed)
             for detected in total[2:].reshape(len(mode_names), -1)]
 
 
-def estimate_quasi_pure_sensitivity(d: int, noise_level: float, mode: Mode = Mode.SINGLE,
-                                    n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                                    workers: int = 1) -> SensitivityEstimate:
-    """Sensitivity on Haar-random pure states mixed with white noise.
-
-    Ground truth is the NPT criterion; no local unitaries are applied since
-    the Haar ensemble is invariant under them.
-    """
-    return sweep_quasi_pure(d, [noise_level], [mode], n_samples, seed, workers)[0][0]
-
-
 def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode],
                      n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
                      workers: int = 1) -> list[list[SensitivityEstimate]]:
-    """estimate_quasi_pure_sensitivity for every (noise level, mode) in one run.
+    """Sensitivity on Haar-random pure states mixed with white noise, per (noise, mode).
 
-    Returns out[i][j] for noise_levels[i] and modes[j]; each entry equals the
-    single-pair estimate at the same seed.  Every chunk draws its Haar states
-    once for all pairs, and one process pool serves the whole table.
+    Ground truth is the NPT criterion; no local unitaries are applied since
+    the Haar ensemble is invariant under them.  Returns out[i][j] for
+    noise_levels[i] and modes[j]; each entry equals a one-pair sweep at the
+    same seed.  Every chunk draws its Haar states once for all pairs, and one
+    process pool serves the whole table.
     """
     noises = tuple(noise_levels)
     mode_names = tuple(Mode(m).value for m in modes)

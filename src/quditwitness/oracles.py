@@ -1,5 +1,6 @@
-"""Ground-truth oracles: PPT test, exact thresholds, closed-form scores and
-exhaustive selection enumeration.
+"""Ground-truth oracles: PPT test, exact thresholds, the conditioning rule of
+the Schmidt-form sweeps, closed-form scores and exhaustive selection
+enumeration.
 
 These routines are deliberately independent of the sampling pipeline so that
 Monte Carlo results can be checked against them.
@@ -73,6 +74,26 @@ def npt_threshold(d: int, r: int, alpha):
     """
     v_a, v_b = visibility_thresholds(d, r, alpha)
     return v_b if r == 2 else np.minimum(v_a, v_b)
+
+
+class IcpsGroundTruth(str, Enum):
+    """Conditioning rule: which sampled Schmidt-form states count as entangled.
+
+    NPT: the exact entanglement boundary (npt_threshold).  RANK2: the rank-2
+    boundary min(v_a, v_b) at r = 2, applied at every rank; it also counts
+    some PPT states (alpha > 1/sqrt(2) at r = 2, more for r >= 3).  RANK2
+    reproduces the reference sensitivity tables, so it is the default.
+    """
+
+    NPT = "npt"
+    RANK2 = "rank2"
+
+
+def conditioning_threshold(d: int, r: int, alpha, rule: IcpsGroundTruth):
+    """Threshold in v above which a sampled state counts as entangled under rule."""
+    if IcpsGroundTruth(rule) is IcpsGroundTruth.NPT:
+        return npt_threshold(d, r, alpha)
+    return np.minimum(*visibility_thresholds(d, 2, alpha))
 
 
 def icps_thresholds(p: IcpsParams) -> tuple[float, float]:

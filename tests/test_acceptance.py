@@ -8,11 +8,10 @@ import numpy as np
 
 from quditwitness import (DetectionConfig, IcpsParams, LevelSelection, LutStrategy, Mode,
                           Scenario, analytic_fef_score, analytic_sensitivity,
-                          brute_force_counts, estimate_icps_sensitivity,
-                          fef_from_collective, fef_witness,
+                          brute_force_counts, fef_from_collective, fef_witness,
                           haar_unitary, icps_entanglement_threshold, icps_thresholds,
                           make_icps, pi_matrix, random_product_mixture,
-                          reduce_to_two_qubits, substream, sweep_quasi_pure)
+                          reduce_to_two_qubits, substream, sweep_icps, sweep_quasi_pure)
 from quditwitness.cli import main
 from quditwitness.states import DensityMatrix, schmidt_vector
 from conftest import random_density
@@ -61,10 +60,14 @@ def check(name: str, ok: bool, detail: str = "") -> bool:
 def test_criterion_1_icps_table():
     print()
     ok = True
-    for mode in ("single", "parallel"):
+    modes = tuple(TABLE_ICPS)
+    # one sweep per (d, r): its counts equal per-mode estimates at the same seed
+    tables = {dr: dict(zip(modes, sweep_icps(*dr, [Mode(m) for m in modes],
+                                             n_samples=N_TABLE, seed=SEED_TABLE)))
+              for dr in TABLE_ICPS["single"]}
+    for mode in modes:
         for (d, r), refs in TABLE_ICPS[mode].items():
-            est = estimate_icps_sensitivity(d, r, cfg=DetectionConfig(mode=Mode(mode)),
-                                            n_samples=N_TABLE, seed=SEED_TABLE)
+            est = tables[d, r][mode]
             got = [100 * est[k].value for k in ROW_KEYS]
             dev = max(abs(g - ref) for g, ref in zip(got, refs))
             ok &= check(f"criterion 1: sensitivity table d={d} r={r} {mode}",

@@ -171,6 +171,30 @@ def one_error_line(err: str) -> bool:
     return err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_removed_piecewise_ground_truth_exit_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["icps-sweep", "--d", "3", "--r", "2", "--ground-truth", "piecewise"])
+    assert info.value.code == 2
+    assert "--ground-truth" in capsys.readouterr().err
+
+
+def test_repeated_strategies_exit_3(capsys):
+    # one row per strategy name: a repeat would print one row holding the second count
+    assert main(["icps-sweep", "--d", "3", "--r", "2", "--strategies", "identity", "identity",
+                 "--mode", "single", "--samples", "100", "--workers", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err) and "repeated strategy" in err
+
+
+def test_random_sweep_nothing_entangled_leaves_sensitivity_empty(tmp_path):
+    # noise 1.0 is the maximally mixed state: 0 entangled samples, no sensitivity
+    out = tmp_path / "rand.csv"
+    assert main(["random-sweep", "--d", "3", "--noise", "1.0", "--mode", "single",
+                 "--samples", "200", "--seed", "1", "--workers", "1", "--out", str(out)]) == 0
+    rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert rows[1:] == ["3,,,0.0,identity,single,200,0,0,,,1"]
+
+
 def test_bad_workers_env_exit_2(monkeypatch, capsys):
     # the variable gets the same check as --workers: non-integers and values < 1
     argv = ["random-sweep", "--d", "3", "--noise", "0.2", "--samples", "100"]

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from quditwitness import (COMBINED_KEY, CombinedSelection, DetectionConfig, GridSpec,
                           IcpsGroundTruth, IcpsParams, InvalidParamsError, LutKind,
                           LutStrategy, Mode, SensitivityEstimate, brute_force_sensitivity,
-                          estimate_icps_sensitivity, estimate_quasi_pure_sensitivity,
                           make_icps, sweep_icps, sweep_icps_grid, sweep_quasi_pure,
                           wilson_halfwidth)
 from quditwitness import engine, haar_unitary
@@ -20,7 +19,7 @@ def test_wilson_halfwidth_value():
 
 
 def test_estimate_fields_and_counts():
-    est = estimate_icps_sensitivity(3, 2, n_samples=5000, seed=1)
+    est = sweep_icps(3, 2, [Mode.SINGLE], n_samples=5000, seed=1)[0]
     assert set(est) == {"identity", "hadamard_b", "hadamard_both", COMBINED_KEY}
     for e in est.values():
         assert 0 <= e.detected <= e.entangled <= e.sampled == 5000
@@ -36,12 +35,12 @@ def test_sensitivity_estimate_rejects_bad_counts():
 
 def test_reproducible_across_worker_counts():
     kwargs = dict(n_samples=40_000, seed=7)
-    a = estimate_icps_sensitivity(3, 2, workers=1, **kwargs)
-    b = estimate_icps_sensitivity(3, 2, workers=2, **kwargs)
+    a = sweep_icps(3, 2, [Mode.SINGLE], workers=1, **kwargs)[0]
+    b = sweep_icps(3, 2, [Mode.SINGLE], workers=2, **kwargs)[0]
     assert {k: (e.detected, e.entangled) for k, e in a.items()} == \
            {k: (e.detected, e.entangled) for k, e in b.items()}
-    qa = estimate_quasi_pure_sensitivity(3, 0.4, n_samples=40_000, seed=9, workers=1)
-    qb = estimate_quasi_pure_sensitivity(3, 0.4, n_samples=40_000, seed=9, workers=2)
+    qa = sweep_quasi_pure(3, [0.4], [Mode.SINGLE], n_samples=40_000, seed=9, workers=1)[0][0]
+    qb = sweep_quasi_pure(3, [0.4], [Mode.SINGLE], n_samples=40_000, seed=9, workers=2)[0][0]
     assert (qa.detected, qa.entangled) == (qb.detected, qb.entangled)
 
 
@@ -53,7 +52,7 @@ def test_quasi_pure_sweep_equals_per_pair_estimates():
     assert tables[0] == tables[1]
     for noise, row in zip(noises, tables[0]):
         for mode, est in zip(modes, row):
-            assert est == estimate_quasi_pure_sensitivity(5, noise, mode=mode, **kwargs)
+            assert est == sweep_quasi_pure(5, [noise], [mode], **kwargs)[0][0]
     assert tables[0][0] == tables[0][2]
 
 
@@ -64,24 +63,16 @@ def test_quasi_pure_sweep_rejects_any_bad_noise():
 
 def test_ground_truth_denominators_ordered():
     # the rank-2 rule counts extra PPT states as entangled for r >= 3
-    npt = estimate_icps_sensitivity(4, 4, n_samples=20_000, seed=3,
-                                    ground_truth=IcpsGroundTruth.NPT)
-    rank2 = estimate_icps_sensitivity(4, 4, n_samples=20_000, seed=3,
-                                      ground_truth=IcpsGroundTruth.RANK2)
-    piecewise = estimate_icps_sensitivity(4, 4, n_samples=20_000, seed=3,
-                                          ground_truth=IcpsGroundTruth.PIECEWISE)
+    npt, rank2 = (sweep_icps(4, 4, [Mode.SINGLE], n_samples=20_000, seed=3, ground_truth=rule)[0]
+                  for rule in (IcpsGroundTruth.NPT, IcpsGroundTruth.RANK2))
     assert rank2["identity"].entangled > npt["identity"].entangled
-    # for r >= 3 the piecewise rule coincides with the exact boundary
-    assert piecewise["identity"].entangled == npt["identity"].entangled
     # detections are identical; only the conditioning changes
     assert rank2["identity"].detected == npt["identity"].detected
 
 
 def test_single_equals_parallel_at_d3():
-    cfg_s = DetectionConfig(mode=Mode.SINGLE)
-    cfg_p = DetectionConfig(mode=Mode.PARALLEL)
-    a = estimate_icps_sensitivity(3, 3, cfg=cfg_s, n_samples=40_000, seed=5)
-    b = estimate_icps_sensitivity(3, 3, cfg=cfg_p, n_samples=40_000, seed=6)
+    a = sweep_icps(3, 3, [Mode.SINGLE], n_samples=40_000, seed=5)[0]
+    b = sweep_icps(3, 3, [Mode.PARALLEL], n_samples=40_000, seed=6)[0]
     for key in a:
         pa, pb = a[key].value, b[key].value
         sigma = np.sqrt(pa * (1 - pa) / a[key].entangled + pb * (1 - pb) / b[key].entangled)
@@ -90,12 +81,12 @@ def test_single_equals_parallel_at_d3():
 
 def test_shared_selection_mode_runs():
     cfg = DetectionConfig(combined_selection=CombinedSelection.SHARED)
-    est = estimate_icps_sensitivity(3, 2, cfg=cfg, n_samples=5000, seed=2)
+    est = sweep_icps(3, 2, [Mode.SINGLE], cfg, n_samples=5000, seed=2)[0]
     assert est[COMBINED_KEY].entangled > 0
 
 
 def test_quasi_pure_d2_pure_states_always_detected():
-    est = estimate_quasi_pure_sensitivity(2, 0.0, n_samples=5000, seed=4)
+    est = sweep_quasi_pure(2, [0.0], [Mode.SINGLE], n_samples=5000, seed=4)[0][0]
     assert est.value == 1.0
     assert est.entangled > 4900  # almost all Haar states of two qubits are NPT
 
@@ -230,24 +221,49 @@ def test_icps_sweep_equals_per_mode_estimates(shared):
     tables = [sweep_icps(5, 3, modes, cfg, workers=w, **kwargs) for w in (1, 2)]
     assert tables[0] == tables[1]
     for mode, est in zip(modes, tables[0]):
-        single_mode = DetectionConfig(strategies=cfg.strategies, mode=mode,
-                                      combined_selection=combined)
-        assert est == estimate_icps_sensitivity(5, 3, single_mode, **kwargs)
+        assert est == sweep_icps(5, 3, [mode], cfg, **kwargs)[0]
     assert tables[0][0] != tables[0][1]
 
 
 def test_entry_points_reject_zero_samples(monkeypatch):
     monkeypatch.setattr(engine, "run_tasks", None)  # fails if any work starts
     with pytest.raises(InvalidParamsError):
-        estimate_icps_sensitivity(3, 2, n_samples=0)
+        sweep_icps(3, 2, [Mode.SINGLE], n_samples=0)
     with pytest.raises(InvalidParamsError):
         sweep_quasi_pure(3, [0.2], [Mode.SINGLE], n_samples=0)
     with pytest.raises(InvalidParamsError):
-        estimate_quasi_pure_sensitivity(3, 0.2, n_samples=-1)
+        sweep_quasi_pure(3, [0.2], [Mode.SINGLE], n_samples=-1)
 
 
 def test_pinned_unitaries_rejected_in_sweeps(rng):
     cfg = DetectionConfig(strategies=(LutStrategy.random_both(
         u_a=haar_unitary(3, rng), v_b=haar_unitary(3, rng)),))
     with pytest.raises(ValueError):
-        estimate_icps_sensitivity(3, 2, cfg=cfg, n_samples=100, seed=0)
+        sweep_icps(3, 2, [Mode.SINGLE], cfg=cfg, n_samples=100, seed=0)
+
+
+def test_repeated_strategies_rejected_in_sweeps(monkeypatch):
+    # estimates are keyed by strategy name, so a repeat would lose a row
+    monkeypatch.setattr(engine, "run_tasks", None)  # fails if any work starts
+    cfg = DetectionConfig(strategies=(LutStrategy.identity(), LutStrategy.hadamard_b(),
+                                      LutStrategy.identity()))
+    with pytest.raises(InvalidParamsError, match="repeated strategy"):
+        sweep_icps(3, 2, [Mode.SINGLE], cfg, n_samples=100)
+    with pytest.raises(InvalidParamsError, match="repeated strategy"):
+        sweep_icps_grid(3, 2, GridSpec(1, 1, 10), cfg)
+
+
+def test_removed_piecewise_rule_rejected_before_work(monkeypatch):
+    monkeypatch.setattr(engine, "run_tasks", None)  # fails if any work starts
+    assert [g.value for g in IcpsGroundTruth] == ["npt", "rank2"]
+    with pytest.raises(ValueError, match="piecewise"):
+        sweep_icps(3, 2, [Mode.SINGLE], n_samples=100, ground_truth="piecewise")
+
+
+def test_no_entangled_sample_gives_empty_sensitivity():
+    # at noise 1.0 every state is maximally mixed, so nothing is entangled
+    est = sweep_quasi_pure(3, [1.0], [Mode.SINGLE], n_samples=200, seed=1)[0][0]
+    assert (est.entangled, est.detected, est.value, est.ci95) == (0, 0, None, None)
+    assert SensitivityEstimate(0, 0, 5, 0).value is None
+    assert SensitivityEstimate(0, 1, 5, 0).value == 0.0
+    assert SensitivityEstimate(0, 1, 5, 0).ci95 > 0.0

@@ -23,10 +23,10 @@ RUNS = {
     **{f"icps-d5r3-{sel}-{gt}": ["icps-sweep", "--d", "5", "--r", "3", *ALL4, "--mode", "both",
                                  "--combined-selection", sel, "--ground-truth", gt,
                                  "--samples", "17000", "--seed", "21"]
-       for sel in ("fresh", "shared") for gt in ("npt", "piecewise", "rank2")},
+       for sel in ("fresh", "shared") for gt in ("npt", "rank2")},
     **{f"icps-d4r2-fresh-{gt}": ["icps-sweep", "--d", "4", "--r", "2", *ALL4, "--mode", "both",
                                  "--ground-truth", gt, "--samples", "3000", "--seed", "22"]
-       for gt in ("npt", "piecewise", "rank2")},
+       for gt in ("npt", "rank2")},
     # two full chunks and a short one, both modes from one draw per chunk
     "icps-d5r3-all4-both-shared-npt-40000": ["icps-sweep", "--d", "5", "--r", "3", *ALL4,
                                              "--mode", "both", "--combined-selection", "shared",

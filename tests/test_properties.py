@@ -1,9 +1,14 @@
-"""Property tests (hypothesis) for the vectorised sweep kernels."""
+"""Property tests (hypothesis) for the vectorised sweep kernels, the
+conditioning rule and the CSV header."""
+import io
+from contextlib import redirect_stdout
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from quditwitness import LutKind, LutStrategy, engine
+from quditwitness import LutKind, LutStrategy, cli, engine
+from quditwitness.oracles import IcpsGroundTruth, conditioning_threshold, npt_threshold
 from quditwitness.transforms import _local_unitaries
 
 SHARED_KINDS = (LutKind.IDENTITY, LutKind.HADAMARD_B, LutKind.HADAMARD_BOTH)
@@ -36,3 +41,84 @@ def test_table_amplitudes_equal_local_unitary_product(case, kind, seed):
         a, b = sel[:, p, :2], sel[:, p, 2:]
         expected = m[np.arange(n)[:, None, None], a[:, :, None], b[:, None, :]]
         assert_allclose(got, expected.reshape(n, 4), atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=schmidt_cases(), data=st.data(), shared=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_kernel_never_detects_below_npt_threshold(case, data, shared, seed):
+    # a 2x2 block of U diag(s) V^T has |det| <= s_1 s_2, so no selection under
+    # any local unitary detects a state below the exact boundary
+    d, r, alpha, mode = case
+    frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(alpha), max_size=len(alpha)))
+    vis = np.array(frac) * (1 - 1e-9) * npt_threshold(d, r, alpha)
+    counts = engine._schmidt_detections(np.random.default_rng(seed), alpha, vis,
+                                        np.ones(len(alpha), dtype=bool), d, r,
+                                        tuple(LutKind), mode, shared)
+    assert counts == [0] * (len(LutKind) + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=schmidt_cases())
+def test_rank2_rule_counts_every_npt_entangled_state(case):
+    d, r, alpha, _ = case
+    rank2 = conditioning_threshold(d, r, alpha, IcpsGroundTruth.RANK2)
+    assert np.all(rank2 <= conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT))
+
+
+def maybe(strategy):
+    """None leaves the option out, so it takes its default."""
+    return st.none() | strategy
+
+
+@st.composite
+def sweep_argvs(draw):
+    pos = st.integers(1, 10 ** 6)
+    selection = st.sampled_from(["fresh", "shared"])
+    kinds = [k.value for k in LutKind]
+    command = draw(st.sampled_from(["icps-sweep", "random-sweep", "grid"]))
+    common = [("--d", pos), ("--seed", maybe(st.integers(0, 2 ** 64))),
+              ("--workers", maybe(pos))]
+    if command == "icps-sweep":
+        opts = [("--r", pos), ("--mode", maybe(st.sampled_from(["single", "parallel", "both"]))),
+                ("--strategies", maybe(st.lists(st.sampled_from(kinds), min_size=1))),
+                ("--combined-selection", maybe(selection)),
+                ("--ground-truth", maybe(st.sampled_from([g.value for g in IcpsGroundTruth]))),
+                ("--samples", maybe(pos))]
+    elif command == "random-sweep":
+        opts = [("--noise", st.lists(st.floats(0.0, 1.0), min_size=1)),
+                ("--mode", maybe(st.sampled_from(["single", "parallel", "both"]))),
+                ("--samples", maybe(pos))]
+    else:
+        opts = [("--r", pos), ("--alpha-steps", maybe(pos)), ("--v-steps", maybe(pos)),
+                ("--trials", maybe(pos)), ("--strategy", maybe(st.sampled_from(kinds + ["all"]))),
+                ("--mode", maybe(st.sampled_from(["single", "parallel"]))),
+                ("--combined-selection", maybe(selection))]
+    argv = [command]
+    for name, strategy in common + opts:
+        value = draw(strategy)
+        if value is not None:
+            argv += [name, *map(str, value if isinstance(value, list) else [value])]
+    return argv
+
+
+def _parse_header(lines: list[str]):
+    """The namespace that the '# command:' and '# params:' lines describe."""
+    argv = [lines[1].removeprefix("# command: ")]
+    for item in lines[2].removeprefix("# params: ").split(" "):
+        key, value = item.split("=", 1)
+        argv += [f"--{key.replace('_', '-')}", *value.split("+")]
+    return cli.build_parser().parse_args(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=sweep_argvs())
+def test_params_header_round_trips_through_the_parser(argv):
+    args = cli.build_parser().parse_args(argv)
+    header = io.StringIO()
+    with redirect_stdout(header):  # no --out: the table goes to stdout
+        cli._write_table(args, [])
+    unrecorded = {"workers", "out"}
+    parsed = _parse_header(header.getvalue().splitlines())
+    assert ({k: v for k, v in vars(parsed).items() if k not in unrecorded}
+            == {k: v for k, v in vars(args).items() if k not in unrecorded})
