@@ -11,10 +11,13 @@ terms, and shared unitaries are gathered from a two-term table.  icps and
 quasi chunks draw their states once for every mode (and noise level).  Every
 sampled state is pure plus white noise, so scores_from_amplitudes scores each
 reduction in closed form.  Which icps samples count as entangled is decided
-only by oracles.conditioning_threshold.
+only by oracles.conditioning_threshold.  Which Haar (quasi) samples are NPT
+is decided by _npt_masks: Cauchy-Binet bounds on lam0 lam1 from the Gram
+matrix settle most rows, and only the rows they leave open get an SVD.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -29,6 +32,7 @@ from .witness import scores_from_amplitudes
 
 CHUNK = 16384
 CHUNK_ENTRIES = CHUNK * 16 * 16  # rows * d^2 cap: a complex (n, d, d) stack is <= 64 MiB
+_GT_ROWS = 2048  # rows per slice of the NPT ground truth's Gram matrices and SVD
 
 _TAG_ICPS = 0
 _TAG_QUASI = 1
@@ -146,25 +150,56 @@ def _grid_chunk(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int
     return np.array([n, *counts], dtype=np.int64)
 
 
+def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
+    """NPT flags (len(vis), n) of the states z (n, d, d) mixed with white noise.
+
+    Row i at visibility v is NPT iff v lam0 lam1 - (1 - v) / d^2 > NPT_TOL,
+    with lam0 >= lam1 the two largest singular values of z[i] (its Schmidt
+    coefficients).  By Cauchy-Binet, e2 = sum_{j<k} lam_j^2 lam_k^2 is the
+    squared norm of the second compound of z, and from G = z z^H it is
+    ((tr G)^2 - |G|_F^2) / 2.  Its largest term is (lam0 lam1)^2, so
+    e2 / (d(d-1)/2) <= (lam0 lam1)^2 <= e2.  The bounds are compared squared,
+    so no sqrt of a tiny e2 magnifies its rounding, and with a slack of
+    64 d^2 eps on e2 and on v lam0 lam1: e2 rounds within about d^2 eps, the
+    SVD's product and the expression within about d eps.  A row the bounds
+    settle at every level keeps those flags; every other row is scored by
+    the expression above from an SVD.  Gram matrices and SVDs run over
+    slices of _GT_ROWS rows, so their memory stays small.
+    """
+    v = np.asarray(vis, dtype=float)[:, None]
+    floor = (1.0 - v) / (d * d) + NPT_TOL
+    slack = 64 * d * d * np.finfo(float).eps
+    pairs = d * (d - 1) / 2
+    masks = []
+    for lo in range(0, len(z), _GT_ROWS):
+        zs = z[lo:lo + _GT_ROWS]
+        g = zs @ zs.conj().transpose(0, 2, 1)
+        tr = np.einsum("nii->n", g).real
+        e2 = (tr * tr - (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))) / 2
+        ent = v * v * (e2 - slack) > pairs * (floor + slack) ** 2  # NPT for sure
+        ppt = v * v * (e2 + slack) < np.maximum(floor - slack, 0.0) ** 2  # PPT for sure
+        open_rows = ~(ent | ppt).all(axis=0)
+        lam = np.linalg.svd(zs[open_rows], compute_uv=False)
+        ent[:, open_rows] = v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL
+        masks.append(ent)
+    return np.concatenate(masks, axis=1)
+
+
 def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float, ...],
                  modes: tuple[str, ...]) -> np.ndarray:
     """Counts [sampled, (entangled, detected) per (noise, mode)...] for Haar states.
 
-    Entries run noise-major.  One Haar draw and one SVD serve every noise
-    level and mode; each mode draws its selections from the generator state
-    right after the state draw, so an entry equals a chunk run for its
-    (noise, mode) alone.
+    Entries run noise-major.  One Haar draw and one ground-truth pass
+    (_npt_masks) serve every noise level and mode; each mode draws its
+    selections from the generator state right after the state draw, so an
+    entry equals a chunk run for its (noise, mode) alone.
     """
     rng = substream(seed, _TAG_QUASI, chunk_idx)
     z = ginibre(d, rng, size=n)
     z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
     after_draw = rng.bit_generator.state
-    # NPT iff vis * (product of two largest Schmidt coefficients) beats the
-    # noise floor; the Schmidt coefficients are the singular values of the
-    # amplitude matrix.
-    lam = np.linalg.svd(z, compute_uv=False)
     vis = [1.0 - noise for noise in noises]
-    ent = [v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL for v in vis]
+    ent = _npt_masks(z, d, vis)
     counts = np.zeros((len(noises), len(modes), 2), dtype=np.int64)
     flat = z.reshape(n, d * d)
     for j, mode in enumerate(modes):

@@ -95,6 +95,13 @@ def _icps_setup(d: int, r: int, cfg: DetectionConfig | None) -> tuple:
     return kinds, cfg.mode.value, cfg.combined_selection is CombinedSelection.SHARED
 
 
+def _nonempty(what: str, values: tuple) -> tuple:
+    """values, or InvalidParamsError before any work when there are none."""
+    if not values:
+        raise InvalidParamsError(f"at least one {what} is required")
+    return values
+
+
 def _estimates(kinds: tuple[LutKind, ...], detected: np.ndarray, entangled: int, sampled: int,
                seed: int) -> dict[str, SensitivityEstimate]:
     """Per-strategy estimates, then the combined one; detected has one count per entry."""
@@ -117,7 +124,7 @@ def sweep_icps(d: int, r: int, modes: Sequence[Mode], cfg: DetectionConfig | Non
     samples once for all modes, and one process pool serves the whole run.
     """
     kinds, _, shared = _icps_setup(d, r, cfg)
-    mode_names = tuple(Mode(m).value for m in modes)
+    mode_names = _nonempty("mode", tuple(Mode(m).value for m in modes))
     tasks = [(seed, c, size, d, r, kinds, mode_names, shared, IcpsGroundTruth(ground_truth))
              for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
     total = np.sum(engine.run_tasks(engine._icps_chunk, tasks, workers), axis=0)
@@ -136,8 +143,8 @@ def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode
     same seed.  Every chunk draws its Haar states once for all pairs, and one
     process pool serves the whole table.
     """
-    noises = tuple(noise_levels)
-    mode_names = tuple(Mode(m).value for m in modes)
+    noises = _nonempty("noise level", tuple(noise_levels))
+    mode_names = _nonempty("mode", tuple(Mode(m).value for m in modes))
     for noise in noises:
         if not 0.0 <= noise <= 1.0:
             raise InvalidParamsError(f"noise level must be in [0, 1], got {noise}")

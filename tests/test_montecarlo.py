@@ -235,6 +235,16 @@ def test_entry_points_reject_zero_samples(monkeypatch):
         sweep_quasi_pure(3, [0.2], [Mode.SINGLE], n_samples=-1)
 
 
+def test_entry_points_reject_empty_mode_and_noise_lists(monkeypatch):
+    monkeypatch.setattr(engine, "run_tasks", None)  # fails if any work starts
+    with pytest.raises(InvalidParamsError, match="mode"):
+        sweep_icps(3, 2, [])
+    with pytest.raises(InvalidParamsError, match="mode"):
+        sweep_quasi_pure(3, [0.2], [])
+    with pytest.raises(InvalidParamsError, match="noise level"):
+        sweep_quasi_pure(3, [], [Mode.SINGLE])
+
+
 def test_pinned_unitaries_rejected_in_sweeps(rng):
     cfg = DetectionConfig(strategies=(LutStrategy.random_both(
         u_a=haar_unitary(3, rng), v_b=haar_unitary(3, rng)),))

@@ -63,6 +63,10 @@ RUNS = {
                                            "--seed", "8"],
     "random-d4-single-17000": ["random-sweep", "--d", "4", "--noise", "0.3", "--mode", "single",
                                "--samples", "17000", "--seed", "9"],
+    # d = 9: the Cauchy-Binet bounds settle every row at noise 0.2 and none at 0.9,
+    # so the second noise level takes each row's NPT flag from the SVD
+    "random-d9-settled-and-undecided": ["random-sweep", "--d", "9", "--noise", "0.2", "0.9",
+                                        "--mode", "both", "--samples", "17000", "--seed", "41"],
 }
 
 

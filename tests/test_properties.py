@@ -1,13 +1,14 @@
 """Property tests (hypothesis) for the vectorised sweep kernels, the
-conditioning rule and the CSV header."""
+random-sweep ground truth, the conditioning rule and the CSV header."""
 import io
 from contextlib import redirect_stdout
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from quditwitness import LutKind, LutStrategy, cli, engine
+from quditwitness import NPT_TOL, LutKind, LutStrategy, cli, engine
+from quditwitness.linalg import ginibre, haar_state
 from quditwitness.oracles import IcpsGroundTruth, conditioning_threshold, npt_threshold
 from quditwitness.transforms import _local_unitaries
 
@@ -56,6 +57,38 @@ def test_sweep_kernel_never_detects_below_npt_threshold(case, data, shared, seed
                                         np.ones(len(alpha), dtype=bool), d, r,
                                         tuple(LutKind), mode, shared)
     assert counts == [0] * (len(LutKind) + 1)
+
+
+@st.composite
+def npt_cases(draw):
+    """Unit-norm states z (n, d, d), some of them a product state plus a 1e-9
+    perturbation, and visibilities: 0, 1, each row's NPT boundary and its
+    neighbours 1 ulp away, and random ones; shuffled, some repeated."""
+    d = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = ginibre(d, rng, size=n)
+    product = haar_state(d, rng, size=n)[:, :, None] * haar_state(d, rng, size=n)[:, None, :]
+    near_product = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    z = np.where(near_product[:, None, None], product + 1e-9 * z, z)
+    z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
+    lam = np.linalg.svd(z, compute_uv=False)
+    # the boundary v solves v lam0 lam1 = (1 - v) / d^2 + NPT_TOL
+    edge = (1 / d ** 2 + NPT_TOL) / (lam[:, 0] * lam[:, 1] + 1 / d ** 2)
+    vis = [0.0, 1.0, *edge, *np.nextafter(edge, 0.0), *np.nextafter(edge, 2.0),
+           *draw(st.lists(st.floats(0.0, 1.0), max_size=4))]
+    order = draw(st.permutations(range(len(vis))))
+    repeats = draw(st.lists(st.sampled_from(range(len(vis))), max_size=3))
+    return z, d, np.minimum(vis, 1.0)[order + repeats]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=npt_cases())
+def test_npt_masks_equal_the_svd_expression(case):
+    z, d, vis = case
+    lam = np.linalg.svd(z, compute_uv=False)
+    expected = [v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL for v in vis.tolist()]
+    assert_array_equal(engine._npt_masks(z, d, vis), expected)
 
 
 @settings(max_examples=200, deadline=None)
