@@ -8,7 +8,8 @@ between "zero" and "signal".
 HERMITICITY_TOL = 1e-10
 
 # Witness scores must exceed this to count as a detection; keeps numerically
-# zero scores of separable states from being reported as entanglement.
+# zero scores of separable states from being reported as entanglement.  The
+# sweeps' rule v|det M| - (1-v)/D > WITNESS_TOL/4 implies it (witness.py).
 WITNESS_TOL = 1e-12
 
 # Reductions with post-selection probability below this carry no statistical

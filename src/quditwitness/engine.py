@@ -9,8 +9,9 @@ icps and grid chunks share one Schmidt-form kernel (_schmidt_amps): with
 (U, V) from transforms._local_unitaries, M = U diag(s) V^T splits into two
 terms, and shared unitaries are gathered from a two-term table.  icps and
 quasi chunks draw their states once for every mode (and noise level).  Every
-sampled state is pure plus white noise, so scores_from_amplitudes scores each
-reduction in closed form.  Which icps samples count as entangled is decided
+sampled state is pure plus white noise, so no score is computed: a sample is
+detected when witness.pure_noise_detected accepts its largest |det M| over
+level pairs (_max_det).  Which icps samples count as entangled is decided
 only by oracles.conditioning_threshold.  Which Haar (quasi) samples are NPT
 is decided by _npt_masks: Cauchy-Binet bounds on lam0 lam1 from the Gram
 matrix settle most rows, and only the rows they leave open get an SVD.
@@ -22,13 +23,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .constants import NPT_TOL, WITNESS_TOL
+from .constants import NPT_TOL
 from .linalg import ginibre
 from .oracles import IcpsGroundTruth, conditioning_threshold
 from .rng import substream
 from .states import InvalidParamsError, last_schmidt_coefficient
 from .transforms import LutKind, LutStrategy, _local_unitaries, block_indices
-from .witness import scores_from_amplitudes
+from .witness import pure_noise_detected
 
 CHUNK = 16384
 CHUNK_ENTRIES = CHUNK * 16 * 16  # rows * d^2 cap: a complex (n, d, d) stack is <= 64 MiB
@@ -85,13 +86,9 @@ def _schmidt_amps(sel: np.ndarray, alpha: np.ndarray, d: int, r: int,
         yield np.einsum("nqk,nk,npk->nqp", rows_u, s, rows_v).reshape(len(alpha), 4)
 
 
-def _detected(vis: np.ndarray, d: int, amps) -> np.ndarray:
-    """Flags (n,): the witness detects on some pair; amps yields each pair's (n, 4) amplitudes."""
-    hit = np.zeros(len(vis), dtype=bool)
-    for m in amps:
-        scores, _ = scores_from_amplitudes(m, vis, d * d)
-        hit |= scores > WITNESS_TOL
-    return hit
+def _max_det(amps) -> np.ndarray:
+    """Largest |det M| (n,) over level pairs; amps yields each pair's (n, 4) amplitudes."""
+    return np.max([np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) for m in amps], axis=0)
 
 
 def _schmidt_detections(rng: np.random.Generator, alpha: np.ndarray, vis: np.ndarray,
@@ -111,7 +108,7 @@ def _schmidt_detections(rng: np.random.Generator, alpha: np.ndarray, vis: np.nda
     for kind in kinds:
         u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
         sel = shared_sel if shared else _selections(rng, d, n, mode)
-        hit = _detected(vis, d, _schmidt_amps(sel, alpha, d, r, u, v))
+        hit = pure_noise_detected(_max_det(_schmidt_amps(sel, alpha, d, r, u, v)), vis, d * d)
         counts.append(int((hit & ent).sum()))
         any_hit |= hit
     counts.append(int((any_hit & ent).sum()))
@@ -190,9 +187,10 @@ def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     """Counts [sampled, (entangled, detected) per (noise, mode)...] for Haar states.
 
     Entries run noise-major.  One Haar draw and one ground-truth pass
-    (_npt_masks) serve every noise level and mode; each mode draws its
-    selections from the generator state right after the state draw, so an
-    entry equals a chunk run for its (noise, mode) alone.
+    (_npt_masks) serve every noise level and mode, one _max_det per mode every
+    noise level; each mode draws its selections from the generator state right
+    after the state draw, so an entry equals a chunk run for its (noise, mode)
+    alone.
     """
     rng = substream(seed, _TAG_QUASI, chunk_idx)
     z = ginibre(d, rng, size=n)
@@ -205,9 +203,9 @@ def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     for j, mode in enumerate(modes):
         rng.bit_generator.state = after_draw
         idx = block_indices(_selections(rng, d, n, mode), d)
-        amps = [np.take_along_axis(flat, idx[:, p], axis=1) for p in range(idx.shape[1])]
+        det = _max_det(np.take_along_axis(flat, idx[:, p], axis=1) for p in range(idx.shape[1]))
         for i, v in enumerate(vis):
-            hit = _detected(np.full(n, v), d, amps)
+            hit = pure_noise_detected(det, v, d * d)
             counts[i, j] = ent[i].sum(), (hit & ent[i]).sum()
     return np.concatenate([[n], counts.ravel()])
 

@@ -20,6 +20,12 @@ class ParseError(ValueError):
     """Raised when a state file cannot be parsed."""
 
 
+def _dim(dim_a: int, dim_b: int) -> int:
+    if dim_a < 1 or dim_b < 1:
+        raise ParseError(f"dimA and dimB must be positive, got {dim_a}x{dim_b}")
+    return dim_a * dim_b
+
+
 def density_to_json(rho: DensityMatrix) -> str:
     return json.dumps({
         "dimA": rho.dim_a,
@@ -37,7 +43,7 @@ def density_from_json(text: str, validate: bool = True) -> DensityMatrix:
         im = np.asarray(obj["im"], dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed density-matrix JSON: {exc}") from exc
-    d = dim_a * dim_b
+    d = _dim(dim_a, dim_b)
     if re.shape != (d * d,) or im.shape != (d * d,):
         raise ParseError(f"expected {d * d} re/im entries for dims {dim_a}x{dim_b}, "
                          f"got {re.size}/{im.size}")
@@ -65,7 +71,7 @@ def density_from_csv(text: str, validate: bool = True) -> DensityMatrix:
         rows = [np.array([float(x) for x in ln.split(",")]) for ln in body]
     except (KeyError, ValueError) as exc:
         raise ParseError(f"malformed density-matrix CSV: {exc}") from exc
-    d = dim_a * dim_b
+    d = _dim(dim_a, dim_b)
     if len(rows) != d or any(row.size != 2 * d for row in rows):
         raise ParseError(f"expected {d} rows of {2 * d} columns for dims {dim_a}x{dim_b}")
     mat = np.array([row[0::2] + 1j * row[1::2] for row in rows])
@@ -80,10 +86,8 @@ def save_density(rho: DensityMatrix, path: str | Path) -> None:
 
 def load_density(path: str | Path, validate: bool = True) -> DensityMatrix:
     path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".csv":
-        return density_from_csv(text, validate=validate)
-    return density_from_json(text, validate=validate)
+    parse = density_from_csv if path.suffix.lower() == ".csv" else density_from_json
+    return parse(path.read_text(), validate=validate)
 
 
 __all__ = ["ParseError", "InvalidStateError", "density_to_json", "density_from_json",

@@ -66,7 +66,9 @@ class DensityMatrix:
         return cls(dim_a, dim_b, mat, pure=vec, visibility=float(visibility))
 
     def validate(self) -> "DensityMatrix":
-        """Check Hermiticity, unit trace and positivity; raise InvalidStateError."""
+        """Check finiteness, Hermiticity, unit trace and positivity; raise InvalidStateError."""
+        if not np.isfinite(self.mat).all():
+            raise InvalidStateError("matrix has non-finite (nan or inf) entries")
         dev = np.abs(self.mat - self.mat.conj().T).max()
         if dev > HERMITICITY_TOL:
             raise InvalidStateError(f"not Hermitian: max |rho - rho^dag| = {dev:.3e}")

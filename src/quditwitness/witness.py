@@ -4,8 +4,9 @@ The witness statistic is score = Tr sqrt(T^T T) - 1 = (sum of singular values
 of the correlation matrix T) - 1; a strictly positive score certifies
 entanglement of the two-qubit state.  The score is exposed alongside
 fef_w = max(0, score)/2 because closed-form analyses work at the score level.
-fef_witness and scores_from_submatrices take the SVD of T; the sweep kernel
-scores_from_amplitudes uses a closed form valid for pure-plus-noise blocks.
+fef_witness and scores_from_submatrices take the SVD of T.  The sweeps compute
+no score: for pure-plus-noise blocks, pure_noise_detected decides detection
+from |det M| against the noise floor, with no SVD.
 """
 from __future__ import annotations
 
@@ -94,33 +95,26 @@ def fef_witness(rho2, selection: LevelSelection | None = None,
     return outcome_from_score(score_from_t(pauli_decompose(rho2).t_matrix), selection, strategy)
 
 
-# Vectorised kernels.  Both return the raw scores together with the
-# post-selection weights; entries whose weight falls below ZERO_PROB_TOL get
-# score -1 (a correlation-free reduction) and are therefore never counted as
-# detections.
+def pure_noise_detected(det: np.ndarray, visibility, total_dim: int) -> np.ndarray:
+    """Detection flags of pure-plus-noise blocks v|m><m| + (1-v)/D I from det = |det M|.
 
-def scores_from_amplitudes(amps: np.ndarray, visibility: np.ndarray, total_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Witness scores for reductions of pure-plus-noise states, in closed form.
-
-    amps: (n, 4) complex amplitudes m of the pure component on the selected
-    levels, ordered (a0b0, a0b1, a1b0, a1b1); visibility: (n,) mixing weights v;
-    total_dim: dimension D of the full product space (sets the noise floor).
-    The block v|m><m| + (1-v)/D I has T singular values (v/weight) N {1, C, C},
-    with N = |m|^2, concurrence C = 2|det M|/N for M = [[m0, m1], [m2, m3]]
-    (Wootters, PRL 80, 2245 (1998)) and weight = vN + 4(1-v)/D.  Hence
-    score = v (N + 4|det M|)/weight - 1, with no SVD.
+    M = [[m0, m1], [m2, m3]] holds the selected amplitudes (a0b0, a0b1, a1b0,
+    a1b1) of the pure part, N = |m|^2 and D = total_dim.  T has singular values
+    (v/W) N {1, C, C}, with weight W = vN + 4(1-v)/D and concurrence
+    C = 2|det M|/N (Wootters, PRL 80, 2245 (1998)), so score = 4 margin/W with
+    margin = v|det M| - (1-v)/D.  Detection is margin > WITNESS_TOL/4: W <= 1
+    (N <= 1, D >= 4), so it implies score > WITNESS_TOL; and v|det M| <= vN/2
+    <= W/2, so no zero-weight block is flagged.  The rule is monotone in det,
+    so a detection on any of several level pairs is the rule at their max det.
     """
     v = np.asarray(visibility, dtype=float)
-    norm2 = np.einsum("ni,ni->n", amps.conj(), amps).real
-    weight = v * norm2 + 4.0 * ((1.0 - v) / total_dim)
-    ok = weight > ZERO_PROB_TOL
-    det = np.abs(amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2])
-    scores = v * (norm2 + 4.0 * det) / np.where(ok, weight, 1.0) - 1.0
-    return np.where(ok, scores, -1.0), weight
+    return v * det - (1.0 - v) / total_dim > WITNESS_TOL / 4
 
 
 def scores_from_submatrices(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Witness scores for a stack of unnormalised (possibly mixed) 4x4 blocks, by SVD."""
+    """Witness scores and weights of a stack of unnormalised (possibly mixed) 4x4
+    blocks, by SVD.  Blocks of weight below ZERO_PROB_TOL get score -1 (no
+    correlations), so they never count as detections."""
     weight = np.trace(blocks, axis1=1, axis2=2).real
     ok = weight > ZERO_PROB_TOL
     safe = np.where(ok, weight, 1.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,36 @@ def test_fef_malformed_exit_3(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{nope")
     assert main(["fef", str(path)]) == 3
+
+
+def csv_state(dims: str, mat) -> str:
+    return f"# {dims}\n" + "".join(",".join(f"{x},0.0" for x in row) + "\n" for row in mat)
+
+
+MIXED = np.eye(4) / 4
+NAN_DIAG = [["nan", 0, 0, 0], *MIXED[1:].tolist()]
+INF_PAIR = [[0.25, "inf", 0, 0], ["inf", 0.25, 0, 0], *MIXED[2:].tolist()]
+BAD_STATES = {  # file name -> (text, expected message)
+    "zero.json": (json.dumps({"dimA": 0, "dimB": 2, "re": [], "im": []}), "must be positive"),
+    "negative.json": (json.dumps({"dimA": -2, "dimB": -2, "re": MIXED.ravel().tolist(),
+                                  "im": [0.0] * 16}), "must be positive"),
+    "zero.csv": (csv_state("dimA=0 dimB=0", []), "must be positive"),
+    "negative.csv": (csv_state("dimA=-1 dimB=-1", [[1.0]]), "must be positive"),
+    "nan.json": (json.dumps({"dimA": 2, "dimB": 2, "re": [float("nan"), *MIXED.ravel()[1:]],
+                             "im": [0.0] * 16}), "non-finite"),  # json writes a bare NaN
+    "nan.csv": (csv_state("dimA=2 dimB=2", NAN_DIAG), "non-finite"),
+    "inf.csv": (csv_state("dimA=2 dimB=2", INF_PAIR), "non-finite"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_STATES)
+def test_fef_bad_state_file_exit_3(tmp_path, capsys, name):
+    text, message = BAD_STATES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["fef", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err) and message in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -3,7 +3,7 @@
 pinned_cli_rows.json holds, per run, every line below the '#' header lines of
 the CSV written by the commands in RUNS.  The numbers were recorded once and
 are compared verbatim, so any change to the RNG draw order, the chunking, the
-score kernel or the ground-truth rules shows up as a failing run.  Criterion 8
+detection rule or the ground-truth rules shows up as a failing run.  Criterion 8
 of the acceptance suite only compares worker counts against each other; this
 test compares against the recorded bytes.
 """

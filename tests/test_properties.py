@@ -1,5 +1,6 @@
-"""Property tests (hypothesis) for the vectorised sweep kernels, the
-random-sweep ground truth, the conditioning rule and the CSV header."""
+"""Property tests (hypothesis) for the vectorised sweep kernels, the sweeps'
+detection rule, the random-sweep ground truth, the conditioning rule and the
+CSV header."""
 import io
 from contextlib import redirect_stdout
 
@@ -7,10 +8,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from quditwitness import NPT_TOL, LutKind, LutStrategy, cli, engine
+from quditwitness import NPT_TOL, WITNESS_TOL, LutKind, LutStrategy, cli, engine
 from quditwitness.linalg import ginibre, haar_state
 from quditwitness.oracles import IcpsGroundTruth, conditioning_threshold, npt_threshold
 from quditwitness.transforms import _local_unitaries
+from quditwitness.witness import pure_noise_detected, scores_from_submatrices
 
 SHARED_KINDS = (LutKind.IDENTITY, LutKind.HADAMARD_B, LutKind.HADAMARD_BOTH)
 
@@ -89,6 +91,46 @@ def test_npt_masks_equal_the_svd_expression(case):
     lam = np.linalg.svd(z, compute_uv=False)
     expected = [v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL for v in vis.tolist()]
     assert_array_equal(engine._npt_masks(z, d, vis), expected)
+
+
+@st.composite
+def pure_noise_cases(draw):
+    """Selected amplitudes m (rows, 4) of norm <= 1, a product plus a
+    perturbation of relative size 0, 1e-9, 1e-6 or 1, each at visibilities 0,
+    1, the rule's boundary and 1 ulp either side, and random ones; D = d^2."""
+    d = draw(st.integers(2, 9))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    product = np.einsum("ni,nj->nij", *rng.standard_normal((2, n, 2))).reshape(n, 4)
+    eps = draw(st.lists(st.sampled_from([0.0, 1e-9, 1e-6, 1.0]), min_size=n, max_size=n))
+    generic = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    m = product + np.array(eps)[:, None] * generic
+    norm = draw(st.lists(st.sampled_from([0.0, 1e-8, 1e-3, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=n, max_size=n))
+    m *= np.array(norm)[:, None] / np.linalg.norm(m, axis=1, keepdims=True)
+    det = np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2])
+    # the boundary v solves v |det M| = (1 - v) / D + WITNESS_TOL / 4
+    edge = np.minimum((1 / d ** 2 + WITNESS_TOL / 4) / (det + 1 / d ** 2), 1.0)
+    vis = [np.zeros(n), np.ones(n), edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+           *(np.full(n, v) for v in draw(st.lists(st.floats(0.0, 1.0), max_size=3)))]
+    return np.tile(m, (len(vis), 1)), np.concatenate(vis), d * d
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pure_noise_cases())
+def test_detection_rule_agrees_with_the_svd_score(case):
+    # score = 4 margin / weight with weight <= 1, so a flagged block has score
+    # > WITNESS_TOL; the SVD score may read up to 64 eps lower (its rounding).
+    # The rule is score * weight > WITNESS_TOL, so it flags every block with
+    # score > 1e-9 and weight >= 1e-3, and every block with score * weight > 1e-9.
+    m, v, total_dim = case
+    flags = pure_noise_detected(np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]), v, total_dim)
+    blocks = (v[:, None, None] * np.einsum("ni,nj->nij", m, m.conj())
+              + ((1 - v) / total_dim)[:, None, None] * np.eye(4))
+    score, weight = scores_from_submatrices(blocks)
+    assert not (flags & (score <= WITNESS_TOL - 64 * np.finfo(float).eps)).any()
+    assert flags[score * weight > 1e-9].all()
+    assert flags[(score > 1e-9) & (weight >= 1e-3)].all()
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ from numpy.testing import assert_allclose
 
 from quditwitness import (WITNESS_TOL, ZERO_PROB_TOL, DensityMatrix, fef_witness, haar_unitary, is_npt,
                           pauli_decompose, substream)
-from quditwitness.witness import (PAULI, scores_from_amplitudes, scores_from_submatrices,
+from quditwitness.witness import (PAULI, pure_noise_detected, scores_from_submatrices,
                                   score_from_t)
 from conftest import random_density
 
@@ -100,18 +100,31 @@ def test_pure_schmidt_state_scores():
                    - 2 * np.sin(2 * theta)) <= 1e-10
 
 
+def _det(m):
+    return np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2])
+
+
+def _margin_and_weight(m, v, total_dim):
+    # score = 4 margin / weight for the block v m m^dag + (1-v)/D I
+    noise = (1 - v) / total_dim
+    return v * _det(m) - noise, v * np.einsum("ni,ni->n", m.conj(), m).real + 4 * noise
+
+
 def test_batch_amplitude_kernel_matches_scalar(rng):
     d, n = 4, 64
     total = d * d
     amps = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     vis = rng.uniform(0, 1, n)
-    scores, weights = scores_from_amplitudes(amps, vis, total)
+    flags = pure_noise_detected(_det(amps), vis, total)
+    margin, weights = _margin_and_weight(amps, vis, total)
     for i in range(n):
         block = vis[i] * np.outer(amps[i], amps[i].conj()) + (1 - vis[i]) / total * np.eye(4)
         t = block.trace().real
-        scalar = fef_witness(two_qubit(block / t)).score
-        assert abs(scores[i] - scalar) <= 1e-12
+        scalar = fef_witness(two_qubit(block / t))
+        assert flags[i] == scalar.detected
+        assert abs(4 * margin[i] / weights[i] - scalar.score) <= 1e-12
         assert abs(weights[i] - t) <= 1e-12
+    assert 0 < flags.sum() < n
 
 
 def test_batch_submatrix_kernel_matches_scalar(rng):
@@ -128,9 +141,12 @@ def test_batch_submatrix_kernel_matches_scalar(rng):
 
 
 def test_zero_weight_amplitudes_never_detect():
-    amps = np.zeros((1, 4), dtype=complex)
-    scores, _ = scores_from_amplitudes(amps, np.array([1.0]), 9)
-    assert scores[0] == -1.0
+    # weight 0, and weight 2e-16 < ZERO_PROB_TOL, where the SVD path scores -1
+    amps = np.array([np.zeros(4), 1e-8 * BELL])
+    for total_dim in (4, 9):
+        assert not pure_noise_detected(_det(amps), np.ones(2), total_dim).any()
+        _, weights = _margin_and_weight(amps, np.ones(2), total_dim)
+        assert weights.max() < ZERO_PROB_TOL
 
 
 def _pure_plus_noise_blocks(m, v, total_dim):
@@ -140,8 +156,8 @@ def _pure_plus_noise_blocks(m, v, total_dim):
 
 
 def test_closed_form_scores_match_svd_reference():
-    # the closed form in |det M| against the SVD path on the same 4x4 blocks
-    # v m m^dag + (1-v)/D I, at several D, plus edge rows
+    # the detection rule against the SVD score on the same 4x4 blocks
+    # v m m^dag + (1-v)/D I, at several D, plus edge rows; score = 4 margin / weight
     rng = substream(2025, 3)
     n = 100_000
     m = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
@@ -162,13 +178,16 @@ def test_closed_form_scores_match_svd_reference():
     m = np.vstack([m, [e[0] for e in edges]]).astype(complex)
     v = np.concatenate([v, [e[1] for e in edges]])
     for total_dim in (4, 9, 25, 81):
-        scores, weights = scores_from_amplitudes(m, v, total_dim)
+        flags = pure_noise_detected(_det(m), v, total_dim)
         ref, ref_weights = scores_from_submatrices(_pure_plus_noise_blocks(m, v, total_dim))
-        assert np.abs(scores - ref).max() <= 1e-12
+        margin, weights = _margin_and_weight(m, v, total_dim)
+        ok = weights > ZERO_PROB_TOL
+        assert np.abs(4 * margin[ok] / weights[ok] - ref[ok]).max() <= 1e-12
         assert np.abs(weights - ref_weights).max() <= 1e-12
-        assert np.array_equal(scores > WITNESS_TOL, ref > WITNESS_TOL)
-        assert np.all(scores[-1:] == -1.0) and weights[-1] < ZERO_PROB_TOL
-    assert scores[n + 3] > WITNESS_TOL and abs(scores[n + 4] - 2.0) <= 1e-12
+        assert np.array_equal(flags, ref > WITNESS_TOL)  # a subset in general; equal here
+        assert not flags[-1] and ref[-1] == -1.0 and weights[-1] < ZERO_PROB_TOL
+        assert not flags[n + 2] and flags[n + 3] and flags[n + 4]
+    assert abs(ref[n + 4] - 2.0) <= 1e-12
 
 
 def test_score_from_t_matches_pauli_expectation(rng):
