@@ -14,11 +14,10 @@ from .transforms import (LevelSelection, LutKind, LutStrategy, ZeroProbabilityEr
 from .witness import PauliDecomposition, WitnessOutcome, fef_witness, pauli_decompose
 from .oracles import (AnalyticSensitivity, BruteForceCounts, IcpsGroundTruth, InvalidScenarioError,
                       Scenario, all_selections, analytic_fef_score, analytic_sensitivity,
-                      brute_force_counts, brute_force_sensitivity, classify_selection,
-                      icps_entanglement_threshold, icps_is_entangled, icps_thresholds,
-                      is_npt, partial_transpose)
-from .detection import (CombinedSelection, DetectionConfig, Mode, TrialResult,
-                        disjoint_selections, evaluate_selection, run_trial)
+                      brute_force_counts, classify_selection, conditioning_threshold, is_npt,
+                      partial_transpose, visibility_thresholds)
+from .detection import (DEFAULT_STRATEGIES, CombinedSelection, DetectionConfig, Mode,
+                        TrialResult, disjoint_selections, evaluate_selection, run_trial)
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridCell, GridSpec, SensitivityEstimate,
                          sweep_icps, sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
 from .collective import (CollectiveData, MinimalBasis, collective_R_minimal,

@@ -20,17 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detection import CombinedSelection, DetectionConfig, Mode
+from .detection import DEFAULT_STRATEGIES, CombinedSelection
 from .linalg import ginibre
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridSpec, sweep_icps, sweep_icps_grid,
                          sweep_quasi_pure)
 from .collective import fef_from_collective, pi_matrix
-from .oracles import (IcpsGroundTruth, analytic_sensitivity, icps_entanglement_threshold,
-                      icps_thresholds)
+from .oracles import (IcpsGroundTruth, analytic_sensitivity, conditioning_threshold,
+                      visibility_thresholds)
 from .rng import substream
 from .states import DensityMatrix, IcpsParams, InvalidParamsError, InvalidStateError
 from .serialize import ParseError, load_density
-from .transforms import LutKind, LutStrategy, ZeroProbabilityError
+from .transforms import LutKind, ZeroProbabilityError
 from .witness import fef_witness
 
 STRATEGY_CHOICES = [k.value for k in LutKind]
@@ -85,12 +85,6 @@ def _modes(args) -> list[str]:
     return ["single", "parallel"] if args.mode == "both" else [args.mode]
 
 
-def _config(strategies: list[str], combined: str, mode: str = "single") -> DetectionConfig:
-    return DetectionConfig(strategies=tuple(LutStrategy(LutKind(s)) for s in strategies),
-                           mode=Mode(mode),
-                           combined_selection=CombinedSelection(combined))
-
-
 def cmd_fef(args) -> int:
     rho = load_density(args.state_file)
     if (rho.dim_a, rho.dim_b) != (2, 2):
@@ -102,9 +96,8 @@ def cmd_fef(args) -> int:
 
 def cmd_icps_sweep(args) -> int:
     modes = _modes(args)
-    table = sweep_icps(args.d, args.r, [Mode(m) for m in modes],
-                       _config(args.strategies, args.combined_selection), args.samples,
-                       args.seed, args.workers, IcpsGroundTruth(args.ground_truth))
+    table = sweep_icps(args.d, args.r, modes, args.strategies, args.combined_selection,
+                       args.samples, args.seed, args.workers, args.ground_truth)
     _write_table(args, [_row(args, label, mode, e)
                         for mode, est in zip(modes, table) for label, e in est.items()])
     return 0
@@ -112,8 +105,7 @@ def cmd_icps_sweep(args) -> int:
 
 def cmd_random_sweep(args) -> int:
     modes = _modes(args)
-    table = sweep_quasi_pure(args.d, args.noise, [Mode(m) for m in modes],
-                             n_samples=args.samples, seed=args.seed, workers=args.workers)
+    table = sweep_quasi_pure(args.d, args.noise, modes, args.samples, args.seed, args.workers)
     _write_table(args, [_row(args, LutKind.IDENTITY.value, mode, e, v=1.0 - noise)
                         for noise, ests in zip(args.noise, table)
                         for mode, e in zip(modes, ests)])
@@ -121,10 +113,10 @@ def cmd_random_sweep(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    strategies = STRATEGY_CHOICES[:3] if args.strategy == "all" else [args.strategy]
-    cfg = _config(strategies, args.combined_selection, args.mode)
+    strategies = DEFAULT_STRATEGIES if args.strategy == "all" else [args.strategy]
     cells = sweep_icps_grid(args.d, args.r, GridSpec(args.alpha_steps, args.v_steps, args.trials),
-                            cfg=cfg, seed=args.seed, workers=args.workers)
+                            args.mode, strategies, args.combined_selection, args.seed,
+                            args.workers)
     _write_table(args, [_row(args, label, args.mode, e, cell.alpha, cell.v)
                         + [str(cell.separable).lower()]
                         for cell in cells for label, e in cell.estimates.items()
@@ -145,9 +137,10 @@ def cmd_analytic(args) -> int:
                        ("combined", sens.combined)]:
         print(f"{name} = {frac} = {float(frac):.10f}")
     if p is not None:
-        v_a, v_b = icps_thresholds(p)
-        print(f"alpha={args.alpha!r} v_a={v_a!r} v_b={v_b!r} "
-              f"entanglement_threshold={icps_entanglement_threshold(p)!r}")
+        v_a, v_b = visibility_thresholds(p.d, p.r, p.alpha)
+        npt = conditioning_threshold(p.d, p.r, p.alpha, IcpsGroundTruth.NPT)
+        print(f"alpha={args.alpha!r} v_a={float(v_a)!r} v_b={float(v_b)!r} "
+              f"entanglement_threshold={float(npt)!r}")
     return 0
 
 
@@ -188,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--mode", choices=["single", "parallel", "both"], default="both")
     p.add_argument("--strategies", nargs="+", choices=STRATEGY_CHOICES,
-                   default=STRATEGY_CHOICES[:3])
+                   default=[k.value for k in DEFAULT_STRATEGIES])
     p.add_argument("--combined-selection", choices=[c.value for c in CombinedSelection],
                    default=CombinedSelection.FRESH.value)
     p.add_argument("--ground-truth", choices=[g.value for g in IcpsGroundTruth],

@@ -8,13 +8,13 @@ the partitioning.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .states import DensityMatrix
-from .transforms import (LevelSelection, LutStrategy, ZeroProbabilityError,
+from .transforms import (LevelSelection, LutKind, LutStrategy, ZeroProbabilityError,
                          apply_lut, random_selection, reduce_to_two_qubits)
 from .witness import WitnessOutcome, fef_witness, outcome_from_score
 
@@ -31,11 +31,13 @@ class CombinedSelection(str, Enum):
     SHARED = "shared"
 
 
+# the fixed default order: identity, one-sided Hadamard, two-sided Hadamard
+DEFAULT_STRATEGIES = (LutKind.IDENTITY, LutKind.HADAMARD_B, LutKind.HADAMARD_BOTH)
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
-    # the fixed default order: identity, one-sided Hadamard, two-sided Hadamard
-    strategies: tuple[LutStrategy, ...] = field(default_factory=lambda: (
-        LutStrategy.identity(), LutStrategy.hadamard_b(), LutStrategy.hadamard_both()))
+    strategies: tuple[LutStrategy, ...] = tuple(map(LutStrategy, DEFAULT_STRATEGIES))
     mode: Mode = Mode.SINGLE
     combined_selection: CombinedSelection = CombinedSelection.FRESH
 

@@ -18,6 +18,7 @@ matrix settle most rows, and only the rows they leave open get an SVD.
 """
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 
@@ -211,8 +212,9 @@ def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
 
 
 def run_tasks(chunk_fn, tasks: list[tuple], workers: int = 1) -> list[np.ndarray]:
-    """chunk_fn(*task) for every task, possibly across processes; order-preserving."""
-    if workers <= 1 or len(tasks) <= 1:
+    """chunk_fn(*task) per task, in order, on min(workers, tasks, CPUs) processes."""
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [chunk_fn(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(chunk_fn, *zip(*tasks),

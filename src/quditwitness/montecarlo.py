@@ -5,7 +5,8 @@ that the sampled state is entangled.  There is one entry per ensemble:
 sweep_icps (Schmidt-form states, under the conditioning rule
 oracles.IcpsGroundTruth), sweep_quasi_pure (Haar-random states, under the NPT
 criterion, the only notion the witness can ever certify) and sweep_icps_grid
-(fixed states on an (alpha, v) grid).
+(fixed states on an (alpha, v) grid).  The Schmidt-form sweeps take LutKinds
+(default DEFAULT_STRATEGIES); pinned unitaries belong to detection.run_trial.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .detection import CombinedSelection, DetectionConfig, Mode
+from .detection import DEFAULT_STRATEGIES, CombinedSelection, Mode
 from .states import IcpsParams, InvalidParamsError, QuasiPureParams
-from .oracles import IcpsGroundTruth, icps_is_entangled
+from .oracles import IcpsGroundTruth, conditioning_threshold
 from .transforms import LutKind
 
 DEFAULT_SAMPLES = 100_000
@@ -41,7 +42,6 @@ class SensitivityEstimate:
     detected: int
     entangled: int
     sampled: int
-    seed: int
 
     def __post_init__(self):
         if not 0 <= self.detected <= self.entangled <= self.sampled:
@@ -65,7 +65,7 @@ class GridSpec:
 
     def __post_init__(self):
         if min(self.alpha_steps, self.v_steps, self.trials_per_cell) < 1:
-            raise ValueError("grid steps and trials must be >= 1")
+            raise InvalidParamsError("grid steps and trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,14 @@ class GridCell:
     estimates: dict
 
 
-def _icps_setup(d: int, r: int, cfg: DetectionConfig | None) -> tuple:
-    """Validate (d, r) and cfg; the strategy kinds, mode and shared flag of a sweep."""
+def _icps_setup(d: int, r: int, strategies: Sequence[LutKind],
+                combined_selection: CombinedSelection) -> tuple[tuple[LutKind, ...], bool]:
+    """Validate (d, r) and the strategies; the strategy kinds and shared flag of a sweep."""
     IcpsParams(d, r, 0.0, 0.0)
-    cfg = cfg or DetectionConfig()
-    if any(s.u_a is not None or s.v_b is not None for s in cfg.strategies):
-        raise ValueError("ensemble sweeps draw fresh unitaries per sample; "
-                         "pinned unitaries are only supported by the trial API")
-    kinds = tuple(s.kind for s in cfg.strategies)
+    kinds = _nonempty("strategy", tuple(LutKind(s) for s in strategies))
     if len(set(kinds)) < len(kinds):  # results are keyed by strategy name
         raise InvalidParamsError(f"repeated strategy in {[k.value for k in kinds]}")
-    return kinds, cfg.mode.value, cfg.combined_selection is CombinedSelection.SHARED
+    return kinds, CombinedSelection(combined_selection) is CombinedSelection.SHARED
 
 
 def _nonempty(what: str, values: tuple) -> tuple:
@@ -102,15 +99,17 @@ def _nonempty(what: str, values: tuple) -> tuple:
     return values
 
 
-def _estimates(kinds: tuple[LutKind, ...], detected: np.ndarray, entangled: int, sampled: int,
-               seed: int) -> dict[str, SensitivityEstimate]:
+def _estimates(kinds: tuple[LutKind, ...], detected: np.ndarray, entangled: int,
+               sampled: int) -> dict[str, SensitivityEstimate]:
     """Per-strategy estimates, then the combined one; detected has one count per entry."""
     labels = [kind.value for kind in kinds] + [COMBINED_KEY]
-    return {label: SensitivityEstimate(int(k), entangled, sampled, seed)
+    return {label: SensitivityEstimate(int(k), entangled, sampled)
             for label, k in zip(labels, detected)}
 
 
-def sweep_icps(d: int, r: int, modes: Sequence[Mode], cfg: DetectionConfig | None = None,
+def sweep_icps(d: int, r: int, modes: Sequence[Mode],
+               strategies: Sequence[LutKind] = DEFAULT_STRATEGIES,
+               combined_selection: CombinedSelection = CombinedSelection.FRESH,
                n_samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1,
                ground_truth: IcpsGroundTruth = IcpsGroundTruth.RANK2,
                ) -> list[dict[str, SensitivityEstimate]]:
@@ -118,17 +117,17 @@ def sweep_icps(d: int, r: int, modes: Sequence[Mode], cfg: DetectionConfig | Non
 
     alpha is uniform on [0, 1/sqrt(r-1)], v uniform on [0, 1]; only states
     entangled per ground_truth enter the denominator.  The combined entry is
-    the OR over the configured strategies within each sample.  Returns one
-    estimate dict per entry of modes (cfg.mode is not read); each equals a
-    one-mode sweep at the same seed.  Every chunk draws its (alpha, v)
-    samples once for all modes, and one process pool serves the whole run.
+    the OR over the strategies within each sample.  Returns one estimate
+    dict per entry of modes; each equals a one-mode sweep at the same seed.
+    Every chunk draws its (alpha, v) samples once for all modes, and one
+    process pool serves the whole run.
     """
-    kinds, _, shared = _icps_setup(d, r, cfg)
+    kinds, shared = _icps_setup(d, r, strategies, combined_selection)
     mode_names = _nonempty("mode", tuple(Mode(m).value for m in modes))
     tasks = [(seed, c, size, d, r, kinds, mode_names, shared, IcpsGroundTruth(ground_truth))
              for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
     total = np.sum(engine.run_tasks(engine._icps_chunk, tasks, workers), axis=0)
-    return [_estimates(kinds, detected, int(total[1]), int(total[0]), seed)
+    return [_estimates(kinds, detected, int(total[1]), int(total[0]))
             for detected in total[2:].reshape(len(mode_names), -1)]
 
 
@@ -154,19 +153,22 @@ def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode
     total = np.sum(engine.run_tasks(engine._quasi_chunk, tasks, workers), axis=0)
     sampled = int(total[0])
     pairs = total[1:].reshape(len(noises), len(mode_names), 2)
-    return [[SensitivityEstimate(int(det), int(ent), sampled, seed) for ent, det in row]
+    return [[SensitivityEstimate(int(det), int(ent), sampled) for ent, det in row]
             for row in pairs]
 
 
-def sweep_icps_grid(d: int, r: int, grid: GridSpec, cfg: DetectionConfig | None = None,
+def sweep_icps_grid(d: int, r: int, grid: GridSpec, mode: Mode = Mode.SINGLE,
+                    strategies: Sequence[LutKind] = DEFAULT_STRATEGIES,
+                    combined_selection: CombinedSelection = CombinedSelection.FRESH,
                     seed: int = 0, workers: int = 1) -> list[GridCell]:
     """Detection-probability estimates on a grid of (alpha, v) cell centres.
 
     Cells are ordered alpha-major; each trial draws fresh selections per
-    strategy (or one shared selection, per cfg).  The separable flag uses the
-    exact entanglement boundary.
+    strategy (or one shared selection, per combined_selection).  The
+    separable flag uses the exact (NPT) entanglement boundary.
     """
-    kinds, mode, shared = _icps_setup(d, r, cfg)
+    kinds, shared = _icps_setup(d, r, strategies, combined_selection)
+    mode = Mode(mode).value
     amax = 1.0 / math.sqrt(r - 1)
     cells = [((ia + 0.5) / grid.alpha_steps * amax, (iv + 0.5) / grid.v_steps)
              for ia in range(grid.alpha_steps) for iv in range(grid.v_steps)]
@@ -176,6 +178,7 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, cfg: DetectionConfig | None 
     results = engine.run_tasks(engine._grid_chunk, tasks, workers)
     # every cell has the same chunks, so its totals are a sum over one axis
     totals = np.reshape(results, (len(cells), len(sizes), -1)).sum(axis=1)
-    return [GridCell(alpha, v, separable=not icps_is_entangled(IcpsParams(d, r, alpha, v)),
-                     estimates=_estimates(kinds, total[1:], int(total[0]), int(total[0]), seed))
+    npt = IcpsGroundTruth.NPT
+    return [GridCell(alpha, v, separable=not v > conditioning_threshold(d, r, alpha, npt),
+                     estimates=_estimates(kinds, total[1:], int(total[0]), int(total[0])))
             for (alpha, v), total in zip(cells, totals)]

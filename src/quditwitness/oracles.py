@@ -1,6 +1,6 @@
-"""Ground-truth oracles: PPT test, exact thresholds, the conditioning rule of
-the Schmidt-form sweeps, closed-form scores and exhaustive selection
-enumeration.
+"""Ground-truth oracles: PPT test, exact thresholds (visibility_thresholds, and
+conditioning_threshold, the one function per conditioning rule), closed-form
+scores and exhaustive selection enumeration.
 
 These routines are deliberately independent of the sampling pipeline so that
 Monte Carlo results can be checked against them.
@@ -65,24 +65,13 @@ def visibility_thresholds(d: int, r: int, alpha):
     return 1.0 / (1.0 + d * d * alpha ** 2), 1.0 / (1.0 + d * d * alpha * alpha_r)
 
 
-def npt_threshold(d: int, r: int, alpha):
-    """Exact entanglement (NPT) boundary in v, for a float or an array alpha.
-
-    The noise floor (1-v)/d^2 against the largest product of two distinct
-    Schmidt coefficients: min(v_a, v_b) for r >= 3, and v_b for r = 2, where
-    only the core-edge pair exists.  Above it the best selection detects.
-    """
-    v_a, v_b = visibility_thresholds(d, r, alpha)
-    return v_b if r == 2 else np.minimum(v_a, v_b)
-
-
 class IcpsGroundTruth(str, Enum):
     """Conditioning rule: which sampled Schmidt-form states count as entangled.
 
-    NPT: the exact entanglement boundary (npt_threshold).  RANK2: the rank-2
-    boundary min(v_a, v_b) at r = 2, applied at every rank; it also counts
-    some PPT states (alpha > 1/sqrt(2) at r = 2, more for r >= 3).  RANK2
-    reproduces the reference sensitivity tables, so it is the default.
+    NPT: the exact entanglement boundary.  RANK2: the rank-2 boundary
+    min(v_a, v_b) at r = 2, applied at every rank; it also counts some PPT
+    states (alpha > 1/sqrt(2) at r = 2, more for r >= 3).  RANK2 reproduces
+    the reference sensitivity tables, so it is the sweeps' default.
     """
 
     NPT = "npt"
@@ -90,25 +79,16 @@ class IcpsGroundTruth(str, Enum):
 
 
 def conditioning_threshold(d: int, r: int, alpha, rule: IcpsGroundTruth):
-    """Threshold in v above which a sampled state counts as entangled under rule."""
-    if IcpsGroundTruth(rule) is IcpsGroundTruth.NPT:
-        return npt_threshold(d, r, alpha)
-    return np.minimum(*visibility_thresholds(d, 2, alpha))
+    """Threshold in v above which a state counts as entangled under rule.
 
-
-def icps_thresholds(p: IcpsParams) -> tuple[float, float]:
-    """(v_a, v_b) of one state; see visibility_thresholds."""
-    v_a, v_b = visibility_thresholds(p.d, p.r, p.alpha)
-    return float(v_a), float(v_b)
-
-
-def icps_entanglement_threshold(p: IcpsParams) -> float:
-    """Exact entanglement boundary in v of one state; see npt_threshold."""
-    return float(npt_threshold(p.d, p.r, p.alpha))
-
-
-def icps_is_entangled(p: IcpsParams) -> bool:
-    return p.v > icps_entanglement_threshold(p)
+    For a float or an array alpha.  NPT, the exact boundary, sets the noise
+    floor (1-v)/d^2 against the largest product of two distinct Schmidt
+    coefficients: min(v_a, v_b) for r >= 3, and v_b for r = 2, where only
+    the core-edge pair exists.  RANK2 is min(v_a, v_b) at r = 2.
+    """
+    npt = IcpsGroundTruth(rule) is IcpsGroundTruth.NPT
+    v_a, v_b = visibility_thresholds(d, r if npt else 2, alpha)
+    return v_b if npt and r == 2 else np.minimum(v_a, v_b)
 
 
 def classify_selection(sel: LevelSelection, r: int) -> Scenario:
@@ -130,7 +110,7 @@ def analytic_fef_score(p: IcpsParams, scenario: Scenario) -> float:
     Normalisation note: these are scores (Tr sqrt(R) - 1), not the clipped and
     halved witness value; a pure maximally entangled reduction scores 2.
     Positivity is equivalent to v exceeding the matching threshold from
-    icps_thresholds.
+    visibility_thresholds.
     """
     d2 = p.d * p.d
     a2 = p.alpha ** 2
@@ -173,8 +153,7 @@ class BruteForceCounts:
 
 
 def brute_force_counts(rho: DensityMatrix, lut: LutStrategy,
-                       r: int | None = None,
-                       rng: np.random.Generator | None = None) -> BruteForceCounts:
+                       r: int | None = None) -> BruteForceCounts:
     """Evaluate the witness on every selection class after the given unitary.
 
     When r is given, detections are additionally tallied per Scenario.  This
@@ -183,7 +162,7 @@ def brute_force_counts(rho: DensityMatrix, lut: LutStrategy,
     if rho.dim_a != rho.dim_b:
         raise ValueError("selection enumeration assumes equal local dimensions")
     d = rho.dim_a
-    transformed = apply_lut(rho, lut, rng)
+    transformed = apply_lut(rho, lut)
     table = _selection_table(d)
     idx = block_indices(table, d)
     blocks = transformed.mat[idx[:, :, None], idx[:, None, :]]
@@ -195,12 +174,6 @@ def brute_force_counts(rho: DensityMatrix, lut: LutStrategy,
         for row in table[hits].tolist():
             by_scenario[classify_selection(LevelSelection(*row), r)] += 1
     return BruteForceCounts(total=len(table), detected=int(hits.sum()), by_scenario=by_scenario)
-
-
-def brute_force_sensitivity(rho: DensityMatrix, lut: LutStrategy,
-                            rng: np.random.Generator | None = None) -> float:
-    """Fraction of selection classes that detect, over the full enumeration."""
-    return brute_force_counts(rho, lut, rng=rng).sensitivity
 
 
 @dataclass(frozen=True)

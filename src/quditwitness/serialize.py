@@ -35,7 +35,7 @@ def density_to_json(rho: DensityMatrix) -> str:
     })
 
 
-def density_from_json(text: str, validate: bool = True) -> DensityMatrix:
+def density_from_json(text: str) -> DensityMatrix:
     try:
         obj = json.loads(text)
         dim_a, dim_b = int(obj["dimA"]), int(obj["dimB"])
@@ -47,7 +47,7 @@ def density_from_json(text: str, validate: bool = True) -> DensityMatrix:
     if re.shape != (d * d,) or im.shape != (d * d,):
         raise ParseError(f"expected {d * d} re/im entries for dims {dim_a}x{dim_b}, "
                          f"got {re.size}/{im.size}")
-    return DensityMatrix.from_matrix((re + 1j * im).reshape(d, d), dim_a, dim_b, validate=validate)
+    return DensityMatrix.from_matrix((re + 1j * im).reshape(d, d), dim_a, dim_b)
 
 
 def density_to_csv(rho: DensityMatrix) -> str:
@@ -58,7 +58,7 @@ def density_to_csv(rho: DensityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def density_from_csv(text: str, validate: bool = True) -> DensityMatrix:
+def density_from_csv(text: str) -> DensityMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ParseError("CSV state files must start with '# dimA=<n> dimB=<m>'")
@@ -75,7 +75,7 @@ def density_from_csv(text: str, validate: bool = True) -> DensityMatrix:
     if len(rows) != d or any(row.size != 2 * d for row in rows):
         raise ParseError(f"expected {d} rows of {2 * d} columns for dims {dim_a}x{dim_b}")
     mat = np.array([row[0::2] + 1j * row[1::2] for row in rows])
-    return DensityMatrix.from_matrix(mat, dim_a, dim_b, validate=validate)
+    return DensityMatrix.from_matrix(mat, dim_a, dim_b)
 
 
 def save_density(rho: DensityMatrix, path: str | Path) -> None:
@@ -84,10 +84,10 @@ def save_density(rho: DensityMatrix, path: str | Path) -> None:
     path.write_text(text)
 
 
-def load_density(path: str | Path, validate: bool = True) -> DensityMatrix:
+def load_density(path: str | Path) -> DensityMatrix:
     path = Path(path)
     parse = density_from_csv if path.suffix.lower() == ".csv" else density_from_json
-    return parse(path.read_text(), validate=validate)
+    return parse(path.read_text())
 
 
 __all__ = ["ParseError", "InvalidStateError", "density_to_json", "density_from_json",

@@ -39,6 +39,8 @@ class DensityMatrix:
     visibility: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.dim_a < 1 or self.dim_b < 1:
+            raise InvalidStateError(f"dims must be positive, got {self.dim_a}x{self.dim_b}")
         d = self.dim_a * self.dim_b
         if self.mat.shape != (d, d):
             raise InvalidStateError(f"matrix shape {self.mat.shape} does not match dims ({d},{d})")
@@ -51,11 +53,9 @@ class DensityMatrix:
         return self.dim_a * self.dim_b
 
     @classmethod
-    def from_matrix(cls, mat: np.ndarray, dim_a: int, dim_b: int, validate: bool = True) -> "DensityMatrix":
-        rho = cls(dim_a, dim_b, np.asarray(mat, dtype=complex))
-        if validate:
-            rho.validate()
-        return rho
+    def from_matrix(cls, mat: np.ndarray, dim_a: int, dim_b: int) -> "DensityMatrix":
+        """A validated density matrix; see validate."""
+        return cls(dim_a, dim_b, np.asarray(mat, dtype=complex)).validate()
 
     @classmethod
     def from_pure(cls, vec: np.ndarray, dim_a: int, dim_b: int, visibility: float = 1.0) -> "DensityMatrix":

@@ -12,6 +12,24 @@ def random_density(rng: np.random.Generator, dim_a: int, dim_b: int) -> DensityM
     return DensityMatrix(dim_a, dim_b, mat / mat.trace())
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs the map in-process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

@@ -6,12 +6,12 @@ points at the pinned seeds.
 """
 import numpy as np
 
-from quditwitness import (DetectionConfig, IcpsParams, LevelSelection, LutStrategy, Mode,
-                          Scenario, analytic_fef_score, analytic_sensitivity,
-                          brute_force_counts, fef_from_collective, fef_witness,
-                          haar_unitary, icps_entanglement_threshold, icps_thresholds,
-                          make_icps, pi_matrix, random_product_mixture,
-                          reduce_to_two_qubits, substream, sweep_icps, sweep_quasi_pure)
+from quditwitness import (DetectionConfig, IcpsGroundTruth, IcpsParams, LevelSelection,
+                          LutStrategy, Mode, Scenario, analytic_fef_score, analytic_sensitivity,
+                          brute_force_counts, conditioning_threshold, fef_from_collective,
+                          fef_witness, haar_unitary, make_icps, pi_matrix,
+                          random_product_mixture, reduce_to_two_qubits, substream, sweep_icps,
+                          sweep_quasi_pure, visibility_thresholds)
 from quditwitness.cli import main
 from quditwitness.states import DensityMatrix, schmidt_vector
 from conftest import random_density
@@ -125,8 +125,7 @@ def test_criterion_3_analytic_identities():
             if r >= 3:
                 probes.append((1 / np.sqrt(r) + amax) / 2)  # core-core regime
             for alpha in probes:
-                p = IcpsParams(d, r, alpha, 0.5)
-                thr = icps_entanglement_threshold(p)
+                thr = conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
                 sels = [LevelSelection(0, r - 1, 0, r - 1)]
                 if r >= 3:
                     sels.append(LevelSelection(0, 1, 0, 1))
@@ -150,7 +149,7 @@ def test_criterion_4_counting_oracle():
     for d in range(2, 7):
         for r in range(2, d + 1):
             alpha = 0.6 / np.sqrt(r - 1)
-            v_a, v_b = icps_thresholds(IcpsParams(d, r, alpha, 0.5))
+            v_a, v_b = visibility_thresholds(d, r, alpha)
             v = (max(v_a, v_b) + 1.0) / 2
             counts = brute_force_counts(make_icps(IcpsParams(d, r, alpha, v)),
                                         LutStrategy.identity(), r=r)
@@ -183,7 +182,7 @@ def test_criterion_5_soundness_on_ppt_states():
         r = int(rng.integers(2, d + 1))
         amax = 1 / np.sqrt(r - 1)
         alpha = float(rng.uniform(0.05 * amax, 0.95 * amax))
-        thr = icps_entanglement_threshold(IcpsParams(d, r, alpha, 0.5))
+        thr = conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
         v = float(rng.uniform(0.0, 0.999 * thr))
         rho = make_icps(IcpsParams(d, r, alpha, v))
         pinned = LutStrategy.random_both(u_a=haar_unitary(d, rng), v_b=haar_unitary(d, rng))
@@ -212,7 +211,7 @@ def test_criterion_5_soundness_on_ppt_states():
         d = int(rng.integers(2, 6))
         r = int(rng.integers(2, d + 1))
         alpha = float(rng.uniform(0.1, 0.9) / np.sqrt(r - 1))
-        thr = icps_entanglement_threshold(IcpsParams(d, r, alpha, 0.5))
+        thr = conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
         rho = make_icps(IcpsParams(d, r, alpha, float(rng.uniform(0, 0.999 * thr))))
         par_hits += run_trial(rho, DetectionConfig(mode=Mode.PARALLEL), rng).detected
     ok &= check("criterion 5: parallel-mode trials on PPT states", par_hits == 0,

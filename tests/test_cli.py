@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from quditwitness import DensityMatrix, maximally_mixed
-from quditwitness import cli
+from quditwitness import cli, engine
 from quditwitness.cli import main
 from quditwitness.serialize import save_density
+from conftest import SerialPool
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -94,6 +95,19 @@ def test_icps_sweep_deterministic_across_workers(tmp_path):
     assert main(base + ["--workers", "2", "--out", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_workers_beyond_chunk_count_start_one_process_per_chunk(tmp_path, monkeypatch):
+    # a stand-in pool records its size; 40000 samples are 3 chunks
+    monkeypatch.setattr(SerialPool, "started", [])
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+    base = ["icps-sweep", "--d", "3", "--r", "2", "--samples", "40000", "--seed", "3"]
+    paths = [tmp_path / f"w{w}.csv" for w in (1, 5000)]
+    assert main(base + ["--workers", "1", "--out", str(paths[0])]) == 0
+    assert main(base + ["--workers", "5000", "--out", str(paths[1])]) == 0
+    assert SerialPool.started == [3]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_sweep_header_and_columns(tmp_path):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quditwitness import (COMBINED_KEY, CombinedSelection, DetectionConfig, GridSpec,
-                          IcpsGroundTruth, IcpsParams, InvalidParamsError, LutKind,
-                          LutStrategy, Mode, SensitivityEstimate, brute_force_sensitivity,
+from quditwitness import (COMBINED_KEY, CombinedSelection, GridSpec, IcpsGroundTruth,
+                          IcpsParams, InvalidParamsError, LutKind, LutStrategy, Mode,
+                          SensitivityEstimate, brute_force_counts, conditioning_threshold, is_npt,
                           make_icps, sweep_icps, sweep_icps_grid, sweep_quasi_pure,
                           wilson_halfwidth)
 from quditwitness import engine, haar_unitary
 from quditwitness.transforms import _local_unitaries
+from conftest import SerialPool
 
 
 def test_wilson_halfwidth_value():
@@ -24,13 +25,12 @@ def test_estimate_fields_and_counts():
     for e in est.values():
         assert 0 <= e.detected <= e.entangled <= e.sampled == 5000
         assert 0.0 <= e.value <= 1.0
-        assert e.seed == 1
     assert est[COMBINED_KEY].detected >= max(e.detected for k, e in est.items() if k != COMBINED_KEY)
 
 
 def test_sensitivity_estimate_rejects_bad_counts():
     with pytest.raises(ValueError):
-        SensitivityEstimate(detected=5, entangled=3, sampled=10, seed=0)
+        SensitivityEstimate(detected=5, entangled=3, sampled=10)
 
 
 def test_reproducible_across_worker_counts():
@@ -80,8 +80,8 @@ def test_single_equals_parallel_at_d3():
 
 
 def test_shared_selection_mode_runs():
-    cfg = DetectionConfig(combined_selection=CombinedSelection.SHARED)
-    est = sweep_icps(3, 2, [Mode.SINGLE], cfg, n_samples=5000, seed=2)[0]
+    est = sweep_icps(3, 2, [Mode.SINGLE], combined_selection=CombinedSelection.SHARED,
+                     n_samples=5000, seed=2)[0]
     assert est[COMBINED_KEY].entangled > 0
 
 
@@ -105,9 +105,20 @@ def test_grid_cells_and_separable_flags():
     assert hot and any(c.estimates[COMBINED_KEY].detected > 0 for c in hot)
 
 
+@pytest.mark.parametrize("d, r", [(3, 2), (4, 3)])
+def test_grid_separable_flag_is_exact_ppt(d, r):
+    # the flag against the exact oracle, the partial transpose of each cell
+    # centre state; the rank-2 rule would misflag 12 cells at (3, 2), 5 at (4, 3)
+    cells = sweep_icps_grid(d, r, GridSpec(20, 20, 1), seed=16)
+    boundary = [conditioning_threshold(d, r, c.alpha, IcpsGroundTruth.NPT) for c in cells]
+    checked = [c for c, thr in zip(cells, boundary) if abs(c.v - thr) > 1e-6]
+    assert len(checked) > 390 and any(c.separable for c in checked)
+    for cell in checked:
+        assert cell.separable == (not is_npt(make_icps(IcpsParams(d, r, cell.alpha, cell.v))))
+
+
 def test_grid_monotone_in_v():
-    cells = sweep_icps_grid(3, 3, GridSpec(1, 8, 1500),
-                            cfg=DetectionConfig(strategies=(LutStrategy.identity(),)), seed=12)
+    cells = sweep_icps_grid(3, 3, GridSpec(1, 8, 1500), strategies=[LutKind.IDENTITY], seed=12)
     cells.sort(key=lambda c: c.v)
     values = [c.estimates["identity"].value for c in cells]
     ns = [c.estimates["identity"].entangled for c in cells]
@@ -120,11 +131,10 @@ def test_grid_cell_matches_enumeration_oracle():
     # cell probability for a fixed state equals the enumeration fraction
     d = r = 5
     spec = GridSpec(25, 10, 4000)
-    cells = sweep_icps_grid(d, r, spec,
-                            cfg=DetectionConfig(strategies=(LutStrategy.identity(),)), seed=13)
+    cells = sweep_icps_grid(d, r, spec, strategies=[LutKind.IDENTITY], seed=13)
     target = min(cells, key=lambda c: abs(c.alpha - 1 / np.sqrt(5)) + abs(c.v - 0.95))
-    exact = brute_force_sensitivity(make_icps(IcpsParams(d, r, target.alpha, target.v)),
-                                    LutStrategy.identity())
+    exact = brute_force_counts(make_icps(IcpsParams(d, r, target.alpha, target.v)),
+                               LutStrategy.identity()).sensitivity
     est = target.estimates["identity"]
     assert abs(est.value - exact) <= 4 * np.sqrt(exact * (1 - exact) / est.entangled + 1e-9)
 
@@ -133,12 +143,11 @@ def test_grid_one_sided_hadamard_reaches_perfect_detection():
     # near the uniform-coefficient, high-visibility corner the one-sided
     # Hadamard detects on every selection (enumeration gives exactly 1.0)
     d = r = 5
-    cells = sweep_icps_grid(d, r, GridSpec(25, 10, 2000),
-                            cfg=DetectionConfig(strategies=(LutStrategy.hadamard_b(),)),
+    cells = sweep_icps_grid(d, r, GridSpec(25, 10, 2000), strategies=[LutKind.HADAMARD_B],
                             seed=14)
     target = min(cells, key=lambda c: abs(c.alpha - 1 / np.sqrt(5)) + abs(c.v - 0.95))
-    exact = brute_force_sensitivity(make_icps(IcpsParams(d, r, target.alpha, target.v)),
-                                    LutStrategy.hadamard_b())
+    exact = brute_force_counts(make_icps(IcpsParams(d, r, target.alpha, target.v)),
+                               LutStrategy.hadamard_b()).sensitivity
     assert exact == 1.0
     assert target.estimates["hadamard_b"].value == 1.0
 
@@ -148,7 +157,8 @@ def test_wilson_coverage_on_known_probability():
     # intervals must cover it in almost all repeated small-sample runs
     d, r = 3, 3
     alpha, v = 0.45, 0.9
-    exact = brute_force_sensitivity(make_icps(IcpsParams(d, r, alpha, v)), LutStrategy.identity())
+    rho = make_icps(IcpsParams(d, r, alpha, v))
+    exact = brute_force_counts(rho, LutStrategy.identity()).sensitivity
     n, reps, z = 300, 200, 2.5758
     covered = 0
     for rep in range(reps):
@@ -173,6 +183,17 @@ def test_engine_chunk_sizes():
         assert sum(sizes) == 3 * chunk + 7 and min(sizes) >= 1
         assert max(sizes) * d * d <= engine.CHUNK_ENTRIES or max(sizes) == 1
     assert engine.CHUNK_ENTRIES * 16 <= 2 ** 26  # a complex (rows, d, d) stack fits in 64 MiB
+
+
+@pytest.mark.parametrize("workers, tasks, cpus, pool", [
+    (5000, 4, 2, 2), (5000, 4, 64, 4), (3, 10, 64, 3), (8, 10, None, None), (5000, 1, 64, None)])
+def test_run_tasks_pool_capped_by_tasks_and_cpus(monkeypatch, workers, tasks, cpus, pool):
+    monkeypatch.setattr(SerialPool, "started", [])
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)  # None: unknown, so serial
+    out = engine.run_tasks(lambda i: np.array([i, i * i]), [(i,) for i in range(tasks)], workers)
+    assert [list(row) for row in out] == [[i, i * i] for i in range(tasks)]
+    assert SerialPool.started == ([] if pool is None else [pool])
 
 
 def schmidt_amplitude_matrices(alpha, r, d, u, v):
@@ -215,13 +236,12 @@ def test_icps_sweep_equals_per_mode_estimates(shared):
     # modes in reversed order; 17000 samples span two chunks, so workers=2 splits them
     modes = (Mode.PARALLEL, Mode.SINGLE)
     combined = CombinedSelection.SHARED if shared else CombinedSelection.FRESH
-    cfg = DetectionConfig(strategies=tuple(LutStrategy(k) for k in LutKind),
-                          combined_selection=combined)
-    kwargs = dict(n_samples=17_000, seed=15, ground_truth=IcpsGroundTruth.NPT)
-    tables = [sweep_icps(5, 3, modes, cfg, workers=w, **kwargs) for w in (1, 2)]
+    kwargs = dict(strategies=tuple(LutKind), combined_selection=combined, n_samples=17_000,
+                  seed=15, ground_truth=IcpsGroundTruth.NPT)
+    tables = [sweep_icps(5, 3, modes, workers=w, **kwargs) for w in (1, 2)]
     assert tables[0] == tables[1]
     for mode, est in zip(modes, tables[0]):
-        assert est == sweep_icps(5, 3, [mode], cfg, **kwargs)[0]
+        assert est == sweep_icps(5, 3, [mode], **kwargs)[0]
     assert tables[0][0] != tables[0][1]
 
 
@@ -230,6 +250,8 @@ def test_entry_points_reject_zero_samples(monkeypatch):
     with pytest.raises(InvalidParamsError):
         sweep_icps(3, 2, [Mode.SINGLE], n_samples=0)
     with pytest.raises(InvalidParamsError):
+        sweep_icps_grid(3, 2, GridSpec(1, 1, 0))
+    with pytest.raises(InvalidParamsError):
         sweep_quasi_pure(3, [0.2], [Mode.SINGLE], n_samples=0)
     with pytest.raises(InvalidParamsError):
         sweep_quasi_pure(3, [0.2], [Mode.SINGLE], n_samples=-1)
@@ -237,6 +259,10 @@ def test_entry_points_reject_zero_samples(monkeypatch):
 
 def test_entry_points_reject_empty_mode_and_noise_lists(monkeypatch):
     monkeypatch.setattr(engine, "run_tasks", None)  # fails if any work starts
+    with pytest.raises(InvalidParamsError, match="strategy"):
+        sweep_icps(3, 2, [Mode.SINGLE], strategies=[])
+    with pytest.raises(InvalidParamsError, match="strategy"):
+        sweep_icps_grid(3, 2, GridSpec(1, 1, 10), strategies=[])
     with pytest.raises(InvalidParamsError, match="mode"):
         sweep_icps(3, 2, [])
     with pytest.raises(InvalidParamsError, match="mode"):
@@ -245,22 +271,24 @@ def test_entry_points_reject_empty_mode_and_noise_lists(monkeypatch):
         sweep_quasi_pure(3, [], [Mode.SINGLE])
 
 
-def test_pinned_unitaries_rejected_in_sweeps(rng):
-    cfg = DetectionConfig(strategies=(LutStrategy.random_both(
-        u_a=haar_unitary(3, rng), v_b=haar_unitary(3, rng)),))
+def test_pinned_unitaries_rejected_in_sweeps(monkeypatch, rng):
+    # the sweeps draw fresh unitaries per sample, so they take LutKinds only
+    monkeypatch.setattr(engine, "run_tasks", None)  # fails if any work starts
+    pinned = [LutStrategy.random_both(u_a=haar_unitary(3, rng), v_b=haar_unitary(3, rng))]
     with pytest.raises(ValueError):
-        sweep_icps(3, 2, [Mode.SINGLE], cfg=cfg, n_samples=100, seed=0)
+        sweep_icps(3, 2, [Mode.SINGLE], strategies=pinned, n_samples=100, seed=0)
+    with pytest.raises(ValueError):
+        sweep_icps_grid(3, 2, GridSpec(1, 1, 10), strategies=pinned)
 
 
 def test_repeated_strategies_rejected_in_sweeps(monkeypatch):
     # estimates are keyed by strategy name, so a repeat would lose a row
     monkeypatch.setattr(engine, "run_tasks", None)  # fails if any work starts
-    cfg = DetectionConfig(strategies=(LutStrategy.identity(), LutStrategy.hadamard_b(),
-                                      LutStrategy.identity()))
+    kinds = [LutKind.IDENTITY, LutKind.HADAMARD_B, LutKind.IDENTITY]
     with pytest.raises(InvalidParamsError, match="repeated strategy"):
-        sweep_icps(3, 2, [Mode.SINGLE], cfg, n_samples=100)
+        sweep_icps(3, 2, [Mode.SINGLE], kinds, n_samples=100)
     with pytest.raises(InvalidParamsError, match="repeated strategy"):
-        sweep_icps_grid(3, 2, GridSpec(1, 1, 10), cfg)
+        sweep_icps_grid(3, 2, GridSpec(1, 1, 10), strategies=kinds)
 
 
 def test_removed_piecewise_rule_rejected_before_work(monkeypatch):
@@ -274,6 +302,6 @@ def test_no_entangled_sample_gives_empty_sensitivity():
     # at noise 1.0 every state is maximally mixed, so nothing is entangled
     est = sweep_quasi_pure(3, [1.0], [Mode.SINGLE], n_samples=200, seed=1)[0][0]
     assert (est.entangled, est.detected, est.value, est.ci95) == (0, 0, None, None)
-    assert SensitivityEstimate(0, 0, 5, 0).value is None
-    assert SensitivityEstimate(0, 1, 5, 0).value == 0.0
-    assert SensitivityEstimate(0, 1, 5, 0).ci95 > 0.0
+    assert SensitivityEstimate(0, 0, 5).value is None
+    assert SensitivityEstimate(0, 1, 5).value == 0.0
+    assert SensitivityEstimate(0, 1, 5).ci95 > 0.0

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quditwitness import (IcpsParams, InvalidScenarioError, LevelSelection, LutStrategy,
-                          Scenario, analytic_fef_score, analytic_sensitivity,
-                          brute_force_counts, brute_force_sensitivity, classify_selection,
-                          fef_witness, haar_unitary, icps_entanglement_threshold,
-                          icps_is_entangled, icps_thresholds, is_npt, make_icps,
-                          maximally_mixed, partial_transpose, reduce_to_two_qubits, substream)
+from quditwitness import (IcpsGroundTruth, IcpsParams, InvalidScenarioError, LevelSelection,
+                          LutStrategy, Scenario, analytic_fef_score, analytic_sensitivity,
+                          brute_force_counts, classify_selection, conditioning_threshold,
+                          fef_witness, haar_unitary, is_npt, make_icps, maximally_mixed,
+                          partial_transpose, reduce_to_two_qubits, visibility_thresholds)
+from quditwitness.cli import main
 from quditwitness.oracles import all_selections
 from quditwitness.states import DensityMatrix
 from conftest import random_density
@@ -37,30 +37,29 @@ def test_is_npt_cut_symmetric(rng):
 
 def test_thresholds_isotropic():
     for d in range(2, 7):
-        p = IcpsParams(d, d, 1 / np.sqrt(d), 0.5)
-        v_a, v_b = icps_thresholds(p)
+        v_a, v_b = visibility_thresholds(d, d, 1 / np.sqrt(d))
         assert abs(v_a - 1 / (1 + d)) <= 1e-12
         assert abs(v_b - 1 / (1 + d)) <= 1e-12
 
 
 def test_threshold_product_limit():
-    _, v_b = icps_thresholds(IcpsParams(4, 2, 1e-9, 0.5))
+    _, v_b = visibility_thresholds(4, 2, 1e-9)
     assert v_b > 1 - 1e-6
 
 
-def test_scalar_thresholds_are_python_float_arithmetic():
+def test_scalar_thresholds_are_python_float_arithmetic(capsys):
     # at this alpha Python's alpha ** 2 and numpy's array square differ in
-    # the last bit; the scalar API (printed by `analytic --alpha`) must keep
-    # the Python float result and return Python floats
-    p = IcpsParams(11, 2, 0.7454248080083349, 0.5)
-    assert icps_thresholds(p) == (0.014655313875233644, 0.016360187389642677)
-    assert all(type(x) is float for x in (*icps_thresholds(p), icps_entanglement_threshold(p)))
-    assert icps_entanglement_threshold(p) == 0.016360187389642677
+    # the last bit; `analytic --alpha` must print the Python float result
+    alpha = 0.7454248080083349
+    assert visibility_thresholds(11, 2, np.array([alpha]))[0][0] != 0.014655313875233644
+    assert main(["analytic", "--d", "11", "--r", "2", "--alpha", repr(alpha)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"alpha={alpha!r} v_a=0.014655313875233644 v_b=0.016360187389642677 "
+        "entanglement_threshold=0.016360187389642677")
 
 
 def test_threshold_d4_value_and_sign_change():
-    p = IcpsParams(4, 4, 0.3, 0.5)
-    _, v_b = icps_thresholds(p)
+    _, v_b = visibility_thresholds(4, 4, 0.3)
     assert abs(v_b - 1 / (1 + 16 * 0.3 * np.sqrt(1 - 3 * 0.09))) <= 1e-12
     sel = LevelSelection(0, 3, 0, 3)  # core-edge pair carries the lowest threshold here
     for v, positive in ((v_b + 1e-3, True), (v_b - 1e-3, False)):
@@ -73,21 +72,20 @@ def test_entanglement_threshold_matches_npt():
     for d, r in [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4)]:
         for alpha_frac in (0.15, 0.5, 0.85):
             alpha = alpha_frac / np.sqrt(r - 1)
-            thr = icps_entanglement_threshold(IcpsParams(d, r, alpha, 0.5))
+            thr = conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
             for v in np.linspace(0.02, 0.98, 25):
                 if abs(v - thr) < 1e-6:
                     continue
                 p = IcpsParams(d, r, alpha, v)
-                assert icps_is_entangled(p) == is_npt(make_icps(p))
+                assert (v > thr) == is_npt(make_icps(p))
 
 
 def test_rank2_regime_distinction():
     # for r=2 above alpha = 1/sqrt(2) the core-core formula sits below the true
     # boundary; states in between are PPT
-    p = IcpsParams(3, 2, 0.9, 0.5)
-    v_a, v_b = icps_thresholds(p)
+    v_a, v_b = visibility_thresholds(3, 2, 0.9)
     assert v_a < v_b
-    assert icps_entanglement_threshold(p) == pytest.approx(v_b)
+    assert conditioning_threshold(3, 2, 0.9, IcpsGroundTruth.NPT) == v_b
     mid = (v_a + v_b) / 2
     assert not is_npt(make_icps(IcpsParams(3, 2, 0.9, mid)))
 
@@ -99,8 +97,7 @@ def test_analytic_score_maximally_entangled():
 
 
 def test_analytic_score_zero_at_threshold():
-    p0 = IcpsParams(5, 4, 0.4, 0.5)
-    v_a, v_b = icps_thresholds(p0)
+    v_a, v_b = visibility_thresholds(5, 4, 0.4)
     assert abs(analytic_fef_score(IcpsParams(5, 4, 0.4, v_a), Scenario.BOTH_IN_CORE)) <= 1e-10
     assert abs(analytic_fef_score(IcpsParams(5, 4, 0.4, v_b), Scenario.CORE_AND_EDGE)) <= 1e-10
 
@@ -151,7 +148,7 @@ def test_brute_force_rank2():
 
 
 def test_brute_force_maximally_mixed():
-    assert brute_force_sensitivity(maximally_mixed(4, 4), LutStrategy.identity()) == 0.0
+    assert brute_force_counts(maximally_mixed(4, 4), LutStrategy.identity()).sensitivity == 0.0
 
 
 def test_brute_force_full_rank_case():
@@ -166,8 +163,7 @@ def test_brute_force_full_rank_case():
 
 def test_brute_force_single_scenario_band():
     # between the two thresholds only one scenario class detects
-    p0 = IcpsParams(5, 4, 0.25, 0.5)  # alpha < 1/sqrt(r): v_b < v_a
-    v_a, v_b = icps_thresholds(p0)
+    v_a, v_b = visibility_thresholds(5, 4, 0.25)  # alpha < 1/sqrt(r): v_b < v_a
     assert v_b < v_a
     rho = make_icps(IcpsParams(5, 4, 0.25, (v_a + v_b) / 2))
     counts = brute_force_counts(rho, LutStrategy.identity(), r=4)
@@ -178,13 +174,13 @@ def test_brute_force_single_scenario_band():
 def test_brute_force_hadamard_perfect_detection():
     # prime d, uniform coefficients, one-sided Hadamard: every selection detects
     rho = make_icps(IcpsParams(5, 5, 1 / np.sqrt(5), 1.0))
-    assert brute_force_sensitivity(rho, LutStrategy.hadamard_b()) == 1.0
+    assert brute_force_counts(rho, LutStrategy.hadamard_b()).sensitivity == 1.0
 
 
 def test_brute_force_with_pinned_random_unitaries(rng):
     rho = make_icps(IcpsParams(3, 3, 0.5, 0.9))
     lut = LutStrategy.random_both(u_a=haar_unitary(3, rng), v_b=haar_unitary(3, rng))
-    s = brute_force_sensitivity(rho, lut)
+    s = brute_force_counts(rho, lut).sensitivity
     assert 0.0 <= s <= 1.0
 
 
@@ -215,7 +211,7 @@ def test_analytic_sensitivity_internal_consistency():
 def test_brute_force_matches_analytic_above_both_thresholds():
     for d, r in [(3, 2), (3, 3), (4, 3), (5, 2), (5, 4)]:
         alpha = 0.6 / np.sqrt(r - 1)
-        v_a, v_b = icps_thresholds(IcpsParams(d, r, alpha, 0.5))
+        v_a, v_b = visibility_thresholds(d, r, alpha)
         v = min(1.0, max(v_a, v_b) + 0.7 * (1 - max(v_a, v_b)))
         rho = make_icps(IcpsParams(d, r, alpha, v))
         counts = brute_force_counts(rho, LutStrategy.identity(), r=r)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from quditwitness import NPT_TOL, WITNESS_TOL, LutKind, LutStrategy, cli, engine
 from quditwitness.linalg import ginibre, haar_state
-from quditwitness.oracles import IcpsGroundTruth, conditioning_threshold, npt_threshold
+from quditwitness.oracles import IcpsGroundTruth, conditioning_threshold
 from quditwitness.transforms import _local_unitaries
 from quditwitness.witness import pure_noise_detected, scores_from_submatrices
 
@@ -54,7 +54,7 @@ def test_sweep_kernel_never_detects_below_npt_threshold(case, data, shared, seed
     # any local unitary detects a state below the exact boundary
     d, r, alpha, mode = case
     frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(alpha), max_size=len(alpha)))
-    vis = np.array(frac) * (1 - 1e-9) * npt_threshold(d, r, alpha)
+    vis = np.array(frac) * (1 - 1e-9) * conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
     counts = engine._schmidt_detections(np.random.default_rng(seed), alpha, vis,
                                         np.ones(len(alpha), dtype=bool), d, r,
                                         tuple(LutKind), mode, shared)

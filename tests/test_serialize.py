@@ -46,5 +46,5 @@ def test_invalid_state_reported():
     text = density_to_json(bad)
     with pytest.raises(InvalidStateError, match="trace"):
         density_from_json(text)
-    # validation can be deferred
-    assert density_from_json(text, validate=False).mat[0, 0] == pytest.approx(0.225)
+    with pytest.raises(InvalidStateError, match="trace"):
+        density_from_csv(density_to_csv(bad))

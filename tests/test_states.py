@@ -112,6 +112,10 @@ def test_density_matrix_validation_messages():
         DensityMatrix.from_matrix(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex), 2, 2)
     with pytest.raises(InvalidStateError, match="shape"):
         DensityMatrix(2, 2, np.eye(3, dtype=complex) / 3)
+    with pytest.raises(InvalidStateError, match="dims must be positive"):
+        DensityMatrix.from_matrix(np.ones((1, 1)), -1, -1)
+    with pytest.raises(InvalidStateError, match="dims must be positive"):
+        DensityMatrix.from_matrix(np.zeros((0, 0)), 0, 3)
 
 
 def test_schmidt_vector_layout():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quditwitness import (DensityMatrix, IcpsParams, LevelSelection, LutKind, LutStrategy,
-                          ZeroProbabilityError, apply_lut, fef_witness, icps_entanglement_threshold,
-                          make_icps, maximally_mixed, qudit_hadamard, random_selection,
-                          reduce_to_two_qubits, substream)
+from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelection,
+                          LutStrategy, ZeroProbabilityError, apply_lut, conditioning_threshold,
+                          fef_witness, make_icps, maximally_mixed, qudit_hadamard,
+                          random_selection, reduce_to_two_qubits, substream)
 from quditwitness.oracles import all_selections
 from conftest import random_density
 
@@ -153,8 +153,7 @@ def test_ppt_icps_never_detected_small():
         d = int(rng.integers(2, 5))
         r = int(rng.integers(2, d + 1))
         alpha = rng.uniform(0.05, 1 / np.sqrt(r - 1) - 0.05)
-        p_probe = IcpsParams(d, r, alpha, 1.0)
-        v = rng.uniform(0, 1) * icps_entanglement_threshold(p_probe) * 0.999
+        v = rng.uniform(0, 1) * conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT) * 0.999
         rho = make_icps(IcpsParams(d, r, alpha, v))
         for strat in (LutStrategy.identity(), LutStrategy.hadamard_b(), LutStrategy.hadamard_both()):
             transformed = apply_lut(rho, strat, rng)
