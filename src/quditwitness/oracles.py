@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .constants import NPT_TOL, WITNESS_TOL
 from .states import DensityMatrix, IcpsParams, last_schmidt_coefficient
 from .transforms import LevelSelection, LutStrategy, apply_lut, block_indices
-from .witness import scores_from_submatrices
+from .witness import bounded_detections, scores_from_submatrices
 
 
 class Scenario(Enum):
@@ -126,17 +127,22 @@ def analytic_fef_score(p: IcpsParams, scenario: Scenario) -> float:
     raise InvalidScenarioError(f"no closed form for scenario {scenario.value}: it never detects")
 
 
-def _selection_table(d: int) -> np.ndarray:
-    """(m, 4) rows (a0, a1, b0, b1) of all m = d^2 (d-1)^2 classes, lexicographic."""
-    pairs = np.array([(x, y) for x in range(d) for y in range(d) if x != y], dtype=int)
-    pairs = pairs.reshape(-1, 2)  # (0, 2) when d = 1
+@lru_cache(maxsize=16)
+def _selection_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 4) rows (a0, a1, b0, b1) of all m = d^2 (d-1)^2 classes, lexicographic,
+    and their (m, 4) block_indices.  Cached per d, so both are read-only."""
+    pairs = np.stack(np.nonzero(~np.eye(d, dtype=bool)), axis=1)
     m = len(pairs)
-    return np.concatenate([np.repeat(pairs, m, axis=0), np.tile(pairs, (m, 1))], axis=1)
+    table = np.concatenate([np.repeat(pairs, m, axis=0), np.tile(pairs, (m, 1))], axis=1)
+    idx = block_indices(table, d)
+    table.setflags(write=False)
+    idx.setflags(write=False)
+    return table, idx
 
 
 def all_selections(d: int) -> list[LevelSelection]:
     """All d^2 (d-1)^2 selection classes, lexicographic in (a0, a1, b0, b1)."""
-    return [LevelSelection(*row) for row in _selection_table(d).tolist()]
+    return [LevelSelection(*row) for row in _selection_table(d)[0].tolist()]
 
 
 @dataclass(frozen=True)
@@ -156,18 +162,26 @@ def brute_force_counts(rho: DensityMatrix, lut: LutStrategy,
                        r: int | None = None) -> BruteForceCounts:
     """Evaluate the witness on every selection class after the given unitary.
 
-    When r is given, detections are additionally tallied per Scenario.  This
-    is the per-state sensitivity oracle.
+    A class is detected iff scores_from_submatrices scores its block above
+    WITNESS_TOL.  bounded_detections settles most classes from invariants of
+    the correlation matrix T (|T|_F^2 and the second elementary symmetric
+    function of the eigenvalues of T^T T, compared squared with a rounding
+    slack); only the classes it leaves open go to scores_from_submatrices, so
+    a traced run's witness.sub_rows counts only those.  When r is given,
+    detections are additionally tallied per Scenario.  This is the per-state
+    sensitivity oracle; it needs d >= 2.
     """
     if rho.dim_a != rho.dim_b:
         raise ValueError("selection enumeration assumes equal local dimensions")
     d = rho.dim_a
+    if d < 2:
+        raise ValueError(f"selection enumeration needs d >= 2, got d = {d}")
     transformed = apply_lut(rho, lut)
-    table = _selection_table(d)
-    idx = block_indices(table, d)
+    table, idx = _selection_table(d)
     blocks = transformed.mat[idx[:, :, None], idx[:, None, :]]
-    scores, _ = scores_from_submatrices(blocks)
-    hits = scores > WITNESS_TOL
+    hits, open_rows = bounded_detections(blocks)
+    if open_rows.any():
+        hits[open_rows] = scores_from_submatrices(blocks[open_rows])[0] > WITNESS_TOL
     by_scenario = None
     if r is not None:
         by_scenario = {sc: 0 for sc in Scenario}

@@ -10,7 +10,7 @@ from quditwitness import (IcpsGroundTruth, IcpsParams, InvalidScenarioError, Lev
                           fef_witness, haar_unitary, is_npt, make_icps, maximally_mixed,
                           partial_transpose, reduce_to_two_qubits, visibility_thresholds)
 from quditwitness.cli import main
-from quditwitness.oracles import all_selections
+from quditwitness.oracles import _selection_table, all_selections
 from quditwitness.states import DensityMatrix
 from conftest import random_density
 
@@ -133,8 +133,11 @@ def test_selection_table_matches_loop_enumeration():
         loop = [(a0, a1, b0, b1) for a0 in range(d) for a1 in range(d) if a1 != a0
                 for b0 in range(d) for b1 in range(d) if b1 != b0]
         assert [(s.a0, s.a1, s.b0, s.b1) for s in all_selections(d)] == loop
-        assert [list(s.indices(d)) for s in all_selections(d)] == \
-               [[a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1] for a0, a1, b0, b1 in loop]
+        blocks = [[a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1] for a0, a1, b0, b1 in loop]
+        assert [list(s.indices(d)) for s in all_selections(d)] == blocks
+        table, idx = _selection_table(d)
+        assert idx.tolist() == blocks
+        assert not table.flags.writeable and not idx.flags.writeable
 
 
 def test_brute_force_rank2():
@@ -149,6 +152,14 @@ def test_brute_force_rank2():
 
 def test_brute_force_maximally_mixed():
     assert brute_force_counts(maximally_mixed(4, 4), LutStrategy.identity()).sensitivity == 0.0
+
+
+@pytest.mark.parametrize("lut", [LutStrategy.identity(), LutStrategy.hadamard_b()])
+def test_brute_force_rejects_d_below_2(lut):
+    # d = 1 has no selection class; it used to return total = 0 (identity) or
+    # fail inside the Hadamard build (hadamard_b)
+    with pytest.raises(ValueError, match="d >= 2"):
+        brute_force_counts(maximally_mixed(1, 1), lut)
 
 
 def test_brute_force_full_rank_case():

@@ -1,4 +1,5 @@
-"""Pinned CLI outputs: the data rows of small sweeps must not change.
+"""Pinned outputs: the data rows of small sweeps, and the enumeration oracle's
+counts on a seeded batch, must not change.
 
 pinned_cli_rows.json holds, per run, every line below the '#' header lines of
 the CSV written by the commands in RUNS.  The numbers were recorded once and
@@ -10,8 +11,12 @@ test compares against the recorded bytes.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from quditwitness import (IcpsGroundTruth, IcpsParams, LutStrategy, brute_force_counts,
+                          conditioning_threshold, haar_unitary, make_icps,
+                          random_product_mixture)
 from quditwitness.cli import main
 
 PINNED = Path(__file__).with_name("pinned_cli_rows.json")
@@ -87,3 +92,67 @@ def test_pinned_runs_cover_every_command(pinned):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_pinned_cli_rows(name, pinned, tmp_path):
     assert data_rows(RUNS[name], tmp_path / "out.csv") == pinned[name]
+
+
+def oracle_batch():
+    """(label, state, strategies) of a seeded batch for the enumeration oracle.
+
+    Per d in 2..9, three Schmidt-form states: below the NPT threshold (ppt),
+    1e-9 above it (edge) and well above it (entangled).  Then random product
+    mixtures at d = 2 and 3.  Each state runs under identity, hadamard_b,
+    hadamard_both and a pinned random_both pair.
+    """
+    rng = np.random.default_rng(31)
+
+    def strategies(d):
+        return (LutStrategy.identity(), LutStrategy.hadamard_b(), LutStrategy.hadamard_both(),
+                LutStrategy.random_both(haar_unitary(d, rng), haar_unitary(d, rng)))
+
+    for d in range(2, 10):
+        for half in ("ppt", "edge", "entangled"):
+            r = int(rng.integers(2, d + 1))
+            alpha = float(rng.uniform(0.1, 0.9) / np.sqrt(r - 1))
+            thr = float(conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT))
+            v = {"ppt": thr * rng.uniform(0.0, 0.999), "edge": thr + 1e-9,
+                 "entangled": thr + (1.0 - thr) * rng.uniform(0.01, 1.0)}[half]
+            yield f"d{d}r{r}-{half}", make_icps(IcpsParams(d, r, alpha, float(v))), strategies(d)
+    for d in (2, 3):
+        yield f"product-d{d}", random_product_mixture(d, 4, rng), strategies(d)
+
+
+# brute_force_counts(...).detected per strategy, recorded before the oracle
+# settled classes from invariant bounds (every class then took an SVD)
+PINNED_ORACLE = {
+    "d2r2-ppt": [0, 0, 0, 0],
+    "d2r2-edge": [4, 4, 4, 4],
+    "d2r2-entangled": [4, 4, 4, 4],
+    "d3r3-ppt": [0, 0, 0, 0],
+    "d3r3-edge": [8, 0, 0, 0],
+    "d3r2-entangled": [4, 12, 36, 36],
+    "d4r3-ppt": [0, 0, 0, 0],
+    "d4r4-edge": [12, 0, 0, 0],
+    "d4r4-entangled": [12, 64, 24, 40],
+    "d5r3-ppt": [0, 0, 0, 0],
+    "d5r4-edge": [12, 0, 0, 0],
+    "d5r5-entangled": [40, 400, 280, 380],
+    "d6r3-ppt": [0, 0, 0, 0],
+    "d6r6-edge": [20, 0, 0, 0],
+    "d6r4-entangled": [24, 144, 660, 448],
+    "d7r3-ppt": [0, 0, 0, 0],
+    "d7r2-edge": [4, 0, 0, 0],
+    "d7r4-entangled": [24, 252, 1316, 880],
+    "d8r2-ppt": [0, 0, 0, 0],
+    "d8r3-edge": [8, 0, 0, 0],
+    "d8r3-entangled": [12, 288, 2944, 2256],
+    "d9r3-ppt": [0, 0, 0, 0],
+    "d9r6-edge": [20, 0, 0, 0],
+    "d9r8-entangled": [112, 576, 144, 272],
+    "product-d2": [0, 0, 0, 0],
+    "product-d3": [0, 0, 0, 0],
+}
+
+
+def test_pinned_oracle_counts():
+    counts = {label: [brute_force_counts(rho, s).detected for s in strats]
+              for label, rho, strats in oracle_batch()}
+    assert counts == PINNED_ORACLE

@@ -1,6 +1,6 @@
 """Property tests (hypothesis) for the vectorised sweep kernels, the sweeps'
-detection rule, the random-sweep ground truth, the conditioning rule and the
-CSV header."""
+detection rule, the enumeration oracle's invariant bounds, the random-sweep
+ground truth, the conditioning rule and the CSV header."""
 import io
 from contextlib import redirect_stdout
 
@@ -8,11 +8,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from quditwitness import NPT_TOL, WITNESS_TOL, LutKind, LutStrategy, cli, engine
+from quditwitness import (NPT_TOL, WITNESS_TOL, ZERO_PROB_TOL, LutKind, LutStrategy, cli,
+                          engine)
 from quditwitness.linalg import ginibre, haar_state
 from quditwitness.oracles import IcpsGroundTruth, conditioning_threshold
 from quditwitness.transforms import _local_unitaries
-from quditwitness.witness import pure_noise_detected, scores_from_submatrices
+from quditwitness.witness import (bounded_detections, pure_noise_detected,
+                                  scores_from_submatrices)
 
 SHARED_KINDS = (LutKind.IDENTITY, LutKind.HADAMARD_B, LutKind.HADAMARD_BOTH)
 
@@ -131,6 +133,55 @@ def test_detection_rule_agrees_with_the_svd_score(case):
     assert not (flags & (score <= WITNESS_TOL - 64 * np.finfo(float).eps)).any()
     assert flags[score * weight > 1e-9].all()
     assert flags[(score > 1e-9) & (weight >= 1e-3)].all()
+
+
+@st.composite
+def oracle_blocks(draw):
+    """(n, 4, 4) blocks of the four kinds that stress the invariant bounds:
+    Ginibre mixed blocks; rank-1 product blocks (sigma = 1 exactly, so a bound
+    that lets e2's rounding through flags them); pure-plus-noise blocks at
+    visibilities within 1e-12, 1e-14, 1e-16 or 0 of score 0 and of score
+    WITNESS_TOL, so on both sides of the slack; and blocks of weight 0 or
+    below ZERO_PROB_TOL.  Weights are scaled at random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["ginibre", "product", "edge", "zero"]))
+    if kind == "ginibre":
+        g = ginibre(4, rng, size=n)[:, :, : draw(st.integers(1, 4))]
+        blocks = g @ g.conj().transpose(0, 2, 1)
+    elif kind == "product":
+        psi = np.einsum("ni,nj->nij", haar_state(2, rng, size=n),
+                        haar_state(2, rng, size=n)).reshape(n, 4)
+        blocks = np.einsum("ni,nj->nij", psi, psi.conj())
+    elif kind == "edge":
+        m = haar_state(4, rng, size=n)
+        det = np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2])
+        dim = draw(st.integers(2, 9)) ** 2
+        # score = 4 (v det - (1-v)/D) / (v + 4(1-v)/D): 0 at v0, WITNESS_TOL at v1
+        v0 = 1 / (1 + dim * det)
+        tol = WITNESS_TOL
+        v1 = 4 * (1 + tol) / (4 + dim * (4 * det - tol) + 4 * tol)
+        offset = rng.uniform(-1.0, 1.0, size=n) * rng.choice([1e-12, 1e-14, 1e-16, 0.0], size=n)
+        v = np.where(rng.random(n) < 0.5, v0, v1) + offset
+        v = np.clip(v, 0.0, 1.0)[:, None, None]
+        blocks = v * np.einsum("ni,nj->nij", m, m.conj()) + (1 - v) / dim * np.eye(4)
+    else:
+        g = ginibre(4, rng, size=n)
+        blocks = g @ g.conj().transpose(0, 2, 1)
+        weight = rng.choice([0.0, 1e-16, 0.9 * ZERO_PROB_TOL], size=n)
+        return blocks * (weight / np.trace(blocks, axis1=1, axis2=2).real)[:, None, None]
+    return blocks * draw(st.sampled_from([1.0, 0.25, 1e-3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=oracle_blocks())
+def test_bounded_detections_plus_open_svd_equal_the_svd_flags(blocks):
+    hit, open_rows = bounded_detections(blocks)
+    assert not (hit & open_rows).any()
+    flags = hit.copy()
+    if open_rows.any():
+        flags[open_rows] = scores_from_submatrices(blocks[open_rows])[0] > WITNESS_TOL
+    assert_array_equal(flags, scores_from_submatrices(blocks)[0] > WITNESS_TOL)
 
 
 @settings(max_examples=200, deadline=None)

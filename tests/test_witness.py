@@ -3,8 +3,8 @@ from numpy.testing import assert_allclose
 
 from quditwitness import (WITNESS_TOL, ZERO_PROB_TOL, DensityMatrix, fef_witness, haar_unitary, is_npt,
                           pauli_decompose, substream)
-from quditwitness.witness import (PAULI, pure_noise_detected, scores_from_submatrices,
-                                  score_from_t)
+from quditwitness.witness import (PAULI, PAULI_KRON, _correlations, pure_noise_detected,
+                                  scores_from_submatrices, score_from_t)
 from conftest import random_density
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -138,6 +138,20 @@ def test_batch_submatrix_kernel_matches_scalar(rng):
         t = block.trace().real
         assert abs(scores[i] - fef_witness(two_qubit(block / t)).score) <= 1e-12
         assert abs(weights[i] - t) <= 1e-12
+
+
+def test_correlations_equal_the_pauli_einsum_bit_for_bit(rng):
+    # the einsum over PAULI_KRON is the reference for the four-term sums; a row's
+    # T must not depend on the stack it sits in (the oracle re-scores open rows)
+    for n in (1, 2, 3, 7, 64, 1000):
+        g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+        blocks = (g @ g.conj().transpose(0, 2, 1)) * rng.choice([1.0, 1e-10, 1e5], size=(n, 1, 1))
+        t, weight, ok = _correlations(blocks)
+        ref = np.einsum("nij,abji->nab", blocks, PAULI_KRON).real / weight[:, None, None]
+        assert ok.all()
+        assert np.array_equal(t, ref)
+        rows = rng.permutation(n)[: (n + 1) // 2]
+        assert np.array_equal(_correlations(blocks[rows])[0], t[rows])
 
 
 def test_zero_weight_amplitudes_never_detect():
