@@ -2,25 +2,28 @@
 
 Work is split into chunks sized from n and d alone (chunk_sizes); chunk c of
 a task draws every random number it needs, in a fixed order, from
-substream(seed, tag, ..., c).  Chunk results are integer count vectors, so
-aggregate results are bit-identical for any worker count.
+substream(seed, tag, ..., c).  A flags function (_icps_flags, _grid_flags,
+_quasi_flags) returns a chunk's per-sample flags (ent, hit), one hit row per
+output entry.  _counts reduces them inside the worker to one integer count
+vector [n, entangled per entry..., detected per entry...], so results are
+bit-identical for any worker count.  Each mode replays the generator from the
+state right after the chunk's state draw, so its flags equal a run alone.
 
-icps and grid chunks share one Schmidt-form kernel (_schmidt_amps): with
-(U, V) from transforms._local_unitaries, M = U diag(s) V^T splits into two
-terms, and shared unitaries are gathered from a two-term table.  icps and
-quasi chunks draw their states once for every mode (and noise level).  Every
-sampled state is pure plus white noise, so no score is computed: a sample is
-detected when witness.pure_noise_detected accepts its largest |det M| over
-level pairs (_max_det).  Which icps samples count as entangled is decided
-only by oracles.conditioning_threshold.  Which Haar (quasi) samples are NPT
-is decided by _npt_masks: Cauchy-Binet bounds on lam0 lam1 from the Gram
-matrix settle most rows, and only the rows they leave open get an SVD.
+The Schmidt-form kernel (_schmidt_hits, for icps and grid) splits
+M = U diag(s) V^T, (U, V) from transforms._local_unitaries, into two terms
+(_schmidt_amps).  Every sampled state is pure plus white noise, so no score
+is computed: a sample is detected when witness.pure_noise_detected accepts
+its largest |det M| over level pairs (_max_det).  icps samples are entangled
+by oracles.conditioning_threshold alone, Haar (quasi) samples by _npt_masks:
+Cauchy-Binet bounds on lam0 lam1 from the Gram matrix settle most rows, and
+only the rows they leave open get an SVD.
 """
 from __future__ import annotations
 
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -88,64 +91,53 @@ def _schmidt_amps(sel: np.ndarray, alpha: np.ndarray, d: int, r: int,
 
 
 def _max_det(amps) -> np.ndarray:
-    """Largest |det M| (n,) over level pairs; amps yields each pair's (n, 4) amplitudes."""
+    """Largest |det M| (n,) over level pairs; amps yields each pair's (n, 4) amplitudes
+    one at a time, since one (n, pairs, 4) gather of every pair raised the peak RSS
+    of icps-sweep --d 9 --r 9 --mode both (65536 samples) from 44.0 to 54.3 MB."""
     return np.max([np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) for m in amps], axis=0)
 
 
-def _schmidt_detections(rng: np.random.Generator, alpha: np.ndarray, vis: np.ndarray,
-                        ent: np.ndarray, d: int, r: int, kinds: tuple[LutKind, ...],
-                        mode: str, shared: bool) -> list[int]:
-    """Detections [per strategy..., combined] among the samples in the mask ent.
+def _schmidt_hits(rng: np.random.Generator, alpha: np.ndarray, vis: np.ndarray, d: int, r: int,
+                  kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
+    """Detection flags (modes, strategies + 1, n): per mode, each strategy then their OR.
 
     Sample i has Schmidt coefficients (alpha_i, ..., alpha_i, alpha_r, 0, ...)
-    and visibility vis_i.  Draw order: shared selections (if shared), then per
+    and visibility vis_i.  Each mode replays the generator from its state at
+    the call.  Draw order per mode: shared selections (if shared), then per
     strategy its local unitaries (Haar U then V for random_both) and its
     selections (if not shared).
     """
     n = len(alpha)
-    shared_sel = _selections(rng, d, n, mode) if shared else None
-    counts = []
-    any_hit = np.zeros(n, dtype=bool)
-    for kind in kinds:
-        u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
-        sel = shared_sel if shared else _selections(rng, d, n, mode)
-        hit = pure_noise_detected(_max_det(_schmidt_amps(sel, alpha, d, r, u, v)), vis, d * d)
-        counts.append(int((hit & ent).sum()))
-        any_hit |= hit
-    counts.append(int((any_hit & ent).sum()))
-    return counts
+    start = rng.bit_generator.state
+    hit = np.empty((len(modes), len(kinds) + 1, n), dtype=bool)
+    for j, mode in enumerate(modes):
+        rng.bit_generator.state = start
+        shared_sel = _selections(rng, d, n, mode) if shared else None
+        for k, kind in enumerate(kinds):
+            u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
+            sel = shared_sel if shared else _selections(rng, d, n, mode)
+            hit[j, k] = pure_noise_detected(_max_det(_schmidt_amps(sel, alpha, d, r, u, v)),
+                                            vis, d * d)
+        hit[j, -1] = hit[j, :-1].any(axis=0)
+    return hit
 
 
-def _icps_chunk(seed: int, chunk_idx: int, n: int, d: int, r: int,
-                kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool,
-                ground_truth: IcpsGroundTruth) -> np.ndarray:
-    """Counts [sampled, entangled, (det_per_strategy..., det_combined) per mode...].
-
-    A sample is entangled when v exceeds oracles.conditioning_threshold.
-    alpha, v and that mask are drawn once for every mode; each mode draws its
-    unitaries and selections from the generator state right after that draw,
-    so its counts equal a chunk run for that mode alone.
-    """
+def _icps_flags(seed: int, chunk_idx: int, n: int, d: int, r: int, kinds: tuple[LutKind, ...],
+                modes: tuple[str, ...], shared: bool, ground_truth: IcpsGroundTruth):
+    """(ent (n,), _schmidt_hits) for alpha ~ U[0, 1/sqrt(r-1)] and v ~ U[0, 1]; a
+    sample is entangled when v exceeds oracles.conditioning_threshold."""
     rng = substream(seed, _TAG_ICPS, chunk_idx)
     alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), n)
     vis = rng.uniform(0.0, 1.0, n)
-    after_draw = rng.bit_generator.state
-    ent = vis > conditioning_threshold(d, r, alpha, ground_truth)
-    counts = []
-    for mode in modes:
-        rng.bit_generator.state = after_draw
-        counts += _schmidt_detections(rng, alpha, vis, ent, d, r, kinds, mode, shared)
-    return np.array([n, int(ent.sum()), *counts], dtype=np.int64)
+    return (vis > conditioning_threshold(d, r, alpha, ground_truth),
+            _schmidt_hits(rng, alpha, vis, d, r, kinds, modes, shared))
 
 
-def _grid_chunk(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int,
-                alpha: float, vis: float, kinds: tuple[LutKind, ...],
-                mode: str, shared: bool) -> np.ndarray:
-    """Counts [trials, det_per_strategy..., det_combined] for one fixed state."""
+def _grid_flags(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int,
+                alpha: float, vis: float, kinds: tuple[LutKind, ...], mode: str, shared: bool):
+    """(True, _schmidt_hits) for n trials on one fixed state: every trial counts."""
     rng = substream(seed, _TAG_GRID, cell_idx, chunk_idx)
-    counts = _schmidt_detections(rng, np.full(n, alpha), np.full(n, vis),
-                                 np.ones(n, dtype=bool), d, r, kinds, mode, shared)
-    return np.array([n, *counts], dtype=np.int64)
+    return True, _schmidt_hits(rng, np.full(n, alpha), np.full(n, vis), d, r, kinds, (mode,), shared)
 
 
 def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
@@ -183,41 +175,47 @@ def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
     return np.concatenate(masks, axis=1)
 
 
-def _quasi_chunk(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float, ...],
-                 modes: tuple[str, ...]) -> np.ndarray:
-    """Counts [sampled, (entangled, detected) per (noise, mode)...] for Haar states.
+def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float, ...],
+                 modes: tuple[str, ...]):
+    """(ent (noises, 1, n), hit (noises, modes, n)) for n Haar states with white noise.
 
-    Entries run noise-major.  One Haar draw and one ground-truth pass
-    (_npt_masks) serve every noise level and mode, one _max_det per mode every
-    noise level; each mode draws its selections from the generator state right
-    after the state draw, so an entry equals a chunk run for its (noise, mode)
-    alone.
+    One Haar draw and one ground-truth pass (_npt_masks) serve every noise
+    level and mode.  Each mode replays the generator from the state right
+    after the Haar draw, and its largest |det M| (_max_det) meets every noise
+    level's floor in one broadcast.
     """
     rng = substream(seed, _TAG_QUASI, chunk_idx)
     z = ginibre(d, rng, size=n)
     z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
-    after_draw = rng.bit_generator.state
-    vis = [1.0 - noise for noise in noises]
-    ent = _npt_masks(z, d, vis)
-    counts = np.zeros((len(noises), len(modes), 2), dtype=np.int64)
+    start = rng.bit_generator.state
+    vis = 1.0 - np.array(noises)
     flat = z.reshape(n, d * d)
+    det = np.empty((len(modes), n))
     for j, mode in enumerate(modes):
-        rng.bit_generator.state = after_draw
+        rng.bit_generator.state = start
         idx = block_indices(_selections(rng, d, n, mode), d)
-        det = _max_det(np.take_along_axis(flat, idx[:, p], axis=1) for p in range(idx.shape[1]))
-        for i, v in enumerate(vis):
-            hit = pure_noise_detected(det, v, d * d)
-            counts[i, j] = ent[i].sum(), (hit & ent[i]).sum()
-    return np.concatenate([[n], counts.ravel()])
+        det[j] = _max_det(np.take_along_axis(flat, idx[:, p], axis=1) for p in range(idx.shape[1]))
+    return _npt_masks(z, d, vis)[:, None], pure_noise_detected(det, vis[:, None, None], d * d)
 
 
-def run_tasks(chunk_fn, tasks: list[tuple], workers: int = 1) -> list[np.ndarray]:
-    """chunk_fn(*task) per task, in order, on min(workers, tasks, CPUs) processes."""
+def _counts(flags_fn, *task) -> np.ndarray:
+    """[n, entangled per entry..., detected per entry...] from (ent, hit) = flags_fn(*task):
+    hit (..., n) has one row of per-sample flags per entry, in row-major order, and
+    ent broadcasts against it."""
+    ent, hit = flags_fn(*task)
+    ent = np.broadcast_to(ent, hit.shape)
+    return np.concatenate([[hit.shape[-1]], ent.sum(axis=-1).ravel(),
+                           (hit & ent).sum(axis=-1).ravel()], dtype=np.int64)
+
+
+def run_tasks(flags_fn, tasks: list[tuple], workers: int = 1) -> list[np.ndarray]:
+    """_counts(flags_fn, *task) per task, in order, on min(workers, tasks, CPUs) processes."""
     workers = min(workers, len(tasks), os.cpu_count() or 1)
+    count = partial(_counts, flags_fn)
     if workers <= 1:
-        return [chunk_fn(*t) for t in tasks]
+        return [count(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, *zip(*tasks),
+        return list(pool.map(count, *zip(*tasks),
                              chunksize=max(1, len(tasks) // (4 * workers))))
 
 

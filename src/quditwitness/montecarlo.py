@@ -99,12 +99,18 @@ def _nonempty(what: str, values: tuple) -> tuple:
     return values
 
 
-def _estimates(kinds: tuple[LutKind, ...], detected: np.ndarray, entangled: int,
-               sampled: int) -> dict[str, SensitivityEstimate]:
-    """Per-strategy estimates, then the combined one; detected has one count per entry."""
+def _estimates(total: np.ndarray, width: int) -> list[list[SensitivityEstimate]]:
+    """Estimates from the sum over chunks of engine._counts' vectors
+    [n, entangled per entry..., detected per entry...], in rows of width entries."""
+    entangled, detected = np.reshape(total[1:], (2, -1, width))
+    return [[SensitivityEstimate(int(k), int(e), int(total[0])) for e, k in zip(*row)]
+            for row in zip(entangled, detected)]
+
+
+def _by_strategy(kinds: tuple[LutKind, ...], total: np.ndarray) -> list[dict]:
+    """Per row of _estimates, each strategy's estimate and then the combined one."""
     labels = [kind.value for kind in kinds] + [COMBINED_KEY]
-    return {label: SensitivityEstimate(int(k), entangled, sampled)
-            for label, k in zip(labels, detected)}
+    return [dict(zip(labels, row)) for row in _estimates(total, len(labels))]
 
 
 def sweep_icps(d: int, r: int, modes: Sequence[Mode],
@@ -126,9 +132,8 @@ def sweep_icps(d: int, r: int, modes: Sequence[Mode],
     mode_names = _nonempty("mode", tuple(Mode(m).value for m in modes))
     tasks = [(seed, c, size, d, r, kinds, mode_names, shared, IcpsGroundTruth(ground_truth))
              for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
-    total = np.sum(engine.run_tasks(engine._icps_chunk, tasks, workers), axis=0)
-    return [_estimates(kinds, detected, int(total[1]), int(total[0]))
-            for detected in total[2:].reshape(len(mode_names), -1)]
+    total = np.sum(engine.run_tasks(engine._icps_flags, tasks, workers), axis=0)
+    return _by_strategy(kinds, total)
 
 
 def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode],
@@ -150,11 +155,8 @@ def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode
     QuasiPureParams(d, 1.0)  # validates d
     tasks = [(seed, c, size, d, noises, mode_names)
              for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
-    total = np.sum(engine.run_tasks(engine._quasi_chunk, tasks, workers), axis=0)
-    sampled = int(total[0])
-    pairs = total[1:].reshape(len(noises), len(mode_names), 2)
-    return [[SensitivityEstimate(int(det), int(ent), sampled) for ent, det in row]
-            for row in pairs]
+    total = np.sum(engine.run_tasks(engine._quasi_flags, tasks, workers), axis=0)
+    return _estimates(total, len(mode_names))
 
 
 def sweep_icps_grid(d: int, r: int, grid: GridSpec, mode: Mode = Mode.SINGLE,
@@ -175,10 +177,10 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, mode: Mode = Mode.SINGLE,
     sizes = engine.chunk_sizes(grid.trials_per_cell, d)
     tasks = [(seed, cell_idx, c, size, d, r, alpha, v, kinds, mode, shared)
              for cell_idx, (alpha, v) in enumerate(cells) for c, size in enumerate(sizes)]
-    results = engine.run_tasks(engine._grid_chunk, tasks, workers)
+    results = engine.run_tasks(engine._grid_flags, tasks, workers)
     # every cell has the same chunks, so its totals are a sum over one axis
     totals = np.reshape(results, (len(cells), len(sizes), -1)).sum(axis=1)
     npt = IcpsGroundTruth.NPT
     return [GridCell(alpha, v, separable=not v > conditioning_threshold(d, r, alpha, npt),
-                     estimates=_estimates(kinds, total[1:], int(total[0]), int(total[0])))
+                     estimates=_by_strategy(kinds, total)[0])
             for (alpha, v), total in zip(cells, totals)]

@@ -162,10 +162,11 @@ def test_wilson_coverage_on_known_probability():
     n, reps, z = 300, 200, 2.5758
     covered = 0
     for rep in range(reps):
-        counts = engine._grid_chunk(1000 + rep, 0, 0, n, d, r, alpha, v,
+        _, hit = engine._grid_flags(1000 + rep, 0, 0, n, d, r, alpha, v,
                                     (LutKind.IDENTITY,), "single", False)
-        p_hat = counts[1] / counts[0]
-        if abs(p_hat - exact) <= wilson_halfwidth(int(counts[1]), n, z=z):
+        k = int(hit[0, 0].sum())
+        p_hat = k / n
+        if abs(p_hat - exact) <= wilson_halfwidth(k, n, z=z):
             covered += 1
     assert covered / reps >= 0.96
 
@@ -185,14 +186,26 @@ def test_engine_chunk_sizes():
     assert engine.CHUNK_ENTRIES * 16 <= 2 ** 26  # a complex (rows, d, d) stack fits in 64 MiB
 
 
+# three entries of four samples each; task i marks its first i % 5 samples entangled
+STAND_IN_HIT = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [0, 0, 0, 0]], dtype=bool)
+# [n, entangled per entry..., detected per entry...] for i % 5 = 0..4
+STAND_IN_COUNTS = [[4, 0, 0, 0, 0, 0, 0], [4, 1, 1, 1, 1, 0, 0], [4, 2, 2, 2, 2, 1, 0],
+                   [4, 3, 3, 3, 2, 2, 0], [4, 4, 4, 4, 3, 3, 0]]
+
+
+def stand_in_flags(i):
+    """A hand-built (ent, hit): ent (4,) broadcasts against hit (3, 4)."""
+    return np.arange(4) < i % 5, STAND_IN_HIT
+
+
 @pytest.mark.parametrize("workers, tasks, cpus, pool", [
     (5000, 4, 2, 2), (5000, 4, 64, 4), (3, 10, 64, 3), (8, 10, None, None), (5000, 1, 64, None)])
 def test_run_tasks_pool_capped_by_tasks_and_cpus(monkeypatch, workers, tasks, cpus, pool):
     monkeypatch.setattr(SerialPool, "started", [])
     monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)  # None: unknown, so serial
-    out = engine.run_tasks(lambda i: np.array([i, i * i]), [(i,) for i in range(tasks)], workers)
-    assert [list(row) for row in out] == [[i, i * i] for i in range(tasks)]
+    out = engine.run_tasks(stand_in_flags, [(i,) for i in range(tasks)], workers)
+    assert [list(row) for row in out] == [STAND_IN_COUNTS[i % 5] for i in range(tasks)]
     assert SerialPool.started == ([] if pool is None else [pool])
 
 

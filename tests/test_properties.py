@@ -57,10 +57,9 @@ def test_sweep_kernel_never_detects_below_npt_threshold(case, data, shared, seed
     d, r, alpha, mode = case
     frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(alpha), max_size=len(alpha)))
     vis = np.array(frac) * (1 - 1e-9) * conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
-    counts = engine._schmidt_detections(np.random.default_rng(seed), alpha, vis,
-                                        np.ones(len(alpha), dtype=bool), d, r,
-                                        tuple(LutKind), mode, shared)
-    assert counts == [0] * (len(LutKind) + 1)
+    hit = engine._schmidt_hits(np.random.default_rng(seed), alpha, vis, d, r,
+                               tuple(LutKind), (mode,), shared)
+    assert hit.shape == (1, len(LutKind) + 1, len(alpha)) and not hit.any()
 
 
 @st.composite

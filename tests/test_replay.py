@@ -1,0 +1,123 @@
+"""Sample-exact replay of the sweep kernels against the scalar protocol.
+
+Each test redraws a chunk's randomness in the documented order with the
+engine's own draw helpers (substream, _local_unitaries, _selections), builds
+every sample's density matrix, applies its local unitaries through apply_lut
+(pinned as random_both), runs detection.evaluate_selection on each level pair
+and takes the ground truth from conditioning_threshold or is_npt.  The
+engine's flags must equal these sample by sample.  A flag decided within NEAR
+of its threshold could differ by rounding alone; such samples are counted and
+the count must be 0, so the seeds below exercise no tolerance.
+
+Two kinds of change cannot fail these tests.  Swapping a0/a1 (or b0/b1, or
+transposing a 2x2 block) leaves |det M| and the witness unchanged.  A change
+inside _selections, or inside block_indices where both sides use it, is
+invisible, since the reference uses those helpers too.
+"""
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelection, LutKind,
+                          LutStrategy, apply_lut, conditioning_threshold, engine,
+                          evaluate_selection, is_npt, make_icps, partial_transpose)
+from quditwitness.constants import NPT_TOL, WITNESS_TOL
+from quditwitness.linalg import ginibre
+from quditwitness.rng import substream
+from quditwitness.transforms import _local_unitaries
+
+N = 60
+NEAR = 1e-9
+MODES = ("single", "parallel")
+KINDS = tuple(LutKind)
+
+
+def _pinned(w, i: int, d: int) -> np.ndarray:
+    """Sample i's unitary from _local_unitaries' output (None, (d, d) or (n, d, d))."""
+    if w is None:
+        return np.eye(d, dtype=complex)
+    return w[i] if w.ndim == 3 else w
+
+
+def _witness(rho: DensityMatrix, sel_rows: np.ndarray) -> tuple[bool, int]:
+    """Scalar detection over a sample's level pairs, and how many scores lie within NEAR."""
+    outcomes = [evaluate_selection(rho, LevelSelection(*map(int, s))) for s in sel_rows]
+    near = sum(abs(o.score - WITNESS_TOL) < NEAR for o in outcomes)
+    return any(o.detected for o in outcomes), near
+
+
+def reference_hits(rng, states, d: int, mode: str, shared: bool) -> tuple[np.ndarray, int]:
+    """Flags (strategies + 1, n) of the scalar protocol on the draws that follow in rng."""
+    n = len(states)
+    shared_sel = engine._selections(rng, d, n, mode) if shared else None
+    hit = np.zeros((len(KINDS) + 1, n), dtype=bool)
+    near = 0
+    for k, kind in enumerate(KINDS):
+        u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
+        sel = shared_sel if shared else engine._selections(rng, d, n, mode)
+        for i, rho in enumerate(states):
+            pinned = LutStrategy.random_both(_pinned(u, i, d), _pinned(v, i, d))
+            hit[k, i], close = _witness(apply_lut(rho, pinned), sel[i])
+            near += close
+    hit[-1] = hit[:-1].any(axis=0)
+    return hit, near
+
+
+def _icps_draws(seed: int, r: int):
+    """A chunk's generator right after its (alpha, v) draw, and that draw."""
+    rng = substream(seed, engine._TAG_ICPS, 0)
+    alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), N)
+    return rng, alpha, rng.uniform(0.0, 1.0, N)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+@pytest.mark.parametrize("d, r", [(d, r) for d in range(2, 6) for r in range(2, d + 1)])
+def test_icps_flags_replay_the_scalar_protocol(d, r, shared):
+    seed = 1000 * d + 10 * r + shared
+    flags = {gt: engine._icps_flags(seed, 0, N, d, r, KINDS, MODES, shared, gt)
+             for gt in IcpsGroundTruth}
+    hit = flags[IcpsGroundTruth.NPT][1]
+    assert_array_equal(flags[IcpsGroundTruth.RANK2][1], hit)
+    for j, mode in enumerate(MODES):
+        # every mode draws as if it ran alone, right after the (alpha, v) draw
+        rng, alpha, vis = _icps_draws(seed, r)
+        states = [make_icps(IcpsParams(d, r, float(a), float(v))) for a, v in zip(alpha, vis)]
+        expected, near = reference_hits(rng, states, d, mode, shared)
+        assert near == 0
+        assert_array_equal(hit[j], expected)
+    for gt in IcpsGroundTruth:
+        threshold = np.array([conditioning_threshold(d, r, float(a), gt) for a in alpha])
+        assert np.sum(np.abs(vis - threshold) < NEAR) == 0
+        assert_array_equal(flags[gt][0], vis > threshold)
+
+
+@pytest.mark.parametrize("mode, shared", [("single", False), ("parallel", True)])
+def test_grid_flags_replay_the_scalar_protocol(mode, shared):
+    d, r, alpha, v, seed, cell, chunk = 5, 4, 0.4, 0.6, 77, 3, 1
+    ent, hit = engine._grid_flags(seed, cell, chunk, N, d, r, alpha, v, KINDS, mode, shared)
+    rng = substream(seed, engine._TAG_GRID, cell, chunk)
+    expected, near = reference_hits(rng, [make_icps(IcpsParams(d, r, alpha, v))] * N, d,
+                                    mode, shared)
+    assert ent is True and near == 0
+    assert_array_equal(hit[0], expected)
+    assert 0 < expected.sum() < expected.size  # the cell is neither always nor never detected
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_quasi_flags_replay_the_scalar_protocol(d):
+    seed, noises = 500 + d, (0.7, 0.2, 0.5)  # not sorted, so a reordering shows
+    ent, hit = engine._quasi_flags(seed, 0, N, d, noises, MODES)
+    assert ent.shape == (len(noises), 1, N) and hit.shape == (len(noises), len(MODES), N)
+    for j, mode in enumerate(MODES):
+        rng = substream(seed, engine._TAG_QUASI, 0)
+        z = ginibre(d, rng, size=N)
+        z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
+        sel = engine._selections(rng, d, N, mode)
+        for n_idx, noise in enumerate(noises):
+            for i in range(N):
+                rho = DensityMatrix.from_pure(z[i].reshape(d * d), d, d, visibility=1.0 - noise)
+                detected, near = _witness(rho, sel[i])
+                assert near == 0 and hit[n_idx, j, i] == detected
+                if j == 0:
+                    eig = np.linalg.eigvalsh(partial_transpose(rho.mat, d, d)).min()
+                    assert abs(eig + NPT_TOL) >= NEAR and ent[n_idx, 0, i] == is_npt(rho)
