@@ -3,20 +3,23 @@
 Work is split into chunks sized from n and d alone (chunk_sizes); chunk c of
 a task draws every random number it needs, in a fixed order, from
 substream(seed, tag, ..., c).  A flags function (_icps_flags, _grid_flags,
-_quasi_flags) returns a chunk's per-sample flags (ent, hit), one hit row per
-output entry.  _counts reduces them inside the worker to one integer count
-vector [n, entangled per entry..., detected per entry...], so results are
-bit-identical for any worker count.  Each mode replays the generator from the
-state right after the chunk's state draw, so its flags equal a run alone.
+_quasi_flags) draws a chunk's states once and returns its per-sample flags
+(ent, hit), one hit row per output entry.  _counts reduces them inside the
+worker to one integer count vector [n, entangled per entry..., detected per
+entry...], so results are bit-identical for any worker count.
 
-The Schmidt-form kernel (_schmidt_hits, for icps and grid) splits
-M = U diag(s) V^T, (U, V) from transforms._local_unitaries, into two terms
-(_schmidt_amps).  Every sampled state is pure plus white noise, so no score
-is computed: a sample is detected when witness.pure_noise_detected accepts
-its largest |det M| over level pairs (_max_det).  icps samples are entangled
-by oracles.conditioning_threshold alone, Haar (quasi) samples by _npt_masks:
-Cauchy-Binet bounds on lam0 lam1 from the Gram matrix settle most rows, and
-only the rows they leave open get an SVD.
+One kernel, _hits, decides detection for all three.  Each mode replays the
+generator from the state right after the chunk's state draw, so its flags
+equal a run alone; each strategy draws its unitaries (U, V) from
+transforms._local_unitaries and its level selections.  Every sampled state
+is pure plus white noise, so no score is computed: a sample is detected when
+witness.pure_noise_detected accepts its largest |det M| over level pairs.
+_hits takes M from one of two amplitude sources: _schmidt_amps (icps and
+grid) splits M = U diag(s) V^T into two terms, and random-sweep gathers its
+Haar states' entries under the identity strategy, which draws nothing.  icps
+samples are entangled by oracles.conditioning_threshold alone, Haar (quasi)
+samples by _npt_masks: Cauchy-Binet bounds on lam0 lam1 from the Gram matrix
+settle most rows, and only the rows they leave open get an SVD.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .constants import NPT_TOL
-from .linalg import ginibre
+from .linalg import haar_state
 from .oracles import IcpsGroundTruth, conditioning_threshold
 from .rng import substream
 from .states import InvalidParamsError, last_schmidt_coefficient
@@ -61,13 +64,12 @@ def _selections(rng: np.random.Generator, d: int, n: int, mode: str) -> np.ndarr
     return np.concatenate([draw(), draw()], axis=2)
 
 
-def _schmidt_amps(sel: np.ndarray, alpha: np.ndarray, d: int, r: int,
-                  u: np.ndarray | None, v: np.ndarray | None):
-    """Yields, per level pair of sel, the (n, 4) selected entries of M = U diag(s) V^T.
+def _schmidt_amps(alpha: np.ndarray, d: int, r: int):
+    """amps(sel, u, v): yields, per level pair of sel, the (n, 4) selected entries of
+    M = U diag(s) V^T, with (u, v) as returned by transforms._local_unitaries.
 
     s = alpha 1_{<r-1} + alpha_r e_{r-1}, so M = alpha K0 + alpha_r K1 with
     K0 = U P_{r-1} V^T and K1 = u_{r-1} v_{r-1}^T (columns r-1 of U and V).
-    u, v as returned by transforms._local_unitaries (None is the identity).
     Shared (d, d) unitaries: one einsum builds the table (K0, K1), gathered at
     block_indices.  Per-sample (n, d, d) stacks (random_both): one einsum over
     the selected rows of U and V per pair.
@@ -75,69 +77,68 @@ def _schmidt_amps(sel: np.ndarray, alpha: np.ndarray, d: int, r: int,
     alpha_r = last_schmidt_coefficient(r, alpha)
     levels = np.arange(d)
     basis = np.array([levels < r - 1, levels == r - 1], dtype=float)
-    if u is None or u.ndim == 2:
-        eye = np.eye(d)
-        k0, k1 = np.einsum("qk,jk,pk->jqp", eye if u is None else u, basis,
-                           eye if v is None else v).reshape(2, d * d)
-        idx = block_indices(sel, d)
+
+    def amps(sel: np.ndarray, u: np.ndarray, v: np.ndarray):
+        if u.ndim == 2:
+            k0, k1 = np.einsum("qk,jk,pk->jqp", u, basis, v).reshape(2, d * d)
+            idx = block_indices(sel, d)
+            for p in range(sel.shape[1]):
+                yield k0[idx[:, p]] * alpha[:, None] + k1[idx[:, p]] * alpha_r[:, None]
+            return
+        s = np.stack([alpha, alpha_r], axis=1) @ basis
         for p in range(sel.shape[1]):
-            yield k0[idx[:, p]] * alpha[:, None] + k1[idx[:, p]] * alpha_r[:, None]
-        return
-    s = np.stack([alpha, alpha_r], axis=1) @ basis
-    for p in range(sel.shape[1]):
-        rows_u = np.take_along_axis(u, sel[:, p, :2, None], axis=1)
-        rows_v = np.take_along_axis(v, sel[:, p, 2:, None], axis=1)
-        yield np.einsum("nqk,nk,npk->nqp", rows_u, s, rows_v).reshape(len(alpha), 4)
+            rows_u = np.take_along_axis(u, sel[:, p, :2, None], axis=1)
+            rows_v = np.take_along_axis(v, sel[:, p, 2:, None], axis=1)
+            yield np.einsum("nqk,nk,npk->nqp", rows_u, s, rows_v).reshape(len(alpha), 4)
+    return amps
 
 
-def _max_det(amps) -> np.ndarray:
-    """Largest |det M| (n,) over level pairs; amps yields each pair's (n, 4) amplitudes
-    one at a time, since one (n, pairs, 4) gather of every pair raised the peak RSS
-    of icps-sweep --d 9 --r 9 --mode both (65536 samples) from 44.0 to 54.3 MB."""
-    return np.max([np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) for m in amps], axis=0)
+def _hits(rng: np.random.Generator, amps, vis: np.ndarray, d: int, n: int,
+          kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
+    """Detection flags (..., modes, strategies + 1, n): per mode, each strategy then their OR.
 
-
-def _schmidt_hits(rng: np.random.Generator, alpha: np.ndarray, vis: np.ndarray, d: int, r: int,
-                  kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
-    """Detection flags (modes, strategies + 1, n): per mode, each strategy then their OR.
-
-    Sample i has Schmidt coefficients (alpha_i, ..., alpha_i, alpha_r, 0, ...)
-    and visibility vis_i.  Each mode replays the generator from its state at
-    the call.  Draw order per mode: shared selections (if shared), then per
-    strategy its local unitaries (Haar U then V for random_both) and its
-    selections (if not shared).
+    amps(sel, u, v) yields each level pair's (n, 4) amplitudes under the
+    local unitaries (u, v); vis broadcasts against (n,), and its leading axes
+    lead the result.  A sample is detected when witness.pure_noise_detected
+    accepts its largest |det M| over level pairs.  Pairs are consumed one at
+    a time, since one (n, pairs, 4) gather of every pair raised the peak RSS
+    of icps-sweep --d 9 --r 9 --mode both (65536 samples) from 44.0 to 54.3 MB.
+    Each mode replays the generator from its state at the call.  Draw order
+    per mode: shared selections (if shared), then per strategy its local
+    unitaries (Haar U then V for random_both) and its selections (if not shared).
     """
-    n = len(alpha)
     start = rng.bit_generator.state
-    hit = np.empty((len(modes), len(kinds) + 1, n), dtype=bool)
+    hit = np.empty((*np.shape(vis)[:-1], len(modes), len(kinds) + 1, n), dtype=bool)
     for j, mode in enumerate(modes):
         rng.bit_generator.state = start
         shared_sel = _selections(rng, d, n, mode) if shared else None
         for k, kind in enumerate(kinds):
             u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
             sel = shared_sel if shared else _selections(rng, d, n, mode)
-            hit[j, k] = pure_noise_detected(_max_det(_schmidt_amps(sel, alpha, d, r, u, v)),
-                                            vis, d * d)
-        hit[j, -1] = hit[j, :-1].any(axis=0)
+            det = np.max([np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2])
+                          for m in amps(sel, u, v)], axis=0)
+            hit[..., j, k, :] = pure_noise_detected(det, vis, d * d)
+        hit[..., j, -1, :] = hit[..., j, :-1, :].any(axis=-2)
     return hit
 
 
 def _icps_flags(seed: int, chunk_idx: int, n: int, d: int, r: int, kinds: tuple[LutKind, ...],
                 modes: tuple[str, ...], shared: bool, ground_truth: IcpsGroundTruth):
-    """(ent (n,), _schmidt_hits) for alpha ~ U[0, 1/sqrt(r-1)] and v ~ U[0, 1]; a
+    """(ent (n,), _hits) for alpha ~ U[0, 1/sqrt(r-1)] and v ~ U[0, 1]; a
     sample is entangled when v exceeds oracles.conditioning_threshold."""
     rng = substream(seed, _TAG_ICPS, chunk_idx)
     alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), n)
     vis = rng.uniform(0.0, 1.0, n)
     return (vis > conditioning_threshold(d, r, alpha, ground_truth),
-            _schmidt_hits(rng, alpha, vis, d, r, kinds, modes, shared))
+            _hits(rng, _schmidt_amps(alpha, d, r), vis, d, n, kinds, modes, shared))
 
 
 def _grid_flags(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int,
                 alpha: float, vis: float, kinds: tuple[LutKind, ...], mode: str, shared: bool):
-    """(True, _schmidt_hits) for n trials on one fixed state: every trial counts."""
+    """(True, _hits) for n trials on one fixed state: every trial counts."""
     rng = substream(seed, _TAG_GRID, cell_idx, chunk_idx)
-    return True, _schmidt_hits(rng, np.full(n, alpha), np.full(n, vis), d, r, kinds, (mode,), shared)
+    amps = _schmidt_amps(np.full(n, alpha), d, r)
+    return True, _hits(rng, amps, np.full(n, vis), d, n, kinds, (mode,), shared)
 
 
 def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
@@ -180,22 +181,18 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     """(ent (noises, 1, n), hit (noises, modes, n)) for n Haar states with white noise.
 
     One Haar draw and one ground-truth pass (_npt_masks) serve every noise
-    level and mode.  Each mode replays the generator from the state right
-    after the Haar draw, and its largest |det M| (_max_det) meets every noise
-    level's floor in one broadcast.
+    level and mode.  _hits runs the identity strategy alone, which draws
+    nothing, on the states' selected entries, and keeps its identity row.
     """
     rng = substream(seed, _TAG_QUASI, chunk_idx)
-    z = ginibre(d, rng, size=n)
-    z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
-    start = rng.bit_generator.state
+    z = haar_state(d * d, rng, size=n)
     vis = 1.0 - np.array(noises)
-    flat = z.reshape(n, d * d)
-    det = np.empty((len(modes), n))
-    for j, mode in enumerate(modes):
-        rng.bit_generator.state = start
-        idx = block_indices(_selections(rng, d, n, mode), d)
-        det[j] = _max_det(np.take_along_axis(flat, idx[:, p], axis=1) for p in range(idx.shape[1]))
-    return _npt_masks(z, d, vis)[:, None], pure_noise_detected(det, vis[:, None, None], d * d)
+
+    def amps(sel: np.ndarray, u: np.ndarray, v: np.ndarray):
+        idx = block_indices(sel, d)
+        return (np.take_along_axis(z, idx[:, p], axis=1) for p in range(idx.shape[1]))
+    hit = _hits(rng, amps, vis[:, None], d, n, (LutKind.IDENTITY,), modes, False)
+    return _npt_masks(z.reshape(n, d, d), d, vis)[:, None], hit[..., 0, :]
 
 
 def _counts(flags_fn, *task) -> np.ndarray:

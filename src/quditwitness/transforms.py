@@ -93,15 +93,16 @@ def qudit_hadamard(d: int) -> np.ndarray:
 
 
 def _local_unitaries(d: int, s: LutStrategy, rng: np.random.Generator | None,
-                     size: int | None = None) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(U_A, V_B) of a strategy, None for the identity: the one LutKind-to-unitary map.
+                     size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(U_A, V_B) of a strategy, np.eye(d) for an identity side: the one
+    LutKind-to-unitary map.
 
     random_both draws what is not pinned, U before V; size gives (size, d, d) stacks.
     """
     if s.kind is LutKind.IDENTITY:
-        return None, None
+        return np.eye(d), np.eye(d)
     if s.kind is LutKind.HADAMARD_B:
-        return None, qudit_hadamard(d)
+        return np.eye(d), qudit_hadamard(d)
     if s.kind is LutKind.HADAMARD_BOTH:
         h = qudit_hadamard(d)
         return h, h
@@ -118,12 +119,10 @@ def apply_lut(rho: DensityMatrix, s: LutStrategy, rng: np.random.Generator | Non
     """Conjugate by U_A (x) V_B.  Trace and the pure-plus-noise cache are preserved."""
     if rho.dim_a != rho.dim_b:
         raise ValueError("local unitary strategies assume equal local dimensions")
+    if s.kind is LutKind.IDENTITY:
+        return rho
     d = rho.dim_a
     u, v = _local_unitaries(d, s, rng)
-    if u is None and v is None:
-        return rho
-    u = np.eye(d, dtype=complex) if u is None else u
-    v = np.eye(d, dtype=complex) if v is None else v
     if rho.pure is not None and rho.visibility is not None:
         # (U (x) V) psi, via the d x d amplitude matrix
         psi = (u @ rho.pure.reshape(d, d) @ v.T).reshape(d * d)

@@ -8,7 +8,7 @@ import numpy as np
 
 from quditwitness import (DetectionConfig, IcpsGroundTruth, IcpsParams, LevelSelection,
                           LutStrategy, Mode, Scenario, analytic_fef_score, analytic_sensitivity,
-                          brute_force_counts, conditioning_threshold, fef_from_collective,
+                          brute_force_counts, conditioning_threshold, engine, fef_from_collective,
                           fef_witness, haar_unitary, make_icps, pi_matrix,
                           random_product_mixture, reduce_to_two_qubits, substream, sweep_icps,
                           sweep_quasi_pure, visibility_thresholds)
@@ -254,20 +254,24 @@ def test_criterion_7_collective_equivalence(rng):
 def test_criterion_8_determinism_across_workers(tmp_path):
     print()
     ok = True
+    # (args, name, tasks): run_tasks caps the pool at the task count, so a
+    # one-task job runs serially at every --workers and would check nothing
     jobs = [
         (["icps-sweep", "--d", "4", "--r", "3", "--mode", "both",
-          "--samples", "3000", "--seed", "99"], "icps-sweep"),
+          "--samples", "17000", "--seed", "99"], "icps-sweep", len(engine.chunk_sizes(17000, 4))),
         (["random-sweep", "--d", "3", "--noise", "0.4", "--mode", "both",
-          "--samples", "3000", "--seed", "99"], "random-sweep"),
+          "--samples", "17000", "--seed", "99"], "random-sweep", len(engine.chunk_sizes(17000, 3))),
         (["grid", "--d", "3", "--r", "2", "--alpha-steps", "2", "--v-steps", "3",
-          "--trials", "500", "--strategy", "all", "--seed", "99"], "grid"),
+          "--trials", "500", "--strategy", "all", "--seed", "99"], "grid",
+         2 * 3 * len(engine.chunk_sizes(500, 3))),
     ]
-    for args, name in jobs:
+    for args, name, tasks in jobs:
+        assert tasks >= 2, f"{name} runs as one task"
         blobs = []
         for i, workers in enumerate((1, 2, 1)):
             out = tmp_path / f"{name}-{i}.csv"
             assert main(args + ["--workers", str(workers), "--out", str(out)]) == 0
             blobs.append(out.read_bytes())
         ok &= check(f"criterion 8: byte-identical {name} output for worker counts 1/2",
-                    blobs[0] == blobs[1] == blobs[2], f"{len(blobs[0])} bytes")
+                    blobs[0] == blobs[1] == blobs[2], f"{len(blobs[0])} bytes, {tasks} tasks")
     assert ok

@@ -215,20 +215,20 @@ def schmidt_amplitude_matrices(alpha, r, d, u, v):
     s = np.zeros((n, d))
     s[:, : r - 1] = alpha[:, None]
     s[:, r - 1] = np.sqrt(np.maximum(1 - (r - 1) * alpha ** 2, 0))
-    uu, vv = (np.broadcast_to(np.eye(d) if w is None else w, (n, d, d)) for w in (u, v))
+    uu, vv = (np.broadcast_to(w, (n, d, d)) for w in (u, v))
     return uu @ (s[:, :, None] * np.swapaxes(vv, 1, 2))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_schmidt_amps_match_local_unitary_product(d, rng):
     # the table gather and the row einsum equal entries of U diag(s) V^T for
-    # the unitaries that transforms._local_unitaries hands out (None is the
-    # identity), at every rank and for alpha up to and at 1/sqrt(r-1)
+    # the unitaries that transforms._local_unitaries hands out, at every rank
+    # and for alpha up to and at 1/sqrt(r-1)
     n = 40
     pairs = [_local_unitaries(d, LutStrategy(kind), rng, size=n) for kind in LutKind]
     pairs.append(_local_unitaries(d, LutStrategy.random_both(haar_unitary(d, rng),
                                                              haar_unitary(d, rng)), rng))
-    pairs.append((None, haar_unitary(d, rng)))  # the table with a non-symmetric V
+    pairs.append((np.eye(d), haar_unitary(d, rng)))  # the table with a non-symmetric V
     for r in range(2, d + 1):
         alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
         alpha[0] = 1 / np.sqrt(r - 1)
@@ -236,7 +236,7 @@ def test_schmidt_amps_match_local_unitary_product(d, rng):
             m = schmidt_amplitude_matrices(alpha, r, d, u, v)
             for mode in ("single", "parallel"):
                 sel = engine._selections(rng, d, n, mode)
-                amps = list(engine._schmidt_amps(sel, alpha, d, r, u, v))
+                amps = list(engine._schmidt_amps(alpha, d, r)(sel, u, v))
                 assert len(amps) == (1 if mode == "single" else d // 2)
                 for p, got in enumerate(amps):
                     a, b = sel[:, p, :2], sel[:, p, 2:]

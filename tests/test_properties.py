@@ -37,10 +37,9 @@ def test_table_amplitudes_equal_local_unitary_product(case, kind, seed):
     s = np.zeros((n, d))
     s[:, : r - 1] = alpha[:, None]
     s[:, r - 1] = np.sqrt(np.maximum(1 - (r - 1) * alpha ** 2, 0))
-    uu, vv = (np.eye(d) if w is None else w for w in (u, v))
-    m = np.einsum("qk,nk,pk->nqp", uu, s, vv)  # U diag(s) V^T per sample
+    m = np.einsum("qk,nk,pk->nqp", u, s, v)  # U diag(s) V^T per sample
     sel = engine._selections(np.random.default_rng(seed), d, n, mode)
-    amps = list(engine._schmidt_amps(sel, alpha, d, r, u, v))
+    amps = list(engine._schmidt_amps(alpha, d, r)(sel, u, v))
     assert len(amps) == (1 if mode == "single" else d // 2)
     for p, got in enumerate(amps):
         a, b = sel[:, p, :2], sel[:, p, 2:]
@@ -57,8 +56,8 @@ def test_sweep_kernel_never_detects_below_npt_threshold(case, data, shared, seed
     d, r, alpha, mode = case
     frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(alpha), max_size=len(alpha)))
     vis = np.array(frac) * (1 - 1e-9) * conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
-    hit = engine._schmidt_hits(np.random.default_rng(seed), alpha, vis, d, r,
-                               tuple(LutKind), (mode,), shared)
+    hit = engine._hits(np.random.default_rng(seed), engine._schmidt_amps(alpha, d, r), vis, d,
+                       len(alpha), tuple(LutKind), (mode,), shared)
     assert hit.shape == (1, len(LutKind) + 1, len(alpha)) and not hit.any()
 
 

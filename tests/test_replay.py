@@ -32,10 +32,8 @@ MODES = ("single", "parallel")
 KINDS = tuple(LutKind)
 
 
-def _pinned(w, i: int, d: int) -> np.ndarray:
-    """Sample i's unitary from _local_unitaries' output (None, (d, d) or (n, d, d))."""
-    if w is None:
-        return np.eye(d, dtype=complex)
+def _pinned(w, i: int) -> np.ndarray:
+    """Sample i's unitary from _local_unitaries' output ((d, d) or (n, d, d))."""
     return w[i] if w.ndim == 3 else w
 
 
@@ -56,7 +54,7 @@ def reference_hits(rng, states, d: int, mode: str, shared: bool) -> tuple[np.nda
         u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
         sel = shared_sel if shared else engine._selections(rng, d, n, mode)
         for i, rho in enumerate(states):
-            pinned = LutStrategy.random_both(_pinned(u, i, d), _pinned(v, i, d))
+            pinned = LutStrategy.random_both(_pinned(u, i), _pinned(v, i))
             hit[k, i], close = _witness(apply_lut(rho, pinned), sel[i])
             near += close
     hit[-1] = hit[:-1].any(axis=0)

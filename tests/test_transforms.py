@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelection,
+from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelection, LutKind,
                           LutStrategy, ZeroProbabilityError, apply_lut, conditioning_threshold,
                           fef_witness, make_icps, maximally_mixed, qudit_hadamard,
                           random_selection, reduce_to_two_qubits, substream)
 from quditwitness.oracles import all_selections
+from quditwitness.transforms import _local_unitaries
 from conftest import random_density
 
 
@@ -28,6 +29,20 @@ def test_qudit_hadamard_unitary(d):
 def test_apply_lut_identity_is_noop():
     rho = make_icps(IcpsParams(3, 2, 0.5, 0.9))
     assert apply_lut(rho, LutStrategy.identity()) is rho
+
+
+@pytest.mark.parametrize("size", [None, 6])
+@pytest.mark.parametrize("kind", list(LutKind))
+@pytest.mark.parametrize("d", [2, 5])
+def test_local_unitaries_are_always_unitary_matrices(d, kind, size, rng):
+    # shared (d, d) or per-sample (size, d, d), never None; the identity is np.eye(d) on both sides
+    u, v = _local_unitaries(d, LutStrategy(kind), rng, size=size)
+    for w in (u, v):
+        assert isinstance(w, np.ndarray) and w.shape in ((d, d), (size, d, d))
+        assert np.abs(np.swapaxes(w, -1, -2).conj() @ w - np.eye(d)).max() <= 1e-10
+    if kind is LutKind.IDENTITY:
+        assert_array_equal(u, np.eye(d))
+        assert_array_equal(v, np.eye(d))
 
 
 def test_apply_lut_preserves_maximally_mixed():
