@@ -10,14 +10,14 @@ from .states import (DensityMatrix, IcpsParams, InvalidParamsError, InvalidState
                      QuasiPureParams, apply_white_noise, make_icps, make_quasi_pure,
                      maximally_mixed, random_product_mixture)
 from .transforms import (LevelSelection, LutKind, LutStrategy, ZeroProbabilityError,
-                         apply_lut, qudit_hadamard, random_selection, reduce_to_two_qubits)
+                         apply_lut, qudit_hadamard, random_selections, reduce_to_two_qubits)
 from .witness import PauliDecomposition, WitnessOutcome, fef_witness, pauli_decompose
 from .oracles import (AnalyticSensitivity, BruteForceCounts, IcpsGroundTruth, InvalidScenarioError,
                       Scenario, all_selections, analytic_fef_score, analytic_sensitivity,
                       brute_force_counts, classify_selection, conditioning_threshold, is_npt,
                       partial_transpose, visibility_thresholds)
 from .detection import (DEFAULT_STRATEGIES, CombinedSelection, DetectionConfig, Mode,
-                        TrialResult, disjoint_selections, evaluate_selection, run_trial)
+                        TrialResult, evaluate_selection, run_trial)
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridCell, GridSpec, SensitivityEstimate,
                          sweep_icps, sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
 from .collective import (CollectiveData, MinimalBasis, collective_R_minimal,

@@ -4,7 +4,9 @@ A trial applies each configured local-unitary strategy, picks levels at
 random, reduces to two qubits and evaluates the witness.  Parallel mode
 partitions the levels of each subsystem into floor(d/2) disjoint pairs and
 evaluates all of them in one shot; one global unitary per strategy precedes
-the partitioning.
+the partitioning.  The draws are the sweep kernel's, in its order, so a
+one-sample chunk's flags are one run_trial call's on the same substream; the
+witness maths is the independent part.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .states import DensityMatrix
 from .transforms import (LevelSelection, LutKind, LutStrategy, ZeroProbabilityError,
-                         apply_lut, random_selection, reduce_to_two_qubits)
+                         apply_lut, random_selections, reduce_to_two_qubits)
 from .witness import WitnessOutcome, fef_witness, outcome_from_score
 
 
@@ -42,6 +44,8 @@ class DetectionConfig:
     combined_selection: CombinedSelection = CombinedSelection.FRESH
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", Mode(self.mode))
+        object.__setattr__(self, "combined_selection", CombinedSelection(self.combined_selection))
         if not self.strategies:
             raise ValueError("at least one strategy is required")
 
@@ -69,19 +73,6 @@ def evaluate_selection(rho: DensityMatrix, sel: LevelSelection,
     return fef_witness(rho2, selection=sel, strategy=kind)
 
 
-def disjoint_selections(d: int, rng: np.random.Generator) -> list[LevelSelection]:
-    """floor(d/2) disjoint selections from one random permutation per side.
-
-    The i-th pair of A's permutation is coupled with the i-th pair of B's;
-    for odd d the leftover level is dropped for this trial.
-    """
-    perm_a = rng.permutation(d)
-    perm_b = rng.permutation(d)
-    return [LevelSelection(int(perm_a[2 * k]), int(perm_a[2 * k + 1]),
-                           int(perm_b[2 * k]), int(perm_b[2 * k + 1]))
-            for k in range(d // 2)]
-
-
 def run_trial(rho: DensityMatrix, cfg: DetectionConfig, rng: np.random.Generator) -> TrialResult:
     """One protocol round: per strategy, one local unitary and a witness call per selection.
 
@@ -89,9 +80,8 @@ def run_trial(rho: DensityMatrix, cfg: DetectionConfig, rng: np.random.Generator
     pairs.  Draw order: the shared selections (if shared), then per strategy
     its local unitary and its own selections (if fresh).
     """
-    d = rho.dim_a
     def draw() -> list[LevelSelection]:
-        return [random_selection(d, rng)] if cfg.mode is Mode.SINGLE else disjoint_selections(d, rng)
+        return [LevelSelection(*row) for row in random_selections(rng, rho.dim_a, 1, cfg.mode)[0].tolist()]
     shared = draw() if cfg.combined_selection is CombinedSelection.SHARED else None
     outcomes = []
     for strat in cfg.strategies:

@@ -11,7 +11,9 @@ entry...], so results are bit-identical for any worker count.
 One kernel, _hits, decides detection for all three.  Each mode replays the
 generator from the state right after the chunk's state draw, so its flags
 equal a run alone; each strategy draws its unitaries (U, V) from
-transforms._local_unitaries and its level selections.  Every sampled state
+transforms._local_unitaries and its level selections from
+transforms.random_selections, the draws detection.run_trial makes in the same
+order, so a one-sample chunk gives run_trial's flags.  Every sampled state
 is pure plus white noise, so no score is computed: a sample is detected when
 witness.pure_noise_detected accepts its largest |det M| over level pairs.
 _hits takes M from one of two amplitude sources: _schmidt_amps (icps and
@@ -35,7 +37,7 @@ from .linalg import haar_state
 from .oracles import IcpsGroundTruth, conditioning_threshold
 from .rng import substream
 from .states import InvalidParamsError, last_schmidt_coefficient
-from .transforms import LutKind, LutStrategy, _local_unitaries, block_indices
+from .transforms import LutKind, LutStrategy, _local_unitaries, block_indices, random_selections
 from .witness import pure_noise_detected
 
 CHUNK = 16384
@@ -45,23 +47,6 @@ _GT_ROWS = 2048  # rows per slice of the NPT ground truth's Gram matrices and SV
 _TAG_ICPS = 0
 _TAG_QUASI = 1
 _TAG_GRID = 2
-
-
-def _selections(rng: np.random.Generator, d: int, n: int, mode: str) -> np.ndarray:
-    """Uniform level selections, shape (n, pairs, 4) with rows (a0, a1, b0, b1).
-
-    Single mode: one ordered distinct pair per side.  Parallel mode: one
-    permutation per side whose columns 2k, 2k+1 form pair k, i.e. d // 2
-    disjoint pairs.  Side A is drawn before side B.
-    """
-    def draw() -> np.ndarray:
-        if mode == "parallel":
-            perm = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
-            return perm[:, : d // 2 * 2].reshape(n, -1, 2)
-        i = rng.integers(0, d, size=n)
-        j = rng.integers(0, d - 1, size=n)
-        return np.stack([i, j + (j >= i)], axis=1)[:, None, :]
-    return np.concatenate([draw(), draw()], axis=2)
 
 
 def _schmidt_amps(alpha: np.ndarray, d: int, r: int):
@@ -111,10 +96,10 @@ def _hits(rng: np.random.Generator, amps, vis: np.ndarray, d: int, n: int,
     hit = np.empty((*np.shape(vis)[:-1], len(modes), len(kinds) + 1, n), dtype=bool)
     for j, mode in enumerate(modes):
         rng.bit_generator.state = start
-        shared_sel = _selections(rng, d, n, mode) if shared else None
+        shared_sel = random_selections(rng, d, n, mode) if shared else None
         for k, kind in enumerate(kinds):
             u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
-            sel = shared_sel if shared else _selections(rng, d, n, mode)
+            sel = shared_sel if shared else random_selections(rng, d, n, mode)
             det = np.max([np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2])
                           for m in amps(sel, u, v)], axis=0)
             hit[..., j, k, :] = pure_noise_detected(det, vis, d * d)

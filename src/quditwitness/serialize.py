@@ -38,11 +38,13 @@ def density_to_json(rho: DensityMatrix) -> str:
 def density_from_json(text: str) -> DensityMatrix:
     try:
         obj = json.loads(text)
-        dim_a, dim_b = int(obj["dimA"]), int(obj["dimB"])
+        dim_a, dim_b = obj["dimA"], obj["dimB"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed density-matrix JSON: {exc}") from exc
+    if type(dim_a) is not int or type(dim_b) is not int:  # bool is an int subclass
+        raise ParseError(f"dimA and dimB must be JSON integers, got {dim_a!r} and {dim_b!r}")
     d = _dim(dim_a, dim_b)
     if re.shape != (d * d,) or im.shape != (d * d,):
         raise ParseError(f"expected {d * d} re/im entries for dims {dim_a}x{dim_b}, "
@@ -87,7 +89,11 @@ def save_density(rho: DensityMatrix, path: str | Path) -> None:
 def load_density(path: str | Path) -> DensityMatrix:
     path = Path(path)
     parse = density_from_csv if path.suffix.lower() == ".csv" else density_from_json
-    return parse(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"state file is not UTF-8 text: {exc}") from exc
+    return parse(text)
 
 
 __all__ = ["ParseError", "InvalidStateError", "density_to_json", "density_from_json",

@@ -4,6 +4,9 @@ A level selection keeps two levels per subsystem; only the first two images of
 the underlying permutations matter, so selections are stored as the ordered
 pairs (a0, a1) and (b0, b1).  That collapses the (d!)^2 permutation space to
 the d^2 (d-1)^2 selection classes that actually drive the statistics.
+
+The protocol's two draws, _local_unitaries and random_selections, live here
+once for the sweep kernel and the scalar trial API alike.
 """
 from __future__ import annotations
 
@@ -131,15 +134,25 @@ def apply_lut(rho: DensityMatrix, s: LutStrategy, rng: np.random.Generator | Non
     return DensityMatrix(d, d, w @ rho.mat @ w.conj().T)
 
 
-def random_selection(d: int, rng: np.random.Generator) -> LevelSelection:
-    """Uniform over ordered distinct level pairs, independently per subsystem."""
+def random_selections(rng: np.random.Generator, d: int, n: int, mode: str) -> np.ndarray:
+    """Uniform level selections, shape (n, pairs, 4) with rows (a0, a1, b0, b1):
+    the one selection draw of the sweeps and of detection.run_trial.
+
+    Single mode: one ordered distinct pair per side.  Parallel mode: one
+    permutation per side whose columns 2k, 2k+1 form pair k, i.e. d // 2
+    disjoint pairs.  Side A is drawn before side B.
+    """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    a0, b0 = rng.integers(0, d, size=2)
-    a1, b1 = rng.integers(0, d - 1, size=2)
-    a1 += a1 >= a0
-    b1 += b1 >= b0
-    return LevelSelection(int(a0), int(a1), int(b0), int(b1))
+
+    def draw() -> np.ndarray:
+        if mode == "parallel":
+            perm = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+            return perm[:, : d // 2 * 2].reshape(n, -1, 2)
+        i = rng.integers(0, d, size=n)
+        j = rng.integers(0, d - 1, size=n)
+        return np.stack([i, j + (j >= i)], axis=1)[:, None, :]
+    return np.concatenate([draw(), draw()], axis=2)
 
 
 def reduce_to_two_qubits(rho: DensityMatrix, sel: LevelSelection) -> tuple[DensityMatrix, float]:

@@ -57,24 +57,34 @@ def csv_state(dims: str, mat) -> str:
 MIXED = np.eye(4) / 4
 NAN_DIAG = [["nan", 0, 0, 0], *MIXED[1:].tolist()]
 INF_PAIR = [[0.25, "inf", 0, 0], ["inf", 0.25, 0, 0], *MIXED[2:].tolist()]
-BAD_STATES = {  # file name -> (text, expected message)
-    "zero.json": (json.dumps({"dimA": 0, "dimB": 2, "re": [], "im": []}), "must be positive"),
-    "negative.json": (json.dumps({"dimA": -2, "dimB": -2, "re": MIXED.ravel().tolist(),
-                                  "im": [0.0] * 16}), "must be positive"),
-    "zero.csv": (csv_state("dimA=0 dimB=0", []), "must be positive"),
-    "negative.csv": (csv_state("dimA=-1 dimB=-1", [[1.0]]), "must be positive"),
+def json_state(dim_a, dim_b) -> str:
+    return json.dumps({"dimA": dim_a, "dimB": dim_b, "re": MIXED.ravel().tolist(),
+                       "im": [0.0] * 16})
+
+
+NOT_UTF8 = b"\xff\xfe\x00"  # a UTF-16 byte-order mark, then a NUL
+BAD_STATES = {  # file name -> (bytes, expected message)
+    "zero.json": (json.dumps({"dimA": 0, "dimB": 2, "re": [], "im": []}).encode(),
+                  "must be positive"),
+    "negative.json": (json_state(-2, -2).encode(), "must be positive"),
+    "zero.csv": (csv_state("dimA=0 dimB=0", []).encode(), "must be positive"),
+    "negative.csv": (csv_state("dimA=-1 dimB=-1", [[1.0]]).encode(), "must be positive"),
     "nan.json": (json.dumps({"dimA": 2, "dimB": 2, "re": [float("nan"), *MIXED.ravel()[1:]],
-                             "im": [0.0] * 16}), "non-finite"),  # json writes a bare NaN
-    "nan.csv": (csv_state("dimA=2 dimB=2", NAN_DIAG), "non-finite"),
-    "inf.csv": (csv_state("dimA=2 dimB=2", INF_PAIR), "non-finite"),
+                             "im": [0.0] * 16}).encode(), "non-finite"),  # json writes a bare NaN
+    "nan.csv": (csv_state("dimA=2 dimB=2", NAN_DIAG).encode(), "non-finite"),
+    "inf.csv": (csv_state("dimA=2 dimB=2", INF_PAIR).encode(), "non-finite"),
+    "not-utf8.json": (NOT_UTF8 + json_state(2, 2).encode(), "not UTF-8"),
+    "not-utf8.csv": (NOT_UTF8 + csv_state("dimA=2 dimB=2", MIXED).encode(), "not UTF-8"),
+    "float-dims.json": (json_state(2.7, 2).encode(), "JSON integers"),
+    "bool-dims.json": (json_state(True, 2).encode(), "JSON integers"),
 }
 
 
 @pytest.mark.parametrize("name", BAD_STATES)
 def test_fef_bad_state_file_exit_3(tmp_path, capsys, name):
-    text, message = BAD_STATES[name]
+    data, message = BAD_STATES[name]
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(data)
     assert main(["fef", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and one_error_line(err) and message in err

@@ -1,10 +1,10 @@
 import numpy as np
+import pytest
 
 from quditwitness import (CombinedSelection, DetectionConfig, IcpsParams, LevelSelection,
                           Mode, evaluate_selection, make_icps, maximally_mixed, run_trial,
                           substream)
-from quditwitness.detection import disjoint_selections
-from quditwitness.transforms import LutStrategy
+from quditwitness.transforms import LutStrategy, random_selections
 
 
 def test_maximally_mixed_never_detected():
@@ -83,12 +83,11 @@ def test_run_trial_outcomes_per_strategy():
 def test_disjoint_selections_partition_levels():
     rng = substream(11, 0)
     for d in (4, 5, 9):
-        sels = disjoint_selections(d, rng)
-        assert len(sels) == d // 2
-        a_levels = [lv for s in sels for lv in (s.a0, s.a1)]
-        b_levels = [lv for s in sels for lv in (s.b0, s.b1)]
-        assert len(set(a_levels)) == len(a_levels)
-        assert len(set(b_levels)) == len(b_levels)
+        sel = random_selections(rng, d, 200, "parallel")
+        assert sel.shape == (200, d // 2, 4)
+        for levels in (sel[..., :2], sel[..., 2:]):  # side A, side B: every row's pairs are disjoint
+            levels = np.sort(levels.reshape(200, -1), axis=1)
+            assert (np.diff(levels, axis=1) > 0).all()
 
 
 def test_parallel_dominates_single():
@@ -121,3 +120,17 @@ def test_trials_deterministic_under_seed():
     r1 = [run_trial(rho, cfg, substream(23, i)).detected for i in range(50)]
     r2 = [run_trial(rho, cfg, substream(23, i)).detected for i in range(50)]
     assert r1 == r2
+
+
+def test_config_string_values_act_as_the_enums():
+    rho = make_icps(IcpsParams(5, 3, 0.4, 0.8))
+    for mode in Mode:
+        for combined in CombinedSelection:
+            by_enum = DetectionConfig(mode=mode, combined_selection=combined)
+            by_value = DetectionConfig(mode=mode.value, combined_selection=combined.value)
+            assert by_value.mode is mode and by_value.combined_selection is combined
+            assert run_trial(rho, by_value, substream(29, 0)) == run_trial(rho, by_enum, substream(29, 0))
+    with pytest.raises(ValueError):
+        DetectionConfig(mode="bogus")
+    with pytest.raises(ValueError):
+        DetectionConfig(combined_selection="bogus")

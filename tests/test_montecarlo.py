@@ -8,7 +8,7 @@ from quditwitness import (COMBINED_KEY, CombinedSelection, GridSpec, IcpsGroundT
                           make_icps, sweep_icps, sweep_icps_grid, sweep_quasi_pure,
                           wilson_halfwidth)
 from quditwitness import engine, haar_unitary
-from quditwitness.transforms import _local_unitaries
+from quditwitness.transforms import _local_unitaries, random_selections
 from conftest import SerialPool
 
 
@@ -235,7 +235,7 @@ def test_schmidt_amps_match_local_unitary_product(d, rng):
         for u, v in pairs:
             m = schmidt_amplitude_matrices(alpha, r, d, u, v)
             for mode in ("single", "parallel"):
-                sel = engine._selections(rng, d, n, mode)
+                sel = random_selections(rng, d, n, mode)
                 amps = list(engine._schmidt_amps(alpha, d, r)(sel, u, v))
                 assert len(amps) == (1 if mode == "single" else d // 2)
                 for p, got in enumerate(amps):

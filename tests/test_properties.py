@@ -12,7 +12,7 @@ from quditwitness import (NPT_TOL, WITNESS_TOL, ZERO_PROB_TOL, LutKind, LutStrat
                           engine)
 from quditwitness.linalg import ginibre, haar_state
 from quditwitness.oracles import IcpsGroundTruth, conditioning_threshold
-from quditwitness.transforms import _local_unitaries
+from quditwitness.transforms import _local_unitaries, random_selections
 from quditwitness.witness import (bounded_detections, pure_noise_detected,
                                   scores_from_submatrices)
 
@@ -38,7 +38,7 @@ def test_table_amplitudes_equal_local_unitary_product(case, kind, seed):
     s[:, : r - 1] = alpha[:, None]
     s[:, r - 1] = np.sqrt(np.maximum(1 - (r - 1) * alpha ** 2, 0))
     m = np.einsum("qk,nk,pk->nqp", u, s, v)  # U diag(s) V^T per sample
-    sel = engine._selections(np.random.default_rng(seed), d, n, mode)
+    sel = random_selections(np.random.default_rng(seed), d, n, mode)
     amps = list(engine._schmidt_amps(alpha, d, r)(sel, u, v))
     assert len(amps) == (1 if mode == "single" else d // 2)
     for p, got in enumerate(amps):

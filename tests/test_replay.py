@@ -1,28 +1,33 @@
 """Sample-exact replay of the sweep kernels against the scalar protocol.
 
-Each test redraws a chunk's randomness in the documented order with the
-engine's own draw helpers (substream, _local_unitaries, _selections), builds
-every sample's density matrix, applies its local unitaries through apply_lut
-(pinned as random_both), runs detection.evaluate_selection on each level pair
-and takes the ground truth from conditioning_threshold or is_npt.  The
-engine's flags must equal these sample by sample.  A flag decided within NEAR
-of its threshold could differ by rounding alone; such samples are counted and
-the count must be 0, so the seeds below exercise no tolerance.
+Each replay test redraws a chunk's randomness in the documented order with
+the engine's own draw helpers (substream, _local_unitaries,
+random_selections), builds every sample's density matrix, applies its local
+unitaries through apply_lut (pinned as random_both), runs
+detection.evaluate_selection on each level pair and takes the ground truth
+from conditioning_threshold or is_npt.  The engine's flags must equal these
+sample by sample.  test_one_sample_chunks_are_run_trial_calls goes one step
+further: run_trial makes the kernel's draws in the kernel's order, so a
+chunk of one sample must give the flags of one run_trial call on the same
+substream.  A flag decided within NEAR of its threshold could differ by
+rounding alone; such samples are counted and the count must be 0, so the
+seeds below exercise no tolerance.
 
 Two kinds of change cannot fail these tests.  Swapping a0/a1 (or b0/b1, or
 transposing a 2x2 block) leaves |det M| and the witness unchanged.  A change
-inside _selections, or inside block_indices where both sides use it, is
-invisible, since the reference uses those helpers too.
+inside random_selections or _local_unitaries, or inside block_indices where
+both sides use it, is invisible, since the reference uses those helpers too.
 """
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelection, LutKind,
-                          LutStrategy, apply_lut, conditioning_threshold, engine,
-                          evaluate_selection, is_npt, make_icps, partial_transpose)
+from quditwitness import (CombinedSelection, DensityMatrix, DetectionConfig, IcpsGroundTruth,
+                          IcpsParams, LevelSelection, LutKind, LutStrategy, apply_lut,
+                          conditioning_threshold, engine, evaluate_selection, is_npt, make_icps,
+                          partial_transpose, random_selections, run_trial)
 from quditwitness.constants import NPT_TOL, WITNESS_TOL
-from quditwitness.linalg import ginibre
+from quditwitness.linalg import ginibre, haar_state
 from quditwitness.rng import substream
 from quditwitness.transforms import _local_unitaries
 
@@ -47,12 +52,12 @@ def _witness(rho: DensityMatrix, sel_rows: np.ndarray) -> tuple[bool, int]:
 def reference_hits(rng, states, d: int, mode: str, shared: bool) -> tuple[np.ndarray, int]:
     """Flags (strategies + 1, n) of the scalar protocol on the draws that follow in rng."""
     n = len(states)
-    shared_sel = engine._selections(rng, d, n, mode) if shared else None
+    shared_sel = random_selections(rng, d, n, mode) if shared else None
     hit = np.zeros((len(KINDS) + 1, n), dtype=bool)
     near = 0
     for k, kind in enumerate(KINDS):
         u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
-        sel = shared_sel if shared else engine._selections(rng, d, n, mode)
+        sel = shared_sel if shared else random_selections(rng, d, n, mode)
         for i, rho in enumerate(states):
             pinned = LutStrategy.random_both(_pinned(u, i), _pinned(v, i))
             hit[k, i], close = _witness(apply_lut(rho, pinned), sel[i])
@@ -110,7 +115,7 @@ def test_quasi_flags_replay_the_scalar_protocol(d):
         rng = substream(seed, engine._TAG_QUASI, 0)
         z = ginibre(d, rng, size=N)
         z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
-        sel = engine._selections(rng, d, N, mode)
+        sel = random_selections(rng, d, N, mode)
         for n_idx, noise in enumerate(noises):
             for i in range(N):
                 rho = DensityMatrix.from_pure(z[i].reshape(d * d), d, d, visibility=1.0 - noise)
@@ -119,3 +124,63 @@ def test_quasi_flags_replay_the_scalar_protocol(d):
                 if j == 0:
                     eig = np.linalg.eigvalsh(partial_transpose(rho.mat, d, d)).min()
                     assert abs(eig + NPT_TOL) >= NEAR and ent[n_idx, 0, i] == is_npt(rho)
+
+
+def _trial_flags(rho: DensityMatrix, strategies: tuple[LutKind, ...], mode: str, shared: bool,
+                 rng) -> tuple[np.ndarray, int]:
+    """One run_trial call's flags (strategies + 1,): per strategy the OR over its level
+    pairs, then res.detected; and how many of its scores lie within NEAR."""
+    combined = CombinedSelection.SHARED if shared else CombinedSelection.FRESH
+    res = run_trial(rho, DetectionConfig(tuple(map(LutStrategy, strategies)), mode, combined), rng)
+    per_strategy = np.array([o.detected for o in res.outcomes]).reshape(len(strategies), -1)
+    near = sum(abs(o.score - WITNESS_TOL) < NEAR for o in res.outcomes)
+    return np.append(per_strategy.any(axis=1), res.detected), near
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_one_sample_chunks_are_run_trial_calls(d):
+    near, seen = 0, set()
+    draw = np.random.default_rng(d)  # the grid cells' (alpha, v)
+    for r in range(2, d + 1):
+        for shared in (False, True):
+            for c in range(20):
+                seed = 10_000 * d + 100 * r + c
+                alpha = draw.uniform(0.0, 1.0 / np.sqrt(r - 1))
+                vis = draw.uniform(0.0, 1.0)
+                rho = make_icps(IcpsParams(d, r, alpha, vis))
+                for mode in MODES:
+                    _, hit = engine._grid_flags(seed, c, 0, 1, d, r, alpha, vis, KINDS, mode, shared)
+                    rng = substream(seed, engine._TAG_GRID, c, 0)
+                    expected, close = _trial_flags(rho, KINDS, mode, shared, rng)
+                    near += close
+                    seen.update(expected.tolist())
+                    assert_array_equal(hit[0, :, 0], expected)
+
+                _, hit = engine._icps_flags(seed, c, 1, d, r, KINDS, MODES, shared,
+                                            IcpsGroundTruth.NPT)
+                rng = substream(seed, engine._TAG_ICPS, c)
+                alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), 1)[0]
+                vis = rng.uniform(0.0, 1.0, 1)[0]
+                rho = make_icps(IcpsParams(d, r, alpha, vis))
+                start = rng.bit_generator.state
+                for j, mode in enumerate(MODES):
+                    rng.bit_generator.state = start
+                    expected, close = _trial_flags(rho, KINDS, mode, shared, rng)
+                    near += close
+                    assert_array_equal(hit[j, :, 0], expected)
+
+    seed, noises = 500 + d, (0.7, 0.2, 0.5)
+    for c in range(40):
+        _, hit = engine._quasi_flags(seed, c, 1, d, noises, MODES)
+        rng = substream(seed, engine._TAG_QUASI, c)
+        z = haar_state(d * d, rng, size=1)[0]
+        start = rng.bit_generator.state
+        for i, noise in enumerate(noises):
+            rho = DensityMatrix.from_pure(z, d, d, visibility=1.0 - noise)
+            for j, mode in enumerate(MODES):
+                rng.bit_generator.state = start
+                expected, close = _trial_flags(rho, (LutKind.IDENTITY,), mode, False, rng)
+                near += close
+                seen.add(bool(expected[-1]))
+                assert hit[i, j, 0] == expected[-1]
+    assert near == 0 and seen == {False, True}

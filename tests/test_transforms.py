@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelection, LutKind,
                           LutStrategy, ZeroProbabilityError, apply_lut, conditioning_threshold,
                           fef_witness, make_icps, maximally_mixed, qudit_hadamard,
-                          random_selection, reduce_to_two_qubits, substream)
+                          random_selections, reduce_to_two_qubits, substream)
 from quditwitness.oracles import all_selections
 from quditwitness.transforms import _local_unitaries
 from conftest import random_density
@@ -75,27 +75,27 @@ def test_lut_strategy_rejects_non_unitary():
 
 
 def test_random_selection_d2_and_determinism():
-    seen = set()
-    rng = substream(0, 0)
-    for _ in range(100):
-        s = random_selection(2, rng)
-        seen.add((s.a0, s.a1))
-    assert seen == {(0, 1), (1, 0)}
-    a = random_selection(5, substream(42, 1))
-    b = random_selection(5, substream(42, 1))
-    assert a == b
+    sel = random_selections(substream(0, 0), 2, 100, "single")
+    assert set(map(tuple, sel[:, 0, :2].tolist())) == {(0, 1), (1, 0)}
+    a = random_selections(substream(42, 1), 5, 1, "single")
+    b = random_selections(substream(42, 1), 5, 1, "single")
+    assert_array_equal(a, b)
+    for mode in ("single", "parallel"):
+        with pytest.raises(ValueError):
+            random_selections(substream(0, 0), 1, 1, mode)
 
 
-def test_random_selection_uniform_over_ordered_pairs():
-    rng = substream(17, 0)
-    counts = {}
+@pytest.mark.parametrize("mode", ["single", "parallel"])
+def test_random_selection_uniform_over_ordered_pairs(mode):
     n = 100_000
-    for _ in range(n):
-        s = random_selection(4, rng)
-        counts[(s.a0, s.a1)] = counts.get((s.a0, s.a1), 0) + 1
-    assert len(counts) == 12
-    for c in counts.values():
-        assert abs(c / n - 1 / 12) <= 0.004
+    sel = random_selections(substream(17, 0), 4, n, mode)
+    assert sel.shape == (n, 1 if mode == "single" else 2, 4)
+    for slot in range(sel.shape[1]):  # each pair slot, on each side
+        for side in (sel[:, slot, :2], sel[:, slot, 2:]):
+            pairs, counts = np.unique(side, axis=0, return_counts=True)
+            assert len(pairs) == 12 and (pairs[:, 0] != pairs[:, 1]).all()
+            for c in counts:
+                assert abs(c / n - 1 / 12) <= 0.004
 
 
 def test_reduce_maximally_mixed():
@@ -154,7 +154,7 @@ def test_selection_requires_distinct_levels():
 def test_simultaneous_swap_leaves_score_unchanged(rng):
     for _ in range(10):
         rho = random_density(rng, 4, 4)
-        sel = random_selection(4, rng)
+        sel = LevelSelection(*random_selections(rng, 4, 1, "single")[0, 0].tolist())
         s1 = fef_witness(reduce_to_two_qubits(rho, sel)[0]).score
         swapped = LevelSelection(sel.a1, sel.a0, sel.b1, sel.b0)
         s2 = fef_witness(reduce_to_two_qubits(rho, swapped)[0]).score
