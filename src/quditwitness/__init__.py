@@ -3,6 +3,13 @@ reductions and the fully-entangled-fraction witness."""
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread per process, set before numpy loads BLAS: every matrix here is
+# at most d x d, and the process pool is the parallelism.  An explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .constants import HERMITICITY_TOL, NPT_TOL, WITNESS_TOL, ZERO_PROB_TOL
 from .linalg import ginibre, haar_state, haar_unitary
 from .rng import substream

@@ -16,9 +16,12 @@ transforms.random_selections, the draws detection.run_trial makes in the same
 order, so a one-sample chunk gives run_trial's flags.  Every sampled state
 is pure plus white noise, so no score is computed: a sample is detected when
 witness.pure_noise_detected accepts its largest |det M| over level pairs.
-_hits takes M from one of two amplitude sources: _schmidt_amps (icps and
-grid) splits M = U diag(s) V^T into two terms, and random-sweep gathers its
-Haar states' entries under the identity strategy, which draws nothing.  icps
+_hits takes that maximum from one of two det sources.  _schmidt_dets (icps
+and grid) splits M = U diag(s) V^T into two terms, so det M_k of a selection
+class k is alpha (alpha a_k + alpha_r c_k); for the strategies with fixed
+unitaries, (a_k, c_k) is read from a per-process class table at the class
+index of each drawn selection.  random-sweep gathers its Haar states'
+entries under the identity strategy, which draws nothing.  icps
 samples are entangled by oracles.conditioning_threshold alone, Haar (quasi)
 samples by _npt_masks: Cauchy-Binet bounds on lam0 lam1 from the Gram matrix
 settle most rows, and only the rows they leave open get an SVD.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .witness import pure_noise_detected
 
 CHUNK = 16384
 CHUNK_ENTRIES = CHUNK * 16 * 16  # rows * d^2 cap: a complex (n, d, d) stack is <= 64 MiB
+TABLE_MAX_D = 16  # largest d with a _class_table (32 d^4 bytes, 2 MiB) and full CHUNK rows
 _GT_ROWS = 2048  # rows per slice of the NPT ground truth's Gram matrices and SVD
 
 _TAG_ICPS = 0
@@ -49,48 +53,93 @@ _TAG_QUASI = 1
 _TAG_GRID = 2
 
 
-def _schmidt_amps(alpha: np.ndarray, d: int, r: int):
-    """amps(sel, u, v): yields, per level pair of sel, the (n, 4) selected entries of
-    M = U diag(s) V^T, with (u, v) as returned by transforms._local_unitaries.
+def _class_terms(k0: np.ndarray, k1: np.ndarray, d: int, a0, a1, b0, b1):
+    """(a, c) with det M_k = alpha (alpha a + alpha_r c) for the classes
+    k = (a0, a1, b0, b1) (broadcasting integer arrays) of M = alpha K0 + alpha_r K1,
+    from the flat (d^2,) tables k0, k1.
 
-    s = alpha 1_{<r-1} + alpha_r e_{r-1}, so M = alpha K0 + alpha_r K1 with
-    K0 = U P_{r-1} V^T and K1 = u_{r-1} v_{r-1}^T (columns r-1 of U and V).
-    Shared (d, d) unitaries: one einsum builds the table (K0, K1), gathered at
-    block_indices.  Per-sample (n, d, d) stacks (random_both): one einsum over
-    the selected rows of U and V per pair.
+    a is the 2x2 minor of K0 and c the mixed term; the alpha_r^2 term vanishes
+    because K1 has rank 1.  The class table and the drawn-class path both
+    evaluate these expressions, so their values agree bit for bit.
+    """
+    i00, i01, i10, i11 = a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1
+    a = k0[i00] * k0[i11] - k0[i01] * k0[i10]
+    c = k0[i00] * k1[i11] + k1[i00] * k0[i11] - k0[i01] * k1[i10] - k1[i01] * k0[i10]
+    return a, c
+
+
+def _schmidt_basis(d: int, r: int) -> np.ndarray:
+    """(2, d) rows 1_{<r-1} and e_{r-1}: s = alpha row 0 + alpha_r row 1."""
+    levels = np.arange(d)
+    return np.array([levels < r - 1, levels == r - 1], dtype=float)
+
+
+def _k_tables(u: np.ndarray, v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Flat (2, d^2) tables (K0, K1) of (d, d) unitaries: K0 = U P_{r-1} V^T
+    and K1 = u_{r-1} v_{r-1}^T (columns r-1 of U and V)."""
+    return np.einsum("qk,jk,pk->jqp", u, basis, v).reshape(2, -1)
+
+
+@lru_cache(maxsize=16)
+def _class_table(d: int, r: int, kind: LutKind) -> np.ndarray:
+    """Read-only (2, d^4) table (a_k, c_k) of _class_terms for every class
+    k = ((a0 d + a1) d + b0) d + b1 under a strategy with fixed unitaries;
+    32 d^4 bytes, built once per process and (d, r, kind)."""
+    u, v = _local_unitaries(d, LutStrategy(kind), None)
+    lv = np.arange(d)
+    a, c = _class_terms(*_k_tables(u, v, _schmidt_basis(d, r)), d, lv[:, None, None, None],
+                        lv[:, None, None], lv[:, None], lv)
+    table = np.stack([a.ravel(), c.ravel()])
+    table.setflags(write=False)
+    return table
+
+
+def _max_det(blocks) -> np.ndarray:
+    """Per-sample max |m0 m3 - m1 m2| over an iterable of (n, 4) amplitude blocks."""
+    return np.max([np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) for m in blocks], axis=0)
+
+
+def _schmidt_dets(alpha: np.ndarray, d: int, r: int):
+    """dets(sel, kind, u, v): per-sample max |det M| over the level pairs of sel,
+    for M = U diag(s) V^T with (u, v) as returned by transforms._local_unitaries.
+
+    s = alpha 1_{<r-1} + alpha_r e_{r-1}, so M = alpha K0 + alpha_r K1 and
+    |det M_k| = alpha |alpha a_k + alpha_r c_k| (_class_terms).  Unitaries
+    fixed by (d, kind) read (a_k, c_k) from _class_table at each sample's class
+    index, for d up to TABLE_MAX_D; above it, and for pinned random_both pairs,
+    _class_terms runs on the drawn classes alone.  Both work on (pairs, n)
+    arrays, so the maximum runs over the leading axis.  Per-sample (n, d, d)
+    stacks (random_both): one einsum over the selected rows of U and V per pair.
     """
     alpha_r = last_schmidt_coefficient(r, alpha)
-    levels = np.arange(d)
-    basis = np.array([levels < r - 1, levels == r - 1], dtype=float)
+    basis = _schmidt_basis(d, r)
 
-    def amps(sel: np.ndarray, u: np.ndarray, v: np.ndarray):
-        if u.ndim == 2:
-            k0, k1 = np.einsum("qk,jk,pk->jqp", u, basis, v).reshape(2, d * d)
-            idx = block_indices(sel, d)
-            for p in range(sel.shape[1]):
-                yield k0[idx[:, p]] * alpha[:, None] + k1[idx[:, p]] * alpha_r[:, None]
-            return
-        s = np.stack([alpha, alpha_r], axis=1) @ basis
-        for p in range(sel.shape[1]):
-            rows_u = np.take_along_axis(u, sel[:, p, :2, None], axis=1)
-            rows_v = np.take_along_axis(v, sel[:, p, 2:, None], axis=1)
-            yield np.einsum("nqk,nk,npk->nqp", rows_u, s, rows_v).reshape(len(alpha), 4)
-    return amps
+    def dets(sel: np.ndarray, kind: LutKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if u.ndim == 3:
+            s = np.stack([alpha, alpha_r], axis=1) @ basis
+            return _max_det(np.einsum("nqk,nk,npk->nqp", np.take_along_axis(u, p[:, :2, None], axis=1),
+                                      s, np.take_along_axis(v, p[:, 2:, None], axis=1)).reshape(-1, 4)
+                            for p in np.moveaxis(sel, 1, 0))
+        a0, a1, b0, b1 = sel.T  # each (pairs, n)
+        if kind is LutKind.RANDOM_BOTH or d > TABLE_MAX_D:
+            a, c = _class_terms(*_k_tables(u, v, basis), d, a0, a1, b0, b1)
+        else:
+            a, c = np.take(_class_table(d, r, kind), ((a0 * d + a1) * d + b0) * d + b1, axis=1)
+        return alpha * np.abs(alpha * a + alpha_r * c).max(axis=0)
+    return dets
 
 
-def _hits(rng: np.random.Generator, amps, vis: np.ndarray, d: int, n: int,
+def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
           kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
     """Detection flags (..., modes, strategies + 1, n): per mode, each strategy then their OR.
 
-    amps(sel, u, v) yields each level pair's (n, 4) amplitudes under the
-    local unitaries (u, v); vis broadcasts against (n,), and its leading axes
-    lead the result.  A sample is detected when witness.pure_noise_detected
-    accepts its largest |det M| over level pairs.  Pairs are consumed one at
-    a time, since one (n, pairs, 4) gather of every pair raised the peak RSS
-    of icps-sweep --d 9 --r 9 --mode both (65536 samples) from 44.0 to 54.3 MB.
-    Each mode replays the generator from its state at the call.  Draw order
-    per mode: shared selections (if shared), then per strategy its local
-    unitaries (Haar U then V for random_both) and its selections (if not shared).
+    dets(sel, kind, u, v) gives each sample's largest |det M| over the level
+    pairs of sel under the local unitaries (u, v) of strategy kind; vis
+    broadcasts against (n,), and its leading axes lead the result.  A sample
+    is detected when witness.pure_noise_detected accepts that |det M|.  Each
+    mode replays the generator from its state at the call.  Draw order per
+    mode: shared selections (if shared), then per strategy its local unitaries
+    (Haar U then V for random_both) and its selections (if not shared).
     """
     start = rng.bit_generator.state
     hit = np.empty((*np.shape(vis)[:-1], len(modes), len(kinds) + 1, n), dtype=bool)
@@ -100,9 +149,7 @@ def _hits(rng: np.random.Generator, amps, vis: np.ndarray, d: int, n: int,
         for k, kind in enumerate(kinds):
             u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
             sel = shared_sel if shared else random_selections(rng, d, n, mode)
-            det = np.max([np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2])
-                          for m in amps(sel, u, v)], axis=0)
-            hit[..., j, k, :] = pure_noise_detected(det, vis, d * d)
+            hit[..., j, k, :] = pure_noise_detected(dets(sel, kind, u, v), vis, d * d)
         hit[..., j, -1, :] = hit[..., j, :-1, :].any(axis=-2)
     return hit
 
@@ -115,15 +162,15 @@ def _icps_flags(seed: int, chunk_idx: int, n: int, d: int, r: int, kinds: tuple[
     alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), n)
     vis = rng.uniform(0.0, 1.0, n)
     return (vis > conditioning_threshold(d, r, alpha, ground_truth),
-            _hits(rng, _schmidt_amps(alpha, d, r), vis, d, n, kinds, modes, shared))
+            _hits(rng, _schmidt_dets(alpha, d, r), vis, d, n, kinds, modes, shared))
 
 
 def _grid_flags(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int,
                 alpha: float, vis: float, kinds: tuple[LutKind, ...], mode: str, shared: bool):
     """(True, _hits) for n trials on one fixed state: every trial counts."""
     rng = substream(seed, _TAG_GRID, cell_idx, chunk_idx)
-    amps = _schmidt_amps(np.full(n, alpha), d, r)
-    return True, _hits(rng, amps, np.full(n, vis), d, n, kinds, (mode,), shared)
+    dets = _schmidt_dets(np.full(n, alpha), d, r)
+    return True, _hits(rng, dets, np.full(n, vis), d, n, kinds, (mode,), shared)
 
 
 def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
@@ -173,10 +220,10 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     z = haar_state(d * d, rng, size=n)
     vis = 1.0 - np.array(noises)
 
-    def amps(sel: np.ndarray, u: np.ndarray, v: np.ndarray):
+    def dets(sel: np.ndarray, kind: LutKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         idx = block_indices(sel, d)
-        return (np.take_along_axis(z, idx[:, p], axis=1) for p in range(idx.shape[1]))
-    hit = _hits(rng, amps, vis[:, None], d, n, (LutKind.IDENTITY,), modes, False)
+        return _max_det(np.take_along_axis(z, idx[:, p], axis=1) for p in range(idx.shape[1]))
+    hit = _hits(rng, dets, vis[:, None], d, n, (LutKind.IDENTITY,), modes, False)
     return _npt_masks(z.reshape(n, d, d), d, vis)[:, None], hit[..., 0, :]
 
 

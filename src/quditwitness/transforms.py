@@ -140,19 +140,25 @@ def random_selections(rng: np.random.Generator, d: int, n: int, mode: str) -> np
 
     Single mode: one ordered distinct pair per side.  Parallel mode: one
     permutation per side whose columns 2k, 2k+1 form pair k, i.e. d // 2
-    disjoint pairs.  Side A is drawn before side B.
+    disjoint pairs.  Side A is drawn before side B, each straight into its
+    half of one preallocated array.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-
-    def draw() -> np.ndarray:
-        if mode == "parallel":
-            perm = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
-            return perm[:, : d // 2 * 2].reshape(n, -1, 2)
-        i = rng.integers(0, d, size=n)
-        j = rng.integers(0, d - 1, size=n)
-        return np.stack([i, j + (j >= i)], axis=1)[:, None, :]
-    return np.concatenate([draw(), draw()], axis=2)
+    parallel = mode == "parallel"
+    pairs = d // 2 if parallel else 1
+    sel = np.empty((n, pairs, 2, 2), dtype=np.int64)  # (sample, pair, side, level)
+    for side in range(2):
+        if parallel:
+            perm = np.tile(np.arange(d), (n, 1))
+            rng.permuted(perm, axis=1, out=perm)
+            sel[:, :, side] = perm[:, : 2 * pairs].reshape(n, pairs, 2)
+        else:
+            i = rng.integers(0, d, size=n)
+            j = rng.integers(0, d - 1, size=n)
+            sel[:, 0, side, 0] = i
+            np.add(j, j >= i, out=sel[:, 0, side, 1])
+    return sel.reshape(n, pairs, 4)
 
 
 def reduce_to_two_qubits(rho: DensityMatrix, sel: LevelSelection) -> tuple[DensityMatrix, float]:

@@ -108,8 +108,13 @@ def outcome_from_score(score: float, selection: LevelSelection | None = None,
 
 def fef_witness(rho2, selection: LevelSelection | None = None,
                 strategy: LutKind | None = None) -> WitnessOutcome:
-    """Evaluate the fully-entangled-fraction witness on a two-qubit state."""
-    return outcome_from_score(score_from_t(pauli_decompose(rho2).t_matrix), selection, strategy)
+    """Evaluate the fully-entangled-fraction witness on a two-qubit state.
+
+    T is computed here with pauli_decompose's expression, not by _correlations,
+    so this scalar path stays an independent check of the vectorised T.
+    """
+    t = np.einsum("ij,mnji->mn", _as_matrix(rho2), PAULI_KRON).real
+    return outcome_from_score(score_from_t(t), selection, strategy)
 
 
 def pure_noise_detected(det: np.ndarray, visibility, total_dim: int) -> np.ndarray:

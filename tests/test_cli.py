@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +327,19 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
+def test_import_leaves_one_blas_thread_unless_set():
+    # importing the package before numpy keeps OpenBLAS to the main thread; a
+    # caller's own OPENBLAS_NUM_THREADS is left as it is
+    code = ("import os, quditwitness; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+
+    def run(**extra) -> list[str]:
+        return subprocess.run([sys.executable, "-c", code], env={**env, **extra}, check=True,
+                              capture_output=True, text=True).stdout.split()
+    assert run() == ["1", "1"]
+    assert run(OPENBLAS_NUM_THREADS="2")[1] == "2"

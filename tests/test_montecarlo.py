@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from quditwitness import (COMBINED_KEY, CombinedSelection, GridSpec, IcpsGroundTruth,
                           IcpsParams, InvalidParamsError, LutKind, LutStrategy, Mode,
@@ -8,6 +8,7 @@ from quditwitness import (COMBINED_KEY, CombinedSelection, GridSpec, IcpsGroundT
                           make_icps, sweep_icps, sweep_icps_grid, sweep_quasi_pure,
                           wilson_halfwidth)
 from quditwitness import engine, haar_unitary
+from quditwitness.states import last_schmidt_coefficient
 from quditwitness.transforms import _local_unitaries, random_selections
 from conftest import SerialPool
 
@@ -219,29 +220,103 @@ def schmidt_amplitude_matrices(alpha, r, d, u, v):
     return uu @ (s[:, :, None] * np.swapaxes(vv, 1, 2))
 
 
+def explicit_max_det(m, sel):
+    """Per-sample max over the level pairs of sel (n, pairs, 4) of |det| of the
+    2x2 blocks m[a_i, b_j] of m (n, d, d)."""
+    rows = np.arange(len(m))[:, None, None, None]
+    b = m[rows, sel[:, :, :2, None], sel[:, :, None, 2:]]
+    return np.abs(b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]).max(axis=1)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_schmidt_amps_match_local_unitary_product(d, rng):
-    # the table gather and the row einsum equal entries of U diag(s) V^T for
-    # the unitaries that transforms._local_unitaries hands out, at every rank
-    # and for alpha up to and at 1/sqrt(r-1)
+    # the kernel's per-sample max |det M| (class table, drawn classes and row
+    # einsum) equals that of the 2x2 blocks of U diag(s) V^T for the unitaries
+    # that transforms._local_unitaries hands out, at every rank and for alpha up
+    # to and at 1/sqrt(r-1)
     n = 40
-    pairs = [_local_unitaries(d, LutStrategy(kind), rng, size=n) for kind in LutKind]
-    pairs.append(_local_unitaries(d, LutStrategy.random_both(haar_unitary(d, rng),
-                                                             haar_unitary(d, rng)), rng))
-    pairs.append((np.eye(d), haar_unitary(d, rng)))  # the table with a non-symmetric V
+    pairs = [(kind, *_local_unitaries(d, LutStrategy(kind), rng, size=n)) for kind in LutKind]
+    pairs.append((LutKind.RANDOM_BOTH, *_local_unitaries(
+        d, LutStrategy.random_both(haar_unitary(d, rng), haar_unitary(d, rng)), rng)))
+    pairs.append((LutKind.RANDOM_BOTH, np.eye(d), haar_unitary(d, rng)))  # a non-symmetric V
     for r in range(2, d + 1):
         alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
         alpha[0] = 1 / np.sqrt(r - 1)
-        for u, v in pairs:
+        for kind, u, v in pairs:
             m = schmidt_amplitude_matrices(alpha, r, d, u, v)
             for mode in ("single", "parallel"):
                 sel = random_selections(rng, d, n, mode)
-                amps = list(engine._schmidt_amps(alpha, d, r)(sel, u, v))
-                assert len(amps) == (1 if mode == "single" else d // 2)
-                for p, got in enumerate(amps):
-                    a, b = sel[:, p, :2], sel[:, p, 2:]
-                    expected = m[np.arange(n)[:, None, None], a[:, :, None], b[:, None, :]]
-                    assert_allclose(got, expected.reshape(n, 4), atol=1e-14)
+                got = engine._schmidt_dets(alpha, d, r)(sel, kind, u, v)
+                assert got.shape == (n,)
+                assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
+
+
+FIXED_KINDS = (LutKind.IDENTITY, LutKind.HADAMARD_B, LutKind.HADAMARD_BOTH)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_class_table_counts_equal_enumeration_oracle(d):
+    # class k detects iff v > 1/(1 + d^2 |det M_k|), with |det M_k| from the
+    # table's (a_k, c_k); at visibilities at least 1e-9 from every threshold the
+    # number of such classes is brute_force_counts' detection count
+    a0, a1, b0, b1 = np.indices((d,) * 4).reshape(4, -1)
+    valid = (a0 != a1) & (b0 != b1)
+    for r in range(2, d + 1):
+        amax = 1 / np.sqrt(r - 1)
+        for alpha in (0.2 * amax, 0.55 * amax, 0.9 * amax, amax):
+            alpha_r = last_schmidt_coefficient(r, alpha)
+            for kind in FIXED_KINDS:
+                a, c = engine._class_table(d, r, kind)
+                det = alpha * np.abs(alpha * a + alpha_r * c)[valid]
+                threshold = 1 / (1 + d * d * det)
+                edges = np.unique(np.concatenate([[0.0, 1.0], threshold]))
+                vis = (edges[:-1] + edges[1:]) / 2
+                vis = vis[np.abs(vis[:, None] - threshold).min(axis=1) >= 1e-9]
+                assert len(vis) > 0
+                for v in vis[np.linspace(0, len(vis) - 1, min(len(vis), 6)).astype(int)]:
+                    counts = brute_force_counts(make_icps(IcpsParams(d, r, alpha, v)),
+                                                LutStrategy(kind))
+                    assert counts.total == valid.sum()
+                    assert counts.detected == np.sum(v > threshold)
+
+
+@pytest.mark.parametrize("d", [5, 9, 16])
+def test_class_table_equals_drawn_classes(d, rng, monkeypatch):
+    # the table path and the drawn-class path evaluate the same expressions, so
+    # they give the same |det M| bit for bit
+    n = 500
+    engine._class_table.cache_clear()
+    ranks = sorted({2, 3, d // 2, d})
+    for r in ranks:
+        alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
+        alpha[0] = 1 / np.sqrt(r - 1)
+        dets = engine._schmidt_dets(alpha, d, r)
+        for kind in FIXED_KINDS:
+            u, v = _local_unitaries(d, LutStrategy(kind), None)
+            for mode in ("single", "parallel"):
+                sel = random_selections(rng, d, n, mode)
+                table = dets(sel, kind, u, v)
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "TABLE_MAX_D", d - 1)
+                    assert_array_equal(dets(sel, kind, u, v), table)
+    assert engine._class_table.cache_info().misses == len(ranks) * len(FIXED_KINDS)
+
+
+def test_drawn_classes_above_table_cap_match_local_unitary_product(rng, monkeypatch):
+    # d = 17 has no class table: (a, c) come from the drawn classes alone
+    d, n = 17, 200
+    assert d > engine.TABLE_MAX_D
+    monkeypatch.setattr(engine, "_class_table", None)  # a table lookup would fail
+    for r in (2, 3, 9, 17):
+        alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
+        alpha[0] = 1 / np.sqrt(r - 1)
+        for kind in FIXED_KINDS:
+            u, v = _local_unitaries(d, LutStrategy(kind), None)
+            m = schmidt_amplitude_matrices(alpha, r, d, u, v)
+            for mode in ("single", "parallel"):
+                sel = random_selections(rng, d, n, mode)
+                got = engine._schmidt_dets(alpha, d, r)(sel, kind, u, v)
+                assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
 
 
 @pytest.mark.parametrize("shared", [False, True])

@@ -39,12 +39,10 @@ def test_table_amplitudes_equal_local_unitary_product(case, kind, seed):
     s[:, r - 1] = np.sqrt(np.maximum(1 - (r - 1) * alpha ** 2, 0))
     m = np.einsum("qk,nk,pk->nqp", u, s, v)  # U diag(s) V^T per sample
     sel = random_selections(np.random.default_rng(seed), d, n, mode)
-    amps = list(engine._schmidt_amps(alpha, d, r)(sel, u, v))
-    assert len(amps) == (1 if mode == "single" else d // 2)
-    for p, got in enumerate(amps):
-        a, b = sel[:, p, :2], sel[:, p, 2:]
-        expected = m[np.arange(n)[:, None, None], a[:, :, None], b[:, None, :]]
-        assert_allclose(got, expected.reshape(n, 4), atol=1e-14)
+    got = engine._schmidt_dets(alpha, d, r)(sel, kind, u, v)  # from the class table
+    b = m[np.arange(n)[:, None, None, None], sel[:, :, :2, None], sel[:, :, None, 2:]]
+    det = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]  # per level pair
+    assert_allclose(got, np.abs(det).max(axis=1), atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,7 +54,7 @@ def test_sweep_kernel_never_detects_below_npt_threshold(case, data, shared, seed
     d, r, alpha, mode = case
     frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(alpha), max_size=len(alpha)))
     vis = np.array(frac) * (1 - 1e-9) * conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
-    hit = engine._hits(np.random.default_rng(seed), engine._schmidt_amps(alpha, d, r), vis, d,
+    hit = engine._hits(np.random.default_rng(seed), engine._schmidt_dets(alpha, d, r), vis, d,
                        len(alpha), tuple(LutKind), (mode,), shared)
     assert hit.shape == (1, len(LutKind) + 1, len(alpha)) and not hit.any()
 

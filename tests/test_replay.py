@@ -16,7 +16,9 @@ seeds below exercise no tolerance.
 Two kinds of change cannot fail these tests.  Swapping a0/a1 (or b0/b1, or
 transposing a 2x2 block) leaves |det M| and the witness unchanged.  A change
 inside random_selections or _local_unitaries, or inside block_indices where
-both sides use it, is invisible, since the reference uses those helpers too.
+both sides use it, is invisible, since the reference uses those helpers too;
+test_transforms pins random_selections against its stack-and-concatenate
+construction, draws and generator state alike.
 """
 import numpy as np
 import pytest

@@ -85,6 +85,32 @@ def test_random_selection_d2_and_determinism():
             random_selections(substream(0, 0), 1, 1, mode)
 
 
+def stacked_selections(rng, d: int, n: int, mode: str) -> np.ndarray:
+    """random_selections built as each side's own array, then np.stack and
+    np.concatenate: the construction the one-array draw must reproduce."""
+    def draw() -> np.ndarray:
+        if mode == "parallel":
+            perm = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+            return perm[:, : d // 2 * 2].reshape(n, -1, 2)
+        i = rng.integers(0, d, size=n)
+        j = rng.integers(0, d - 1, size=n)
+        return np.stack([i, j + (j >= i)], axis=1)[:, None, :]
+    return np.concatenate([draw(), draw()], axis=2)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_random_selections_equal_stacked_construction(d):
+    for mode in ("single", "parallel"):
+        for n in (1, 7, 16384):
+            for seed in range(3):
+                expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = stacked_selections(expected_rng, d, n, mode)
+                got = random_selections(rng, d, n, mode)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert_array_equal(got, expected)
+                assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("mode", ["single", "parallel"])
 def test_random_selection_uniform_over_ordered_pairs(mode):
     n = 100_000
