@@ -107,9 +107,10 @@ def _schmidt_dets(alpha: np.ndarray, d: int, r: int):
     |det M_k| = alpha |alpha a_k + alpha_r c_k| (_class_terms).  Unitaries
     fixed by (d, kind) read (a_k, c_k) from _class_table at each sample's class
     index, for d up to TABLE_MAX_D; above it, and for pinned random_both pairs,
-    _class_terms runs on the drawn classes alone.  Both work on (pairs, n)
-    arrays, so the maximum runs over the leading axis.  Per-sample (n, d, d)
-    stacks (random_both): one einsum over the selected rows of U and V per pair.
+    _class_terms runs on the drawn classes alone.  Both take one level pair
+    at a time and keep a running maximum, so a chunk holds one pair's terms.
+    Per-sample (n, d, d) stacks (random_both): one einsum over the selected
+    rows of U and V per pair.
     """
     alpha_r = last_schmidt_coefficient(r, alpha)
     basis = _schmidt_basis(d, r)
@@ -120,12 +121,17 @@ def _schmidt_dets(alpha: np.ndarray, d: int, r: int):
             return _max_det(np.einsum("nqk,nk,npk->nqp", np.take_along_axis(u, p[:, :2, None], axis=1),
                                       s, np.take_along_axis(v, p[:, 2:, None], axis=1)).reshape(-1, 4)
                             for p in np.moveaxis(sel, 1, 0))
-        a0, a1, b0, b1 = sel.T  # each (pairs, n)
         if kind is LutKind.RANDOM_BOTH or d > TABLE_MAX_D:
-            a, c = _class_terms(*_k_tables(u, v, basis), d, a0, a1, b0, b1)
+            k0, k1 = _k_tables(u, v, basis)
+            terms = lambda a0, a1, b0, b1: _class_terms(k0, k1, d, a0, a1, b0, b1)
         else:
-            a, c = np.take(_class_table(d, r, kind), ((a0 * d + a1) * d + b0) * d + b1, axis=1)
-        return alpha * np.abs(alpha * a + alpha_r * c).max(axis=0)
+            table = _class_table(d, r, kind)
+            terms = lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
+        best = np.zeros(len(alpha))
+        for pair in np.moveaxis(sel, 0, -1):  # per level pair: rows a0, a1, b0, b1 of n
+            a, c = terms(*pair)
+            best = np.maximum(best, np.abs(alpha * a + alpha_r * c))
+        return alpha * best
     return dets
 
 

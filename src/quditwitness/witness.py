@@ -86,13 +86,17 @@ def _as_matrix(rho2) -> np.ndarray:
     return mat
 
 
+def _t_matrix(mat: np.ndarray) -> np.ndarray:
+    """T_mn = tr(rho sigma_m x sigma_n) of one 4x4 matrix."""
+    return np.einsum("ij,mnji->mn", mat, PAULI_KRON).real
+
+
 def pauli_decompose(rho2) -> PauliDecomposition:
     """Coefficients a_m, b_n, T_mn of the two-qubit Pauli expansion."""
     mat = _as_matrix(rho2)
     a = np.array([np.trace(mat @ np.kron(PAULI[m], np.eye(2))).real for m in range(3)])
     b = np.array([np.trace(mat @ np.kron(np.eye(2), PAULI[n])).real for n in range(3)])
-    t = np.einsum("ij,mnji->mn", mat, PAULI_KRON).real
-    return PauliDecomposition(a, b, t)
+    return PauliDecomposition(a, b, _t_matrix(mat))
 
 
 def score_from_t(t: np.ndarray) -> float:
@@ -110,11 +114,10 @@ def fef_witness(rho2, selection: LevelSelection | None = None,
                 strategy: LutKind | None = None) -> WitnessOutcome:
     """Evaluate the fully-entangled-fraction witness on a two-qubit state.
 
-    T is computed here with pauli_decompose's expression, not by _correlations,
+    T comes from _t_matrix, as in pauli_decompose, not from _correlations,
     so this scalar path stays an independent check of the vectorised T.
     """
-    t = np.einsum("ij,mnji->mn", _as_matrix(rho2), PAULI_KRON).real
-    return outcome_from_score(score_from_t(t), selection, strategy)
+    return outcome_from_score(score_from_t(_t_matrix(_as_matrix(rho2))), selection, strategy)
 
 
 def pure_noise_detected(det: np.ndarray, visibility, total_dim: int) -> np.ndarray:

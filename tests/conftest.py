@@ -12,6 +12,24 @@ def random_density(rng: np.random.Generator, dim_a: int, dim_b: int) -> DensityM
     return DensityMatrix(dim_a, dim_b, mat / mat.trace())
 
 
+def schmidt_amplitude_matrices(alpha, r, d, u, v):
+    """(n, d, d) stack of U diag(s) V^T for the Schmidt-form s of each alpha."""
+    n = len(alpha)
+    s = np.zeros((n, d))
+    s[:, : r - 1] = alpha[:, None]
+    s[:, r - 1] = np.sqrt(np.maximum(1 - (r - 1) * alpha ** 2, 0))
+    uu, vv = (np.broadcast_to(w, (n, d, d)) for w in (u, v))
+    return uu @ (s[:, :, None] * np.swapaxes(vv, 1, 2))
+
+
+def explicit_max_det(m, sel):
+    """Per-sample max over the level pairs of sel (n, pairs, 4) of |det| of the
+    2x2 blocks m[a_i, b_j] of m (n, d, d)."""
+    rows = np.arange(len(m))[:, None, None, None]
+    b = m[rows, sel[:, :, :2, None], sel[:, :, None, 2:]]
+    return np.abs(b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]).max(axis=1)
+
+
 class SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs the map in-process."""
 

@@ -10,7 +10,7 @@ from quditwitness import (COMBINED_KEY, CombinedSelection, GridSpec, IcpsGroundT
 from quditwitness import engine, haar_unitary
 from quditwitness.states import last_schmidt_coefficient
 from quditwitness.transforms import _local_unitaries, random_selections
-from conftest import SerialPool
+from conftest import SerialPool, explicit_max_det, schmidt_amplitude_matrices
 
 
 def test_wilson_halfwidth_value():
@@ -208,24 +208,6 @@ def test_run_tasks_pool_capped_by_tasks_and_cpus(monkeypatch, workers, tasks, cp
     out = engine.run_tasks(stand_in_flags, [(i,) for i in range(tasks)], workers)
     assert [list(row) for row in out] == [STAND_IN_COUNTS[i % 5] for i in range(tasks)]
     assert SerialPool.started == ([] if pool is None else [pool])
-
-
-def schmidt_amplitude_matrices(alpha, r, d, u, v):
-    """(n, d, d) stack of U diag(s) V^T for the Schmidt-form s of each alpha."""
-    n = len(alpha)
-    s = np.zeros((n, d))
-    s[:, : r - 1] = alpha[:, None]
-    s[:, r - 1] = np.sqrt(np.maximum(1 - (r - 1) * alpha ** 2, 0))
-    uu, vv = (np.broadcast_to(w, (n, d, d)) for w in (u, v))
-    return uu @ (s[:, :, None] * np.swapaxes(vv, 1, 2))
-
-
-def explicit_max_det(m, sel):
-    """Per-sample max over the level pairs of sel (n, pairs, 4) of |det| of the
-    2x2 blocks m[a_i, b_j] of m (n, d, d)."""
-    rows = np.arange(len(m))[:, None, None, None]
-    b = m[rows, sel[:, :, :2, None], sel[:, :, None, 2:]]
-    return np.abs(b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]).max(axis=1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

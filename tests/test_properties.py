@@ -15,6 +15,7 @@ from quditwitness.oracles import IcpsGroundTruth, conditioning_threshold
 from quditwitness.transforms import _local_unitaries, random_selections
 from quditwitness.witness import (bounded_detections, pure_noise_detected,
                                   scores_from_submatrices)
+from conftest import explicit_max_det, schmidt_amplitude_matrices
 
 SHARED_KINDS = (LutKind.IDENTITY, LutKind.HADAMARD_B, LutKind.HADAMARD_BOTH)
 
@@ -34,15 +35,10 @@ def test_table_amplitudes_equal_local_unitary_product(case, kind, seed):
     d, r, alpha, mode = case
     n = len(alpha)
     u, v = _local_unitaries(d, LutStrategy(kind), None)
-    s = np.zeros((n, d))
-    s[:, : r - 1] = alpha[:, None]
-    s[:, r - 1] = np.sqrt(np.maximum(1 - (r - 1) * alpha ** 2, 0))
-    m = np.einsum("qk,nk,pk->nqp", u, s, v)  # U diag(s) V^T per sample
+    m = schmidt_amplitude_matrices(alpha, r, d, u, v)
     sel = random_selections(np.random.default_rng(seed), d, n, mode)
     got = engine._schmidt_dets(alpha, d, r)(sel, kind, u, v)  # from the class table
-    b = m[np.arange(n)[:, None, None, None], sel[:, :, :2, None], sel[:, :, None, 2:]]
-    det = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]  # per level pair
-    assert_allclose(got, np.abs(det).max(axis=1), atol=1e-14)
+    assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
