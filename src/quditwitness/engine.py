@@ -11,7 +11,8 @@ entry...], so results are bit-identical for any worker count.
 One kernel, _hits, decides detection for all three.  Each mode replays the
 generator from the state right after the chunk's state draw, so its flags
 equal a run alone; each strategy draws its unitaries (U, V) from
-transforms._local_unitaries and its level selections from
+transforms._local_unitaries (random_both alone draws, and the fixed kinds'
+unitaries are built only where read) and its level selections from
 transforms.random_selections, the draws detection.run_trial makes in the same
 order, so a one-sample chunk gives run_trial's flags.  Every sampled state
 is pure plus white noise, so no score is computed: a sample is detected when
@@ -29,8 +30,8 @@ settle most rows, and only the rows they leave open get an SVD.
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 
 import numpy as np
@@ -46,7 +47,7 @@ from .witness import pure_noise_detected
 CHUNK = 16384
 CHUNK_ENTRIES = CHUNK * 16 * 16  # rows * d^2 cap: a complex (n, d, d) stack is <= 64 MiB
 TABLE_MAX_D = 16  # largest d with a _class_table (32 d^4 bytes, 2 MiB) and full CHUNK rows
-_GT_ROWS = 2048  # rows per slice of the NPT ground truth's Gram matrices and SVD
+_GT_ENTRIES = 1 << 15  # rows * d^2 cap per slice of the NPT ground truth's Gram matrices and SVD
 
 _TAG_ICPS = 0
 _TAG_QUASI = 1
@@ -101,32 +102,35 @@ def _max_det(blocks) -> np.ndarray:
 
 def _schmidt_dets(alpha: np.ndarray, d: int, r: int):
     """dets(sel, kind, u, v): per-sample max |det M| over the level pairs of sel,
-    for M = U diag(s) V^T with (u, v) as returned by transforms._local_unitaries.
+    for M = U diag(s) V^T with the local unitaries of strategy kind.
 
     s = alpha 1_{<r-1} + alpha_r e_{r-1}, so M = alpha K0 + alpha_r K1 and
-    |det M_k| = alpha |alpha a_k + alpha_r c_k| (_class_terms).  Unitaries
-    fixed by (d, kind) read (a_k, c_k) from _class_table at each sample's class
-    index, for d up to TABLE_MAX_D; above it, and for pinned random_both pairs,
-    _class_terms runs on the drawn classes alone.  Both take one level pair
-    at a time and keep a running maximum, so a chunk holds one pair's terms.
-    Per-sample (n, d, d) stacks (random_both): one einsum over the selected
+    |det M_k| = alpha |alpha a_k + alpha_r c_k| (_class_terms).  A kind with
+    unitaries fixed by d ignores (u, v): up to TABLE_MAX_D it reads (a_k, c_k)
+    from _class_table at each sample's class index; above it, _class_terms
+    runs on the drawn classes of transforms._local_unitaries' pair, as it
+    does for a pinned (d, d) random_both pair (u, v).  Both take one level
+    pair at a time and keep a running maximum, so a chunk holds one pair's terms.
+    Per-sample (n, d, d) random_both stacks: one einsum over the selected
     rows of U and V per pair.
     """
     alpha_r = last_schmidt_coefficient(r, alpha)
     basis = _schmidt_basis(d, r)
 
-    def dets(sel: np.ndarray, kind: LutKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if u.ndim == 3:
+    def dets(sel: np.ndarray, kind: LutKind, u, v) -> np.ndarray:
+        fixed = kind is not LutKind.RANDOM_BOTH
+        if fixed and d <= TABLE_MAX_D:
+            table = _class_table(d, r, kind)
+            terms = lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
+        elif fixed or u.ndim == 2:
+            k0, k1 = _k_tables(*(_local_unitaries(d, LutStrategy(kind), None) if fixed else (u, v)),
+                               basis)
+            terms = lambda a0, a1, b0, b1: _class_terms(k0, k1, d, a0, a1, b0, b1)
+        else:
             s = np.stack([alpha, alpha_r], axis=1) @ basis
             return _max_det(np.einsum("nqk,nk,npk->nqp", np.take_along_axis(u, p[:, :2, None], axis=1),
                                       s, np.take_along_axis(v, p[:, 2:, None], axis=1)).reshape(-1, 4)
                             for p in np.moveaxis(sel, 1, 0))
-        if kind is LutKind.RANDOM_BOTH or d > TABLE_MAX_D:
-            k0, k1 = _k_tables(u, v, basis)
-            terms = lambda a0, a1, b0, b1: _class_terms(k0, k1, d, a0, a1, b0, b1)
-        else:
-            table = _class_table(d, r, kind)
-            terms = lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
         best = np.zeros(len(alpha))
         for pair in np.moveaxis(sel, 0, -1):  # per level pair: rows a0, a1, b0, b1 of n
             a, c = terms(*pair)
@@ -140,7 +144,8 @@ def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
     """Detection flags (..., modes, strategies + 1, n): per mode, each strategy then their OR.
 
     dets(sel, kind, u, v) gives each sample's largest |det M| over the level
-    pairs of sel under the local unitaries (u, v) of strategy kind; vis
+    pairs of sel under the local unitaries of strategy kind: the drawn
+    (n, d, d) stacks (u, v) for random_both, None for a fixed kind; vis
     broadcasts against (n,), and its leading axes lead the result.  A sample
     is detected when witness.pure_noise_detected accepts that |det M|.  Each
     mode replays the generator from its state at the call.  Draw order per
@@ -153,7 +158,8 @@ def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
         rng.bit_generator.state = start
         shared_sel = random_selections(rng, d, n, mode) if shared else None
         for k, kind in enumerate(kinds):
-            u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
+            u, v = (_local_unitaries(d, LutStrategy(kind), rng, size=n)
+                    if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
             sel = shared_sel if shared else random_selections(rng, d, n, mode)
             hit[..., j, k, :] = pure_noise_detected(dets(sel, kind, u, v), vis, d * d)
         hit[..., j, -1, :] = hit[..., j, :-1, :].any(axis=-2)
@@ -193,15 +199,17 @@ def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
     SVD's product and the expression within about d eps.  A row the bounds
     settle at every level keeps those flags; every other row is scored by
     the expression above from an SVD.  Gram matrices and SVDs run over
-    slices of _GT_ROWS rows, so their memory stays small.
+    slices of at most _GT_ENTRIES entries (one row if d^2 exceeds it), so
+    their memory stays small for any d.
     """
     v = np.asarray(vis, dtype=float)[:, None]
     floor = (1.0 - v) / (d * d) + NPT_TOL
     slack = 64 * d * d * np.finfo(float).eps
     pairs = d * (d - 1) / 2
+    rows = max(1, _GT_ENTRIES // (d * d))
     masks = []
-    for lo in range(0, len(z), _GT_ROWS):
-        zs = z[lo:lo + _GT_ROWS]
+    for lo in range(0, len(z), rows):
+        zs = z[lo:lo + rows]
         g = zs @ zs.conj().transpose(0, 2, 1)
         tr = np.einsum("nii->n", g).real
         e2 = (tr * tr - (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))) / 2
@@ -249,7 +257,7 @@ def run_tasks(flags_fn, tasks: list[tuple], workers: int = 1) -> list[np.ndarray
     count = partial(_counts, flags_fn)
     if workers <= 1:
         return [count(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(count, *zip(*tasks),
                              chunksize=max(1, len(tasks) // (4 * workers))))
 
@@ -261,3 +269,13 @@ def chunk_sizes(n: int, d: int) -> list[int]:
         raise InvalidParamsError(f"n_samples must be >= 1, got {n}")
     rows = max(1, min(CHUNK, CHUNK_ENTRIES // (d * d)))
     return [min(rows, n - start) for start in range(0, n, rows)]
+
+
+def __getattr__(name: str):
+    """engine.ProcessPoolExecutor, imported on first use: concurrent.futures.process
+    adds about 12 ms to start-up, which single-worker runs skip.  run_tasks looks
+    the name up on the module, so rebinding it (a serial stand-in) still works."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

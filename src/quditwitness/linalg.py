@@ -1,13 +1,31 @@
-"""Random matrices and states: Ginibre matrices, Haar unitaries, Haar pure states."""
+"""Random matrices and states: Ginibre matrices, Haar unitaries, Haar pure states.
+
+All three draw their complex Gaussians through one fill, _complex_normal: all
+real parts, then all imaginary parts, written in place in slices of _SLICE
+values, so a draw holds its result and no other array of that size.
+"""
 from __future__ import annotations
 
 import numpy as np
 
+_SLICE = 1 << 15  # values per slice of the in-place fill and normalisation
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard complex Gaussians of the given shape, the values and draw order
+    of rng.standard_normal(shape) + 1j * rng.standard_normal(shape)."""
+    z = np.empty(shape, dtype=complex)
+    flat = z.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for lo in range(0, flat.size, _SLICE):
+            seg = part[lo:lo + _SLICE]
+            seg[:] = rng.standard_normal(seg.shape)
+    return z
+
 
 def ginibre(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Complex Ginibre matrix (i.i.d. standard complex Gaussian entries)."""
-    shape = (dim, dim) if size is None else (size, dim, dim)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return _complex_normal(rng, (dim, dim) if size is None else (size, dim, dim))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -16,11 +34,10 @@ def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None) ->
     The diagonal of the triangular factor is phase-corrected; plain QR output
     is not Haar-distributed.
     """
-    z = ginibre(dim, rng, size=size)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(ginibre(dim, rng, size=size))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phase = diag / np.abs(diag)
-    return q * phase[..., None, :]
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
 
 
 def haar_state(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -29,6 +46,10 @@ def haar_state(dim: int, rng: np.random.Generator, size: int | None = None) -> n
     Identical in distribution to applying a Haar unitary to any fixed
     reference vector.
     """
-    shape = (dim,) if size is None else (size, dim)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+    z = _complex_normal(rng, (dim,) if size is None else (size, dim))
+    rows = z if z.ndim == 2 else z[None]
+    step = max(1, _SLICE // max(dim, 1))
+    for lo in range(0, len(rows), step):
+        zs = rows[lo:lo + step]
+        zs /= np.linalg.norm(zs, axis=-1, keepdims=True)
+    return z

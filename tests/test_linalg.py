@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from quditwitness import haar_state, haar_unitary, substream
+from quditwitness import ginibre, haar_state, haar_unitary, linalg, substream
 from quditwitness.witness import score_from_t
 
 # The witness score is Tr sqrt(T^T T) - 1, computed as the sum of the singular
@@ -61,3 +64,52 @@ def test_haar_state_distribution_matches_rotated_reference():
         x = np.abs(sample[:, 0]) ** 2
         assert abs(x.mean() - 1 / dim) <= 4 * np.sqrt(1 / dim ** 2 / n) * 2
         assert abs((x ** 2).mean() - 2 / (dim * (dim + 1))) <= 5e-4
+
+
+# The two-array construction the in-place fill replaces, written out: every
+# draw must keep its values and the generator's position bit for bit.
+def two_array_ginibre(dim, rng, size):
+    shape = (dim, dim) if size is None else (size, dim, dim)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def two_array_haar_unitary(dim, rng, size):
+    q, r = np.linalg.qr(two_array_ginibre(dim, rng, size))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def two_array_haar_state(dim, rng, size):
+    shape = (dim,) if size is None else (size, dim)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("draw, reference, per_sample", [
+    (haar_state, two_array_haar_state, lambda dim: dim),
+    (ginibre, two_array_ginibre, lambda dim: dim * dim),
+    (haar_unitary, two_array_haar_unitary, lambda dim: dim * dim)],
+    ids=["haar_state", "ginibre", "haar_unitary"])
+@pytest.mark.parametrize("dim", [2, 9, 81])
+@pytest.mark.parametrize("size", [None, 1, "past a slice"])
+def test_in_place_fill_equals_two_array_construction(draw, reference, per_sample, dim, size):
+    if size == "past a slice":  # more than one fill slice, and not a multiple of it
+        size = linalg._SLICE // per_sample(dim) + 3
+        assert size * per_sample(dim) % linalg._SLICE != 0
+    new, old = np.random.default_rng(dim), np.random.default_rng(dim)
+    got, expected = draw(dim, new, size=size), reference(dim, old, size)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    assert new.random() == old.random()  # the next draw too
+
+
+def test_haar_state_holds_one_result_sized_array():
+    # numpy reports its allocations to tracemalloc; the random-sweep chunk at d = 9
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        z = haar_state(81, rng, size=16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= z.nbytes + 2 * 2 ** 20

@@ -7,7 +7,7 @@ from quditwitness import (COMBINED_KEY, CombinedSelection, GridSpec, IcpsGroundT
                           SensitivityEstimate, brute_force_counts, conditioning_threshold, is_npt,
                           make_icps, sweep_icps, sweep_icps_grid, sweep_quasi_pure,
                           wilson_halfwidth)
-from quditwitness import engine, haar_unitary
+from quditwitness import engine, haar_state, haar_unitary, transforms
 from quditwitness.states import last_schmidt_coefficient
 from quditwitness.transforms import _local_unitaries, random_selections
 from conftest import SerialPool, explicit_max_det, schmidt_amplitude_matrices
@@ -299,6 +299,35 @@ def test_drawn_classes_above_table_cap_match_local_unitary_product(rng, monkeypa
                 sel = random_selections(rng, d, n, mode)
                 got = engine._schmidt_dets(alpha, d, r)(sel, kind, u, v)
                 assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
+
+
+def test_fixed_kinds_build_no_unitaries_below_table_cap(monkeypatch):
+    # once the class tables exist, a chunk reads no fixed-kind unitary, so it builds none
+    task = (5, 0, 300, 5, 3, tuple(LutKind), ("single", "parallel"), False, IcpsGroundTruth.NPT)
+    first = engine._counts(engine._icps_flags, *task)
+    monkeypatch.setattr(transforms, "qudit_hadamard", None)  # a Hadamard build would fail
+    assert_array_equal(engine._counts(engine._icps_flags, *task), first)
+
+
+@pytest.mark.parametrize("d, noises", [(3, (0.2, 0.5, 0.8)), (9, (0.8, 0.9))])
+def test_npt_masks_do_not_depend_on_slice_size(monkeypatch, d, noises):
+    # entry caps of one row per slice and of the whole chunk give the same
+    # flags, on noise levels where the bounds leave rows to the SVD
+    n = 600
+    z = haar_state(d * d, np.random.default_rng(d), size=n).reshape(n, d, d)
+    vis = 1.0 - np.array(noises)
+    svd, svd_rows = np.linalg.svd, []
+
+    def counted_svd(a, *args, **kwargs):
+        svd_rows.append(len(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    flags = []
+    for cap in (1, n * d * d):
+        monkeypatch.setattr(engine, "_GT_ENTRIES", cap)
+        flags.append(engine._npt_masks(z, d, vis))
+    assert sum(svd_rows) > 0
+    assert_array_equal(flags[0], flags[1])
 
 
 @pytest.mark.parametrize("shared", [False, True])
