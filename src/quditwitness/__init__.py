@@ -18,11 +18,11 @@ from .states import (DensityMatrix, IcpsParams, InvalidParamsError, InvalidState
                      maximally_mixed, random_product_mixture)
 from .transforms import (LevelSelection, LutKind, LutStrategy, ZeroProbabilityError,
                          apply_lut, qudit_hadamard, random_selections, reduce_to_two_qubits)
-from .witness import PauliDecomposition, WitnessOutcome, fef_witness, pauli_decompose
+from .witness import WitnessOutcome, fef_witness
 from .oracles import (AnalyticSensitivity, BruteForceCounts, IcpsGroundTruth, InvalidScenarioError,
-                      Scenario, all_selections, analytic_fef_score, analytic_sensitivity,
-                      brute_force_counts, classify_selection, conditioning_threshold, is_npt,
-                      partial_transpose, visibility_thresholds)
+                      Scenario, analytic_fef_score, analytic_sensitivity, brute_force_counts,
+                      classify_selection, conditioning_threshold, is_npt, partial_transpose,
+                      visibility_thresholds)
 from .detection import (DEFAULT_STRATEGIES, CombinedSelection, DetectionConfig, Mode,
                         TrialResult, evaluate_selection, run_trial)
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridCell, GridSpec, SensitivityEstimate,

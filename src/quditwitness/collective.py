@@ -5,7 +5,9 @@ pair is projected onto the singlet observable S = 1 - 4 |Psi-><Psi-| while
 (a, a') sees either Pauli operators or the minimal tetrahedral basis.  Since
 the copies are identical, pi_ij = pi_ji, so the minimal-basis route needs only
 10 distinct settings.  The resulting R equals T T^T; the witness only uses
-its eigenvalues, which match those of T^T T.
+its eigenvalues, which match those of T^T T.  Both routes take every moment
+from one einsum over the two copies (_two_copy_moments), with no 16x16
+operator built, and stay separate computations.
 """
 from __future__ import annotations
 
@@ -61,43 +63,30 @@ def singlet_projector_op() -> np.ndarray:
     return np.eye(4, dtype=complex) - 4.0 * np.outer(psi_minus, psi_minus.conj())
 
 
-def _two_copy_expectation(rho4: np.ndarray, op_a: np.ndarray, op_a2: np.ndarray) -> float:
-    """Tr[rho x rho . S_bb' (op_a x op_a2)_aa'] in the (a, b, a', b') order.
+def _two_copy_moments(rho2, ops: np.ndarray) -> np.ndarray:
+    """m_ij = Tr[rho x rho . S_bb' (ops[i] x ops[j])_aa'] in the (a, b, a', b') order.
 
-    Uses S = sum_k sigma_k x sigma_k, the Pauli expansion of the singlet
+    One einsum over the tensor rho_{ab,ce} rho_{a'b',c'e'} of the two copies,
+    with S = sum_k sigma_k x sigma_k, the Pauli expansion of the singlet
     observable.
     """
-    val = 0.0
-    for k in range(3):
-        op = np.kron(np.kron(op_a, PAULI[k]), np.kron(op_a2, PAULI[k]))
-        val += np.trace(rho4 @ op).real
-    return val
+    m = _as_matrix(rho2).reshape(2, 2, 2, 2)
+    return np.einsum("abce,pqsu,ica,jsp,keb,kuq->ij", m, m, ops, ops, PAULI, PAULI).real
 
 
 def collective_R_pauli(rho2) -> np.ndarray:
     """R_ij from two-copy expectations with Pauli settings on (a, a')."""
-    mat = _as_matrix(rho2)
-    rho4 = np.kron(mat, mat)
-    r = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            r[i, j] = _two_copy_expectation(rho4, PAULI[i], PAULI[j])
-    return r
+    return _two_copy_moments(rho2, PAULI)
 
 
 def pi_matrix(rho2) -> CollectiveData:
-    """The 10 independent two-copy moments of the minimal-basis settings."""
-    basis = minimal_basis()
-    mat = _as_matrix(rho2)
-    rho4 = np.kron(mat, mat)
+    """The 10 independent two-copy moments of the minimal-basis settings,
+    i <= j, mirrored so that pi is exactly symmetric."""
+    moments = _two_copy_moments(rho2, minimal_basis().projectors)
+    i, j = np.triu_indices(4)
     pi = np.empty((4, 4))
-    settings = 0
-    for i in range(4):
-        for j in range(i, 4):
-            pi[i, j] = _two_copy_expectation(rho4, basis.projectors[i], basis.projectors[j])
-            pi[j, i] = pi[i, j]
-            settings += 1
-    return CollectiveData(pi_matrix=pi, settings_count=settings)
+    pi[i, j] = pi[j, i] = moments[i, j]
+    return CollectiveData(pi_matrix=pi, settings_count=len(i))
 
 
 def collective_R_minimal(rho2) -> np.ndarray:

@@ -11,21 +11,22 @@ entry...], so results are bit-identical for any worker count.
 One kernel, _hits, decides detection for all three.  Each mode replays the
 generator from the state right after the chunk's state draw, so its flags
 equal a run alone; each strategy draws its unitaries (U, V) from
-transforms._local_unitaries (random_both alone draws, and the fixed kinds'
-unitaries are built only where read) and its level selections from
-transforms.random_selections, the draws detection.run_trial makes in the same
-order, so a one-sample chunk gives run_trial's flags.  Every sampled state
+transforms._local_unitaries (random_both alone draws; the fixed kinds'
+unitaries are built once per process, in _k_tables) and its level
+selections from transforms.random_selections, the draws detection.run_trial
+makes in the same order, so a one-sample chunk gives run_trial's flags.  Every sampled state
 is pure plus white noise, so no score is computed: a sample is detected when
 witness.pure_noise_detected accepts its largest |det M| over level pairs.
 _hits takes that maximum from one of two det sources.  _schmidt_dets (icps
 and grid) splits M = U diag(s) V^T into two terms, so det M_k of a selection
 class k is alpha (alpha a_k + alpha_r c_k); for the strategies with fixed
 unitaries, (a_k, c_k) is read from a per-process class table at the class
-index of each drawn selection.  random-sweep gathers its Haar states'
-entries under the identity strategy, which draws nothing.  icps
-samples are entangled by oracles.conditioning_threshold alone, Haar (quasi)
-samples by _npt_masks: Cauchy-Binet bounds on lam0 lam1 from the Gram matrix
-settle most rows, and only the rows they leave open get an SVD.
+index of each drawn selection, or above TABLE_MAX_D computed from the
+per-process (K0, K1) tables.  random-sweep gathers its Haar states' entries
+under the identity strategy, which draws nothing.  icps samples are
+entangled by oracles.conditioning_threshold alone, Haar (quasi) samples by
+_npt_masks: Cauchy-Binet bounds on lam0 lam1 from the Gram matrix settle
+most rows, and only the rows they leave open get an SVD.
 """
 from __future__ import annotations
 
@@ -75,10 +76,16 @@ def _schmidt_basis(d: int, r: int) -> np.ndarray:
     return np.array([levels < r - 1, levels == r - 1], dtype=float)
 
 
-def _k_tables(u: np.ndarray, v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Flat (2, d^2) tables (K0, K1) of (d, d) unitaries: K0 = U P_{r-1} V^T
-    and K1 = u_{r-1} v_{r-1}^T (columns r-1 of U and V)."""
-    return np.einsum("qk,jk,pk->jqp", u, basis, v).reshape(2, -1)
+@lru_cache(maxsize=16)
+def _k_tables(d: int, r: int, kind: LutKind) -> np.ndarray:
+    """Read-only flat (2, d^2) tables (K0, K1) of a strategy with fixed
+    unitaries (U, V): K0 = U P_{r-1} V^T and K1 = u_{r-1} v_{r-1}^T (columns
+    r-1 of U and V).  The one map from such a strategy to its terms; 32 d^2
+    bytes, built once per process and (d, r, kind)."""
+    u, v = _local_unitaries(d, LutStrategy(kind), None)
+    k = np.einsum("qk,jk,pk->jqp", u, _schmidt_basis(d, r), v).reshape(2, -1)
+    k.setflags(write=False)
+    return k
 
 
 @lru_cache(maxsize=16)
@@ -86,10 +93,9 @@ def _class_table(d: int, r: int, kind: LutKind) -> np.ndarray:
     """Read-only (2, d^4) table (a_k, c_k) of _class_terms for every class
     k = ((a0 d + a1) d + b0) d + b1 under a strategy with fixed unitaries;
     32 d^4 bytes, built once per process and (d, r, kind)."""
-    u, v = _local_unitaries(d, LutStrategy(kind), None)
     lv = np.arange(d)
-    a, c = _class_terms(*_k_tables(u, v, _schmidt_basis(d, r)), d, lv[:, None, None, None],
-                        lv[:, None, None], lv[:, None], lv)
+    a, c = _class_terms(*_k_tables(d, r, kind), d, lv[:, None, None, None], lv[:, None, None],
+                        lv[:, None], lv)
     table = np.stack([a.ravel(), c.ravel()])
     table.setflags(write=False)
     return table
@@ -108,29 +114,24 @@ def _schmidt_dets(alpha: np.ndarray, d: int, r: int):
     |det M_k| = alpha |alpha a_k + alpha_r c_k| (_class_terms).  A kind with
     unitaries fixed by d ignores (u, v): up to TABLE_MAX_D it reads (a_k, c_k)
     from _class_table at each sample's class index; above it, _class_terms
-    runs on the drawn classes of transforms._local_unitaries' pair, as it
-    does for a pinned (d, d) random_both pair (u, v).  Both take one level
-    pair at a time and keep a running maximum, so a chunk holds one pair's terms.
-    Per-sample (n, d, d) random_both stacks: one einsum over the selected
-    rows of U and V per pair.
+    runs on the drawn classes of the per-process _k_tables.  Both take one
+    level pair at a time and keep a running maximum, so a chunk holds one
+    pair's terms.  random_both's per-sample (n, d, d) stacks (u, v): one
+    einsum over the selected rows of U and V per pair.
     """
     alpha_r = last_schmidt_coefficient(r, alpha)
-    basis = _schmidt_basis(d, r)
 
     def dets(sel: np.ndarray, kind: LutKind, u, v) -> np.ndarray:
-        fixed = kind is not LutKind.RANDOM_BOTH
-        if fixed and d <= TABLE_MAX_D:
-            table = _class_table(d, r, kind)
-            terms = lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
-        elif fixed or u.ndim == 2:
-            k0, k1 = _k_tables(*(_local_unitaries(d, LutStrategy(kind), None) if fixed else (u, v)),
-                               basis)
-            terms = lambda a0, a1, b0, b1: _class_terms(k0, k1, d, a0, a1, b0, b1)
-        else:
-            s = np.stack([alpha, alpha_r], axis=1) @ basis
+        if kind is LutKind.RANDOM_BOTH:
+            s = np.stack([alpha, alpha_r], axis=1) @ _schmidt_basis(d, r)
             return _max_det(np.einsum("nqk,nk,npk->nqp", np.take_along_axis(u, p[:, :2, None], axis=1),
                                       s, np.take_along_axis(v, p[:, 2:, None], axis=1)).reshape(-1, 4)
                             for p in np.moveaxis(sel, 1, 0))
+        if d <= TABLE_MAX_D:
+            table = _class_table(d, r, kind)
+            terms = lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
+        else:
+            terms = partial(_class_terms, *_k_tables(d, r, kind), d)
         best = np.zeros(len(alpha))
         for pair in np.moveaxis(sel, 0, -1):  # per level pair: rows a0, a1, b0, b1 of n
             a, c = terms(*pair)

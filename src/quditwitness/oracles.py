@@ -140,11 +140,6 @@ def _selection_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     return table, idx
 
 
-def all_selections(d: int) -> list[LevelSelection]:
-    """All d^2 (d-1)^2 selection classes, lexicographic in (a0, a1, b0, b1)."""
-    return [LevelSelection(*row) for row in _selection_table(d)[0].tolist()]
-
-
 @dataclass(frozen=True)
 class BruteForceCounts:
     """Exhaustive enumeration result: detections per scenario class."""

@@ -1,16 +1,17 @@
-"""Pauli decomposition of two-qubit states and the fully-entangled-fraction witness.
+"""The fully-entangled-fraction witness of two-qubit states.
 
 The witness statistic is score = Tr sqrt(T^T T) - 1 = (sum of singular values
-of the correlation matrix T) - 1; a strictly positive score certifies
-entanglement of the two-qubit state.  The score is exposed alongside
-fef_w = max(0, score)/2 because closed-form analyses work at the score level.
-fef_witness and scores_from_submatrices take the SVD of T.  bounded_detections
-settles most blocks of a stack from invariants of T (bounds on sigma^2 from
-|T|_F^2 and e2 of T^T T, compared squared, never through sqrt(e2), with a
-rounding slack), so the enumeration oracle takes the SVD only of the blocks it
-leaves open.  The sweeps compute no score:
-for pure-plus-noise blocks, pure_noise_detected decides detection from |det M|
-against the noise floor, with no SVD.
+of the correlation matrix T_mn = tr(rho sigma_m x sigma_n)) - 1; a strictly
+positive score certifies entanglement of the two-qubit state.  The score is
+exposed alongside fef_w = max(0, score)/2 because closed-form analyses work at
+the score level.  fef_witness (T from one einsum, _t_matrix) and
+scores_from_submatrices (T of a stack, _correlations) take the SVD of T.
+bounded_detections settles most blocks of a stack from invariants of T (bounds
+on sigma^2 from |T|_F^2 and e2 of T^T T, compared squared, never through
+sqrt(e2), with a rounding slack), so the enumeration oracle takes the SVD only
+of the blocks it leaves open.  The sweeps compute no score: for pure-plus-noise
+blocks, pure_noise_detected decides detection from |det M| against the noise
+floor, with no SVD.
 """
 from __future__ import annotations
 
@@ -46,25 +47,6 @@ _T_SIGNS = np.take_along_axis(_T_COEF, _T_TERMS, axis=0)
 
 
 @dataclass(frozen=True)
-class PauliDecomposition:
-    """Bloch vectors and correlation matrix of a two-qubit state."""
-
-    a_vec: np.ndarray
-    b_vec: np.ndarray
-    t_matrix: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the 4x4 density matrix from the decomposition."""
-        rho = np.eye(4, dtype=complex)
-        for m in range(3):
-            rho += self.a_vec[m] * np.kron(PAULI[m], np.eye(2))
-            rho += self.b_vec[m] * np.kron(np.eye(2), PAULI[m])
-            for n in range(3):
-                rho += self.t_matrix[m, n] * PAULI_KRON[m, n]
-        return rho / 4.0
-
-
-@dataclass(frozen=True)
 class WitnessOutcome:
     """Result of one witness evaluation.
 
@@ -91,14 +73,6 @@ def _t_matrix(mat: np.ndarray) -> np.ndarray:
     return np.einsum("ij,mnji->mn", mat, PAULI_KRON).real
 
 
-def pauli_decompose(rho2) -> PauliDecomposition:
-    """Coefficients a_m, b_n, T_mn of the two-qubit Pauli expansion."""
-    mat = _as_matrix(rho2)
-    a = np.array([np.trace(mat @ np.kron(PAULI[m], np.eye(2))).real for m in range(3)])
-    b = np.array([np.trace(mat @ np.kron(np.eye(2), PAULI[n])).real for n in range(3)])
-    return PauliDecomposition(a, b, _t_matrix(mat))
-
-
 def score_from_t(t: np.ndarray) -> float:
     """Witness score from a correlation matrix: sum of singular values minus 1."""
     return float(np.linalg.svd(t, compute_uv=False).sum() - 1.0)
@@ -114,8 +88,8 @@ def fef_witness(rho2, selection: LevelSelection | None = None,
                 strategy: LutKind | None = None) -> WitnessOutcome:
     """Evaluate the fully-entangled-fraction witness on a two-qubit state.
 
-    T comes from _t_matrix, as in pauli_decompose, not from _correlations,
-    so this scalar path stays an independent check of the vectorised T.
+    T comes from _t_matrix, not from _correlations, so this scalar path stays
+    an independent check of the vectorised T.
     """
     return outcome_from_score(score_from_t(_t_matrix(_as_matrix(rho2))), selection, strategy)
 

@@ -3,6 +3,7 @@ import pytest
 
 from quditwitness import DensityMatrix
 from quditwitness.linalg import ginibre
+from quditwitness.witness import PAULI
 
 
 def random_density(rng: np.random.Generator, dim_a: int, dim_b: int) -> DensityMatrix:
@@ -10,6 +11,14 @@ def random_density(rng: np.random.Generator, dim_a: int, dim_b: int) -> DensityM
     g = ginibre(dim_a * dim_b, rng)
     mat = g @ g.conj().T
     return DensityMatrix(dim_a, dim_b, mat / mat.trace())
+
+
+def two_copy_moments_reference(mat, ops):
+    """m_ij = Tr[rho x rho . S_bb' (ops[i] x ops[j])_aa'] in the (a, b, a', b')
+    order, by explicit 16x16 Kronecker products and S = sum_k sigma_k x sigma_k."""
+    rho4 = np.kron(mat, mat)
+    return np.array([[sum(np.trace(rho4 @ np.kron(np.kron(a, PAULI[k]), np.kron(b, PAULI[k]))).real
+                          for k in range(3)) for b in ops] for a in ops])
 
 
 def schmidt_amplitude_matrices(alpha, r, d, u, v):

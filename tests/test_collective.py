@@ -2,10 +2,10 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from quditwitness import (DensityMatrix, collective_R_minimal, collective_R_pauli,
-                          fef_from_collective, fef_witness, minimal_basis, pauli_decompose,
-                          pi_matrix, singlet_projector_op, transformation_matrix)
-from quditwitness.witness import PAULI
-from conftest import random_density
+                          fef_from_collective, fef_witness, minimal_basis, pi_matrix,
+                          singlet_projector_op, transformation_matrix)
+from quditwitness.witness import PAULI, _t_matrix
+from conftest import random_density, two_copy_moments_reference
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -64,7 +64,7 @@ def test_methods_agree_and_r_is_gram_of_t(rng):
         r_pauli = collective_R_pauli(rho)
         r_min = collective_R_minimal(rho)
         assert np.abs(r_min - r_pauli).max() <= 1e-10
-        t = pauli_decompose(rho).t_matrix
+        t = _t_matrix(rho.mat)
         assert np.abs(r_pauli - t @ t.T).max() <= 1e-10
         assert np.abs(r_pauli - r_pauli.T).max() <= 1e-10
         assert np.linalg.eigvalsh(r_pauli).min() >= -1e-10
@@ -75,9 +75,18 @@ def test_ten_settings_and_symmetry(rng):
     data = pi_matrix(rho)
     assert data.settings_count == 10
     pi = data.pi_matrix
-    assert np.abs(pi - pi.T).max() <= 1e-12
-    # symmetrising changes nothing: the 10 upper-triangle values determine all 16
-    assert_allclose((pi + pi.T) / 2, pi, atol=1e-12)
+    # the 10 upper-triangle moments determine all 16: pi is mirrored, so symmetric exactly
+    assert np.array_equal(pi, pi.T)
+
+
+def test_moments_match_explicit_kron_traces(rng):
+    projectors = minimal_basis().projectors
+    for _ in range(20):
+        rho = random_density(rng, 2, 2)
+        assert_allclose(collective_R_pauli(rho), two_copy_moments_reference(rho.mat, PAULI),
+                        rtol=0, atol=1e-12)
+        assert_allclose(pi_matrix(rho).pi_matrix, two_copy_moments_reference(rho.mat, projectors),
+                        rtol=0, atol=1e-12)
 
 
 def test_fef_from_collective_examples():
@@ -103,5 +112,5 @@ def test_trace_sqrt_r_equals_singular_value_sum(rng):
         rho = random_density(rng, 2, 2)
         r = collective_R_pauli(rho)
         tr_sqrt = np.sqrt(np.clip(np.linalg.eigvalsh(r), 0, None)).sum()
-        sv_sum = np.linalg.svd(pauli_decompose(rho).t_matrix, compute_uv=False).sum()
+        sv_sum = np.linalg.svd(_t_matrix(rho.mat), compute_uv=False).sum()
         assert abs(tr_sqrt - sv_sum) <= 1e-9

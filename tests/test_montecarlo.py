@@ -212,15 +212,12 @@ def test_run_tasks_pool_capped_by_tasks_and_cpus(monkeypatch, workers, tasks, cp
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_schmidt_amps_match_local_unitary_product(d, rng):
-    # the kernel's per-sample max |det M| (class table, drawn classes and row
-    # einsum) equals that of the 2x2 blocks of U diag(s) V^T for the unitaries
-    # that transforms._local_unitaries hands out, at every rank and for alpha up
-    # to and at 1/sqrt(r-1)
+    # the kernel's per-sample max |det M| (class table and row einsum) equals
+    # that of the 2x2 blocks of U diag(s) V^T for the unitaries that
+    # transforms._local_unitaries hands out, at every rank and for alpha up to
+    # and at 1/sqrt(r-1); random_both's per-sample stacks have non-symmetric U and V
     n = 40
     pairs = [(kind, *_local_unitaries(d, LutStrategy(kind), rng, size=n)) for kind in LutKind]
-    pairs.append((LutKind.RANDOM_BOTH, *_local_unitaries(
-        d, LutStrategy.random_both(haar_unitary(d, rng), haar_unitary(d, rng)), rng)))
-    pairs.append((LutKind.RANDOM_BOTH, np.eye(d), haar_unitary(d, rng)))  # a non-symmetric V
     for r in range(2, d + 1):
         alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
         alpha[0] = 1 / np.sqrt(r - 1)
@@ -301,9 +298,11 @@ def test_drawn_classes_above_table_cap_match_local_unitary_product(rng, monkeypa
                 assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
 
 
-def test_fixed_kinds_build_no_unitaries_below_table_cap(monkeypatch):
-    # once the class tables exist, a chunk reads no fixed-kind unitary, so it builds none
-    task = (5, 0, 300, 5, 3, tuple(LutKind), ("single", "parallel"), False, IcpsGroundTruth.NPT)
+@pytest.mark.parametrize("d", [5, 17])
+def test_fixed_kinds_build_unitaries_once_per_process(monkeypatch, d):
+    # once the class tables (d <= TABLE_MAX_D) or the (K0, K1) tables (above it)
+    # exist, a chunk reads no fixed-kind unitary, so it builds none
+    task = (5, 0, 300, d, 3, tuple(LutKind), ("single", "parallel"), False, IcpsGroundTruth.NPT)
     first = engine._counts(engine._icps_flags, *task)
     monkeypatch.setattr(transforms, "qudit_hadamard", None)  # a Hadamard build would fail
     assert_array_equal(engine._counts(engine._icps_flags, *task), first)

@@ -10,7 +10,7 @@ from quditwitness import (IcpsGroundTruth, IcpsParams, InvalidScenarioError, Lev
                           fef_witness, haar_unitary, is_npt, make_icps, maximally_mixed,
                           partial_transpose, reduce_to_two_qubits, visibility_thresholds)
 from quditwitness.cli import main
-from quditwitness.oracles import _selection_table, all_selections
+from quditwitness.oracles import _selection_table
 from quditwitness.states import DensityMatrix
 from conftest import random_density
 
@@ -132,10 +132,10 @@ def test_selection_table_matches_loop_enumeration():
     for d in range(2, 6):
         loop = [(a0, a1, b0, b1) for a0 in range(d) for a1 in range(d) if a1 != a0
                 for b0 in range(d) for b1 in range(d) if b1 != b0]
-        assert [(s.a0, s.a1, s.b0, s.b1) for s in all_selections(d)] == loop
-        blocks = [[a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1] for a0, a1, b0, b1 in loop]
-        assert [list(s.indices(d)) for s in all_selections(d)] == blocks
         table, idx = _selection_table(d)
+        assert table.tolist() == [list(row) for row in loop]
+        blocks = [[a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1] for a0, a1, b0, b1 in loop]
+        assert [list(LevelSelection(*row).indices(d)) for row in table] == blocks
         assert idx.tolist() == blocks
         assert not table.flags.writeable and not idx.flags.writeable
 

@@ -2,8 +2,8 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from quditwitness import (WITNESS_TOL, ZERO_PROB_TOL, DensityMatrix, fef_witness, haar_unitary, is_npt,
-                          pauli_decompose, substream)
-from quditwitness.witness import (PAULI, PAULI_KRON, _correlations, pure_noise_detected,
+                          substream)
+from quditwitness.witness import (PAULI, PAULI_KRON, _correlations, _t_matrix, pure_noise_detected,
                                   scores_from_submatrices, score_from_t)
 from conftest import random_density
 
@@ -15,36 +15,12 @@ def two_qubit(mat):
     return DensityMatrix(2, 2, np.asarray(mat, dtype=complex))
 
 
-def test_decompose_maximally_mixed():
-    dec = pauli_decompose(two_qubit(np.eye(4) / 4))
-    assert_allclose(dec.a_vec, 0, atol=1e-14)
-    assert_allclose(dec.b_vec, 0, atol=1e-14)
-    assert_allclose(dec.t_matrix, 0, atol=1e-14)
-
-
-def test_decompose_bell():
-    dec = pauli_decompose(two_qubit(np.outer(BELL, BELL)))
-    assert_allclose(dec.t_matrix, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-    assert_allclose(dec.a_vec, 0, atol=1e-12)
-    assert_allclose(dec.b_vec, 0, atol=1e-12)
-
-
-def test_decompose_product_zero_state():
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = 1.0
-    dec = pauli_decompose(two_qubit(mat))
-    assert_allclose(dec.a_vec, [0, 0, 1], atol=1e-12)
-    assert_allclose(dec.b_vec, [0, 0, 1], atol=1e-12)
-    assert_allclose(dec.t_matrix, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
-
-
-def test_decompose_reconstructs(rng):
-    for _ in range(25):
-        rho = random_density(rng, 2, 2)
-        dec = pauli_decompose(rho)
-        assert np.abs(dec.reconstruct() - rho.mat).max() <= 1e-10
-        for arr in (dec.a_vec, dec.b_vec, dec.t_matrix.ravel()):
-            assert np.all(np.abs(arr) <= 1 + 1e-10)
+def test_t_matrix_examples():
+    assert_allclose(_t_matrix(np.eye(4) / 4), 0, atol=1e-14)
+    assert_allclose(_t_matrix(np.outer(BELL, BELL)), np.diag([1.0, -1.0, 1.0]), atol=1e-12)
+    product = np.zeros((4, 4), dtype=complex)
+    product[0, 0] = 1.0
+    assert_allclose(_t_matrix(product), np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
 
 def test_fef_bell():
@@ -92,8 +68,7 @@ def test_pure_schmidt_state_scores():
     # cos(t)|00> + sin(t)|11>: singular values (sin 2t, sin 2t, 1), score 2 sin 2t
     for theta in np.linspace(0.05, np.pi / 2 - 0.05, 15):
         psi = np.array([np.cos(theta), 0, 0, np.sin(theta)], dtype=complex)
-        dec = pauli_decompose(two_qubit(np.outer(psi, psi.conj())))
-        sv = np.sort(np.linalg.svd(dec.t_matrix, compute_uv=False))
+        sv = np.sort(np.linalg.svd(_t_matrix(np.outer(psi, psi.conj())), compute_uv=False))
         expect = np.sort([np.sin(2 * theta), np.sin(2 * theta), 1.0])
         assert_allclose(sv, expect, atol=1e-10)
         assert abs(fef_witness(two_qubit(np.outer(psi, psi.conj()))).score
