@@ -15,12 +15,18 @@ def two_qubit(mat):
     return DensityMatrix(2, 2, np.asarray(mat, dtype=complex))
 
 
-def test_t_matrix_examples():
+def test_decompose_maximally_mixed():
     assert_allclose(_t_matrix(np.eye(4) / 4), 0, atol=1e-14)
+
+
+def test_decompose_bell():
     assert_allclose(_t_matrix(np.outer(BELL, BELL)), np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-    product = np.zeros((4, 4), dtype=complex)
-    product[0, 0] = 1.0
-    assert_allclose(_t_matrix(product), np.diag([0.0, 0.0, 1.0]), atol=1e-12)
+
+
+def test_decompose_product_zero_state():
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0] = 1.0
+    assert_allclose(_t_matrix(mat), np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
 
 def test_fef_bell():
