@@ -1,6 +1,7 @@
 """Ground-truth oracles: PPT test, exact thresholds (visibility_thresholds, and
 conditioning_threshold, the one function per conditioning rule), closed-form
-scores and exhaustive selection enumeration.
+scores and exhaustive selection enumeration, which evaluates one block per
+unordered selection class and counts it for all four orders of its levels.
 
 These routines are deliberately independent of the sampling pipeline so that
 Monte Carlo results can be checked against them.
@@ -129,15 +130,17 @@ def analytic_fef_score(p: IcpsParams, scenario: Scenario) -> float:
 
 @lru_cache(maxsize=16)
 def _selection_table(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, 4) rows (a0, a1, b0, b1) of all m = d^2 (d-1)^2 classes, lexicographic,
-    and their (m, 4) block_indices.  Cached per d, so both are read-only."""
-    pairs = np.stack(np.nonzero(~np.eye(d, dtype=bool)), axis=1)
+    """(m, 4) rows (a0, a1, b0, b1) of the m = d^2 (d-1)^2 / 4 unordered classes
+    (a0 < a1, b0 < b1), lexicographic, and the (m, 16) positions of their 4x4
+    blocks in the raveled d^2 x d^2 matrix.  Cached per d, so both are read-only."""
+    pairs = np.stack(np.nonzero(np.triu(np.ones((d, d), dtype=bool), 1)), axis=1)
     m = len(pairs)
     table = np.concatenate([np.repeat(pairs, m, axis=0), np.tile(pairs, (m, 1))], axis=1)
     idx = block_indices(table, d)
+    flat = (idx[:, :, None] * (d * d) + idx[:, None, :]).reshape(-1, 16)
     table.setflags(write=False)
-    idx.setflags(write=False)
-    return table, idx
+    flat.setflags(write=False)
+    return table, flat
 
 
 @dataclass(frozen=True)
@@ -158,22 +161,36 @@ def brute_force_counts(rho: DensityMatrix, lut: LutStrategy,
     """Evaluate the witness on every selection class after the given unitary.
 
     A class is detected iff scores_from_submatrices scores its block above
-    WITNESS_TOL.  bounded_detections settles most classes from invariants of
-    the correlation matrix T (|T|_F^2 and the second elementary symmetric
-    function of the eigenvalues of T^T T, compared squared with a rounding
-    slack); only the classes it leaves open go to scores_from_submatrices, so
-    a traced run's witness.sub_rows counts only those.  When r is given,
-    detections are additionally tallied per Scenario.  This is the per-state
-    sensitivity oracle; it needs d >= 2.
+    WITNESS_TOL.  Only the d^2 (d-1)^2 / 4 classes with a0 < a1 and b0 < b1
+    are evaluated; each detection, and each by_scenario tally, counts four
+    times, as the three other orders of a class get the same flag.  Swapping
+    a0 <-> a1 conjugates the block by X (x) I, which maps T to
+    diag(1, -1, -1) T; swapping b0 <-> b1 maps T to T diag(1, -1, -1).
+    Neither changes the weight (the block's trace) or the singular values of
+    T (R. & M. Horodecki, PRA 54, 1838 (1996)), so the score is the same, and
+    classify_selection gives the same answer under both.  In floating point a
+    swapped T agrees with the sign-flipped one to rounding, so only a class
+    scored within rounding of WITNESS_TOL could be split by an ordered
+    enumeration.  total stays d^2 (d-1)^2.
+
+    bounded_detections settles most classes from invariants of the correlation
+    matrix T (|T|_F^2 and the second elementary symmetric function of the
+    eigenvalues of T^T T, compared squared with a rounding slack); only the
+    classes it leaves open go to scores_from_submatrices, so a traced run's
+    witness.sub_rows counts only those.  When r is given (2 <= r <= d, else
+    InvalidParamsError), detections are additionally tallied per Scenario.
+    This is the per-state sensitivity oracle; it needs d >= 2.
     """
     if rho.dim_a != rho.dim_b:
         raise ValueError("selection enumeration assumes equal local dimensions")
     d = rho.dim_a
     if d < 2:
         raise ValueError(f"selection enumeration needs d >= 2, got d = {d}")
+    if r is not None:
+        IcpsParams(d, r, 0.0, 0.0)  # raises InvalidParamsError unless 2 <= r <= d
     transformed = apply_lut(rho, lut)
-    table, idx = _selection_table(d)
-    blocks = transformed.mat[idx[:, :, None], idx[:, None, :]]
+    table, flat = _selection_table(d)
+    blocks = transformed.mat.ravel().take(flat).reshape(-1, 4, 4)
     hits, open_rows = bounded_detections(blocks)
     if open_rows.any():
         hits[open_rows] = scores_from_submatrices(blocks[open_rows])[0] > WITNESS_TOL
@@ -181,8 +198,9 @@ def brute_force_counts(rho: DensityMatrix, lut: LutStrategy,
     if r is not None:
         by_scenario = {sc: 0 for sc in Scenario}
         for row in table[hits].tolist():
-            by_scenario[classify_selection(LevelSelection(*row), r)] += 1
-    return BruteForceCounts(total=len(table), detected=int(hits.sum()), by_scenario=by_scenario)
+            by_scenario[classify_selection(LevelSelection(*row), r)] += 4
+    return BruteForceCounts(total=4 * len(table), detected=4 * int(hits.sum()),
+                            by_scenario=by_scenario)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,13 @@ def random_density(rng: np.random.Generator, dim_a: int, dim_b: int) -> DensityM
     return DensityMatrix(dim_a, dim_b, mat / mat.trace())
 
 
+def ordered_classes(d: int) -> list[tuple[int, int, int, int]]:
+    """Every ordered selection class (a0, a1, b0, b1), a0 != a1 and b0 != b1,
+    in lexicographic order: d^2 (d-1)^2 of them."""
+    return [(a0, a1, b0, b1) for a0 in range(d) for a1 in range(d) if a1 != a0
+            for b0 in range(d) for b1 in range(d) if b1 != b0]
+
+
 def two_copy_moments_reference(mat, ops):
     """m_ij = Tr[rho x rho . S_bb' (ops[i] x ops[j])_aa'] in the (a, b, a', b')
     order, by explicit 16x16 Kronecker products and S = sum_k sigma_k x sigma_k."""

@@ -1,18 +1,23 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quditwitness import (IcpsGroundTruth, IcpsParams, InvalidScenarioError, LevelSelection,
-                          LutStrategy, Scenario, analytic_fef_score, analytic_sensitivity,
-                          brute_force_counts, classify_selection, conditioning_threshold,
-                          fef_witness, haar_unitary, is_npt, make_icps, maximally_mixed,
-                          partial_transpose, reduce_to_two_qubits, visibility_thresholds)
+from quditwitness import (IcpsGroundTruth, IcpsParams, InvalidParamsError, InvalidScenarioError,
+                          LevelSelection, LutStrategy, QuasiPureParams, Scenario,
+                          analytic_fef_score, analytic_sensitivity, brute_force_counts,
+                          classify_selection, conditioning_threshold, fef_witness, haar_unitary,
+                          is_npt, make_icps, make_quasi_pure, maximally_mixed, partial_transpose,
+                          reduce_to_two_qubits, visibility_thresholds)
 from quditwitness.cli import main
+from quditwitness.constants import WITNESS_TOL
 from quditwitness.oracles import _selection_table
 from quditwitness.states import DensityMatrix
-from conftest import random_density
+from quditwitness.transforms import apply_lut
+from quditwitness.witness import _correlations, scores_from_submatrices
+from conftest import ordered_classes, random_density
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -128,16 +133,89 @@ def test_classify_selection_examples():
 
 
 def test_selection_table_matches_loop_enumeration():
-    # the vectorised table and block rule against the explicit loops they replace
+    # the cached unordered table and its flat block positions against explicit
+    # loops over every ordered class
     for d in range(2, 6):
-        loop = [(a0, a1, b0, b1) for a0 in range(d) for a1 in range(d) if a1 != a0
-                for b0 in range(d) for b1 in range(d) if b1 != b0]
-        table, idx = _selection_table(d)
-        assert table.tolist() == [list(row) for row in loop]
-        blocks = [[a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1] for a0, a1, b0, b1 in loop]
+        loop = ordered_classes(d)
+        unordered = [row for row in loop if row[0] < row[1] and row[2] < row[3]]
+        # each ordered class is one of the four level-swapped versions of one unordered row
+        assert Counter((min(a0, a1), max(a0, a1), min(b0, b1), max(b0, b1))
+                       for a0, a1, b0, b1 in loop) == dict.fromkeys(unordered, 4)
+        table, flat = _selection_table(d)
+        assert [tuple(row) for row in table.tolist()] == unordered
+        blocks = [[a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1]
+                  for a0, a1, b0, b1 in unordered]
         assert [list(LevelSelection(*row).indices(d)) for row in table] == blocks
-        assert idx.tolist() == blocks
-        assert not table.flags.writeable and not idx.flags.writeable
+        assert flat.tolist() == [[i * d * d + j for i in b for j in b] for b in blocks]
+        assert not table.flags.writeable and not flat.flags.writeable
+
+
+def test_level_swaps_flip_correlation_signs(rng):
+    # swapping a0 <-> a1 conjugates a block by X (x) I and maps T to diag(1, -1, -1) T;
+    # swapping b0 <-> b1 conjugates it by I (x) X and maps T to T diag(1, -1, -1)
+    blocks = np.array([random_density(rng, 2, 2).mat * rng.uniform(0.01, 1.0) for _ in range(500)])
+    t = _correlations(blocks)[0]
+    flip = np.diag([1.0, -1.0, -1.0])
+    swap_a, swap_b = [2, 3, 0, 1], [1, 0, 3, 2]
+    t_a = _correlations(blocks[:, swap_a][:, :, swap_a])[0]
+    t_b = _correlations(blocks[:, swap_b][:, :, swap_b])[0]
+    assert_allclose(t_a, flip @ t, rtol=0, atol=1e-15)
+    assert_allclose(t_b, t @ flip, rtol=0, atol=1e-15)
+
+
+def reference_counts(rho: DensityMatrix, lut: LutStrategy, r: int):
+    """(total, detected, by_scenario) over every ordered class, each block scored
+    directly by scores_from_submatrices."""
+    d = rho.dim_a
+    mat = apply_lut(rho, lut).mat
+    rows = ordered_classes(d)
+    idx = np.array([[a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1]
+                    for a0, a1, b0, b1 in rows])
+    hits = scores_from_submatrices(mat[idx[:, :, None], idx[:, None, :]])[0] > WITNESS_TOL
+    tally = Counter(classify_selection(LevelSelection(*row), r)
+                    for row, hit in zip(rows, hits) if hit)
+    return len(rows), int(hits.sum()), {sc: tally[sc] for sc in Scenario}
+
+
+def oracle_reference_states(d: int, rng):
+    """(state, r) pairs: Ginibre mixed states, Schmidt-form states below the NPT
+    threshold, 1e-9 above it and well above it, and noisy Haar pure states."""
+    for _ in range(2):
+        yield random_density(rng, d, d), int(rng.integers(2, d + 1))
+    for half in ("ppt", "edge", "entangled"):
+        r = int(rng.integers(2, d + 1))
+        alpha = float(rng.uniform(0.1, 0.9) / np.sqrt(r - 1))
+        thr = float(conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT))
+        v = {"ppt": thr * rng.uniform(0.0, 0.999), "edge": thr + 1e-9,
+             "entangled": thr + (1.0 - thr) * rng.uniform(0.01, 1.0)}[half]
+        yield make_icps(IcpsParams(d, r, alpha, float(v))), r
+    for v in (0.3, 0.9):
+        yield make_quasi_pure(QuasiPureParams(d, v), rng), int(rng.integers(2, d + 1))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_brute_force_matches_ordered_reference(d, rng):
+    detected = 0
+    for rho, r in oracle_reference_states(d, rng):
+        for lut in (LutStrategy.identity(), LutStrategy.hadamard_b(), LutStrategy.hadamard_both(),
+                    LutStrategy.random_both(haar_unitary(d, rng), haar_unitary(d, rng))):
+            counts = brute_force_counts(rho, lut, r=r)
+            got = (counts.total, counts.detected, counts.by_scenario)
+            assert got == reference_counts(rho, lut, r)
+            detected += counts.detected
+    assert detected > 0
+
+
+@pytest.mark.parametrize("r", [0, 1, 5, 7])
+def test_brute_force_rejects_r_outside_2_to_d(r):
+    # at d = 4 and Schmidt rank 3, r = 3 tallies 4 core-core and 8 core-edge
+    # detections; other ranks used to misfile all 12 under one violated or core class
+    rho = make_icps(IcpsParams(4, 3, 0.5, 1.0))
+    counts = brute_force_counts(rho, LutStrategy.identity(), r=3)
+    assert counts.by_scenario == {Scenario.BOTH_IN_CORE: 4, Scenario.CORE_AND_EDGE: 8,
+                                  Scenario.VIOLATED_CORE: 0, Scenario.VIOLATED_EDGE: 0}
+    with pytest.raises(InvalidParamsError, match=r"r must be in \[2, d\]"):
+        brute_force_counts(rho, LutStrategy.identity(), r=r)
 
 
 def test_brute_force_rank2():

@@ -6,9 +6,8 @@ from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelec
                           LutStrategy, ZeroProbabilityError, apply_lut, conditioning_threshold,
                           fef_witness, make_icps, maximally_mixed, qudit_hadamard,
                           random_selections, reduce_to_two_qubits, substream)
-from quditwitness.oracles import _selection_table
 from quditwitness.transforms import _local_unitaries
-from conftest import random_density
+from conftest import ordered_classes, random_density
 
 
 def test_qudit_hadamard_d2():
@@ -198,5 +197,5 @@ def test_ppt_icps_never_detected_small():
         rho = make_icps(IcpsParams(d, r, alpha, v))
         for strat in (LutStrategy.identity(), LutStrategy.hadamard_b(), LutStrategy.hadamard_both()):
             transformed = apply_lut(rho, strat, rng)
-            for sel in (LevelSelection(*row) for row in _selection_table(d)[0]):
+            for sel in (LevelSelection(*row) for row in ordered_classes(d)):
                 assert not fef_witness(reduce_to_two_qubits(transformed, sel)[0]).detected
