@@ -38,7 +38,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .constants import NPT_TOL
-from .linalg import haar_state
+from . import linalg
 from .oracles import IcpsGroundTruth, conditioning_threshold
 from .rng import substream
 from .states import InvalidParamsError, last_schmidt_coefficient
@@ -46,9 +46,8 @@ from .transforms import LutKind, LutStrategy, _local_unitaries, block_indices, r
 from .witness import pure_noise_detected
 
 CHUNK = 16384
-CHUNK_ENTRIES = CHUNK * 16 * 16  # rows * d^2 cap: a complex (n, d, d) stack is <= 64 MiB
 TABLE_MAX_D = 16  # largest d with a _class_table (32 d^4 bytes, 2 MiB) and full CHUNK rows
-_GT_ENTRIES = 1 << 15  # rows * d^2 cap per slice of the NPT ground truth's Gram matrices and SVD
+CHUNK_ENTRIES = CHUNK * TABLE_MAX_D ** 2  # rows * d^2 cap: a complex (n, d, d) stack <= 64 MiB
 
 _TAG_ICPS = 0
 _TAG_QUASI = 1
@@ -200,14 +199,14 @@ def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
     SVD's product and the expression within about d eps.  A row the bounds
     settle at every level keeps those flags; every other row is scored by
     the expression above from an SVD.  Gram matrices and SVDs run over
-    slices of at most _GT_ENTRIES entries (one row if d^2 exceeds it), so
-    their memory stays small for any d.
+    slices of at most linalg.SLICE_ENTRIES entries (one row if d^2 exceeds
+    it), so their memory stays small for any d.
     """
     v = np.asarray(vis, dtype=float)[:, None]
     floor = (1.0 - v) / (d * d) + NPT_TOL
     slack = 64 * d * d * np.finfo(float).eps
     pairs = d * (d - 1) / 2
-    rows = max(1, _GT_ENTRIES // (d * d))
+    rows = max(1, linalg.SLICE_ENTRIES // (d * d))
     masks = []
     for lo in range(0, len(z), rows):
         zs = z[lo:lo + rows]
@@ -232,7 +231,7 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     nothing, on the states' selected entries, and keeps its identity row.
     """
     rng = substream(seed, _TAG_QUASI, chunk_idx)
-    z = haar_state(d * d, rng, size=n)
+    z = linalg.haar_state(d * d, rng, size=n)
     vis = 1.0 - np.array(noises)
 
     def dets(sel: np.ndarray, kind: LutKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -265,7 +264,7 @@ def run_tasks(flags_fn, tasks: list[tuple], workers: int = 1) -> list[np.ndarray
 
 def chunk_sizes(n: int, d: int) -> list[int]:
     """Chunks covering n >= 1 samples: CHUNK rows, or fewer (at least 1) where
-    rows * d^2 would pass CHUNK_ENTRIES, i.e. for d > 16; the last may be short."""
+    rows * d^2 would pass CHUNK_ENTRIES, i.e. for d > TABLE_MAX_D; the last may be short."""
     if n < 1:
         raise InvalidParamsError(f"n_samples must be >= 1, got {n}")
     rows = max(1, min(CHUNK, CHUNK_ENTRIES // (d * d)))

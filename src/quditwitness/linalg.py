@@ -1,14 +1,14 @@
 """Random matrices and states: Ginibre matrices, Haar unitaries, Haar pure states.
 
 All three draw their complex Gaussians through one fill, _complex_normal: all
-real parts, then all imaginary parts, written in place in slices of _SLICE
+real parts, then all imaginary parts, in place in slices of SLICE_ENTRIES
 values, so a draw holds its result and no other array of that size.
 """
 from __future__ import annotations
 
 import numpy as np
 
-_SLICE = 1 << 15  # values per slice of the in-place fill and normalisation
+SLICE_ENTRIES = 1 << 15  # per slice of the fill, normalisation and engine._npt_masks
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -17,8 +17,8 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     z = np.empty(shape, dtype=complex)
     flat = z.reshape(-1)
     for part in (flat.real, flat.imag):
-        for lo in range(0, flat.size, _SLICE):
-            seg = part[lo:lo + _SLICE]
+        for lo in range(0, flat.size, SLICE_ENTRIES):
+            seg = part[lo:lo + SLICE_ENTRIES]
             seg[:] = rng.standard_normal(seg.shape)
     return z
 
@@ -48,7 +48,7 @@ def haar_state(dim: int, rng: np.random.Generator, size: int | None = None) -> n
     """
     z = _complex_normal(rng, (dim,) if size is None else (size, dim))
     rows = z if z.ndim == 2 else z[None]
-    step = max(1, _SLICE // max(dim, 1))
+    step = max(1, SLICE_ENTRIES // max(dim, 1))
     for lo in range(0, len(rows), step):
         zs = rows[lo:lo + step]
         zs /= np.linalg.norm(zs, axis=-1, keepdims=True)

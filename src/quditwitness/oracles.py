@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import NPT_TOL, WITNESS_TOL
-from .states import DensityMatrix, IcpsParams, last_schmidt_coefficient
+from .states import DensityMatrix, IcpsParams, InvalidParamsError, last_schmidt_coefficient
 from .transforms import LevelSelection, LutStrategy, apply_lut, block_indices
 from .witness import bounded_detections, scores_from_submatrices
 
@@ -94,7 +94,10 @@ def conditioning_threshold(d: int, r: int, alpha, rule: IcpsGroundTruth):
 
 
 def classify_selection(sel: LevelSelection, r: int) -> Scenario:
-    """Total classification of a selection for a rank-r Schmidt-form state."""
+    """Total classification of a selection for a rank-r Schmidt-form state; r < 2
+    raises InvalidParamsError, and r <= d is the caller's check (brute_force_counts')."""
+    if r < 2:
+        raise InvalidParamsError(f"r must be >= 2, got r={r}")
     matched = (sel.a0, sel.a1) in ((sel.b0, sel.b1), (sel.b1, sel.b0))
     a_levels = {sel.a0, sel.a1}
     core = a_levels <= set(range(r - 1))

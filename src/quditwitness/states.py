@@ -1,13 +1,13 @@
 """Construction of the bipartite state families under study.
 
 Both families share the pure-state-plus-white-noise structure
-``rho = v |psi><psi| + (1 - v)/D * I``; DensityMatrix caches the pair
-``(psi, v)`` when it is known, which lets downstream code evaluate
-reductions without re-diagonalising anything.
+``rho = v |psi><psi| + (1 - v)/D * I``.  A DensityMatrix holds only its
+matrix: from_pure mixes the outer product through apply_white_noise, so
+every state, pure-plus-noise or not, is read and transformed through .mat.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +23,17 @@ class InvalidStateError(ValueError):
     """Raised when a matrix violates the density-matrix invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Bipartite density matrix on C^dim_a (x) C^dim_b.
+    """Bipartite density matrix on C^dim_a (x) C^dim_b, held read-only.
 
-    ``pure`` and ``visibility`` are an optional cached decomposition
-    rho = visibility |pure><pure| + (1 - visibility)/D * I; they are set by the
-    constructors of pure-plus-noise families and preserved by unitary maps.
+    States compare and hash by identity: the generated field-wise equality
+    would compare the ndarray, whose truth value is ambiguous.
     """
 
     dim_a: int
     dim_b: int
     mat: np.ndarray
-    pure: np.ndarray | None = field(default=None, compare=False)
-    visibility: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dim_a < 1 or self.dim_b < 1:
@@ -45,8 +42,6 @@ class DensityMatrix:
         if self.mat.shape != (d, d):
             raise InvalidStateError(f"matrix shape {self.mat.shape} does not match dims ({d},{d})")
         self.mat.setflags(write=False)
-        if self.pure is not None:
-            self.pure.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -61,9 +56,7 @@ class DensityMatrix:
     def from_pure(cls, vec: np.ndarray, dim_a: int, dim_b: int, visibility: float = 1.0) -> "DensityMatrix":
         """Build v |vec><vec| + (1 - v)/D * I from a unit vector."""
         vec = np.asarray(vec, dtype=complex)
-        d = dim_a * dim_b
-        mat = visibility * np.outer(vec, vec.conj()) + (1.0 - visibility) / d * np.eye(d)
-        return cls(dim_a, dim_b, mat, pure=vec, visibility=float(visibility))
+        return apply_white_noise(cls(dim_a, dim_b, np.outer(vec, vec.conj())), visibility)
 
     def validate(self) -> "DensityMatrix":
         """Check finiteness, Hermiticity, unit trace and positivity; raise InvalidStateError."""
@@ -159,13 +152,11 @@ def make_quasi_pure(p: QuasiPureParams, rng: np.random.Generator) -> DensityMatr
 def apply_white_noise(rho: DensityMatrix, v: float) -> DensityMatrix:
     """Mix with the maximally mixed state: v rho + (1 - v)/D * I.
 
-    White-noise layers compose: applied to a cached pure-plus-noise state the
-    result is again pure-plus-noise with visibility v * v_old.
+    White-noise layers compose: noise v applied to a state with visibility
+    v_old gives visibility v * v_old, up to rounding.
     """
     if not 0.0 <= v <= 1.0:
         raise InvalidParamsError(f"v must be in [0, 1], got {v}")
-    if rho.pure is not None and rho.visibility is not None:
-        return DensityMatrix.from_pure(rho.pure, rho.dim_a, rho.dim_b, visibility=v * rho.visibility)
     d = rho.dim
     mat = v * rho.mat + (1.0 - v) / d * np.eye(d)
     return DensityMatrix(rho.dim_a, rho.dim_b, mat)

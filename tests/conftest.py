@@ -13,6 +13,12 @@ def random_density(rng: np.random.Generator, dim_a: int, dim_b: int) -> DensityM
     return DensityMatrix(dim_a, dim_b, mat / mat.trace())
 
 
+def conjugated_by_kron(mat: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(U (x) V) rho (U (x) V)^dag by the explicit d^2 x d^2 Kronecker operator."""
+    w = np.kron(u, v)
+    return w @ mat @ w.conj().T
+
+
 def ordered_classes(d: int) -> list[tuple[int, int, int, int]]:
     """Every ordered selection class (a0, a1, b0, b1), a0 != a1 and b0 != b1,
     in lexicographic order: d^2 (d-1)^2 of them."""

@@ -73,6 +73,7 @@ BAD_STATES = {  # file name -> (bytes, expected message)
     "negative.json": (json_state(-2, -2).encode(), "must be positive"),
     "zero.csv": (csv_state("dimA=0 dimB=0", []).encode(), "must be positive"),
     "negative.csv": (csv_state("dimA=-1 dimB=-1", [[1.0]]).encode(), "must be positive"),
+    "letter-dims.csv": (csv_state("dimA=x dimB=2", MIXED).encode(), "malformed density-matrix CSV"),
     "nan.json": (json.dumps({"dimA": 2, "dimB": 2, "re": [float("nan"), *MIXED.ravel()[1:]],
                              "im": [0.0] * 16}).encode(), "non-finite"),  # json writes a bare NaN
     "nan.csv": (csv_state("dimA=2 dimB=2", NAN_DIAG).encode(), "non-finite"),

@@ -94,8 +94,8 @@ def two_array_haar_state(dim, rng, size):
 @pytest.mark.parametrize("size", [None, 1, "past a slice"])
 def test_in_place_fill_equals_two_array_construction(draw, reference, per_sample, dim, size):
     if size == "past a slice":  # more than one fill slice, and not a multiple of it
-        size = linalg._SLICE // per_sample(dim) + 3
-        assert size * per_sample(dim) % linalg._SLICE != 0
+        size = linalg.SLICE_ENTRIES // per_sample(dim) + 3
+        assert size * per_sample(dim) % linalg.SLICE_ENTRIES != 0
     new, old = np.random.default_rng(dim), np.random.default_rng(dim)
     got, expected = draw(dim, new, size=size), reference(dim, old, size)
     assert got.shape == expected.shape and got.dtype == expected.dtype

@@ -7,7 +7,7 @@ from quditwitness import (COMBINED_KEY, CombinedSelection, GridSpec, IcpsGroundT
                           SensitivityEstimate, brute_force_counts, conditioning_threshold, is_npt,
                           make_icps, sweep_icps, sweep_icps_grid, sweep_quasi_pure,
                           wilson_halfwidth)
-from quditwitness import engine, haar_state, haar_unitary, transforms
+from quditwitness import engine, haar_state, haar_unitary, linalg, transforms
 from quditwitness.states import last_schmidt_coefficient
 from quditwitness.transforms import _local_unitaries, random_selections
 from conftest import SerialPool, explicit_max_det, schmidt_amplitude_matrices
@@ -323,7 +323,7 @@ def test_npt_masks_do_not_depend_on_slice_size(monkeypatch, d, noises):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     flags = []
     for cap in (1, n * d * d):
-        monkeypatch.setattr(engine, "_GT_ENTRIES", cap)
+        monkeypatch.setattr(linalg, "SLICE_ENTRIES", cap)
         flags.append(engine._npt_masks(z, d, vis))
     assert sum(svd_rows) > 0
     assert_array_equal(flags[0], flags[1])

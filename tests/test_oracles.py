@@ -132,6 +132,13 @@ def test_classify_selection_examples():
     assert classify_selection(LevelSelection(3, 4, 3, 4), 3) is Scenario.VIOLATED_EDGE
 
 
+@pytest.mark.parametrize("r", [-3, 0, 1])
+def test_classify_selection_rejects_rank_below_two(r):
+    # a matched core pair used to be filed under VIOLATED_EDGE for these r
+    with pytest.raises(InvalidParamsError, match="r must be >= 2"):
+        classify_selection(LevelSelection(0, 1, 0, 1), r)
+
+
 def test_selection_table_matches_loop_enumeration():
     # the cached unordered table and its flat block positions against explicit
     # loops over every ordered class

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from quditwitness import (DensityMatrix, IcpsParams, InvalidParamsError, InvalidStateError,
                           QuasiPureParams, apply_white_noise, is_npt, make_icps,
@@ -31,7 +31,9 @@ def test_icps_pure_rank2_spectrum():
 
 def test_icps_schmidt_support():
     p = IcpsParams(5, 3, 0.4, 1.0)
-    psi = make_icps(p).pure.reshape(5, 5)
+    vec = schmidt_vector(p.schmidt_coefficients(), 5)
+    assert_array_equal(make_icps(p).mat, np.outer(vec, vec.conj()))
+    psi = vec.reshape(5, 5)
     off_diag = psi - np.diag(np.diag(psi))
     assert np.abs(off_diag).max() == 0.0
     assert np.abs(np.diag(psi)[p.r:]).max() == 0.0
@@ -88,7 +90,8 @@ def test_white_noise_examples():
 def test_white_noise_composes_visibility():
     rho = make_icps(IcpsParams(3, 2, 0.5, 0.8))
     noisy = apply_white_noise(rho, 0.5)
-    assert noisy.visibility == pytest.approx(0.4)
+    vec = schmidt_vector(IcpsParams(3, 2, 0.5, 0.4).schmidt_coefficients(), 3)
+    assert_allclose(noisy.mat, 0.4 * np.outer(vec, vec.conj()) + 0.6 / 9 * np.eye(9), atol=1e-15)
     direct = make_icps(IcpsParams(3, 2, 0.5, 0.4))
     assert_allclose(noisy.mat, direct.mat, atol=1e-12)
 
@@ -116,6 +119,13 @@ def test_density_matrix_validation_messages():
         DensityMatrix.from_matrix(np.ones((1, 1)), -1, -1)
     with pytest.raises(InvalidStateError, match="dims must be positive"):
         DensityMatrix.from_matrix(np.zeros((0, 0)), 0, 3)
+
+
+def test_states_compare_and_hash_by_identity():
+    a, b = maximally_mixed(2, 2), maximally_mixed(2, 2)
+    assert a == a
+    assert a != b  # equal matrices, distinct states
+    assert len({a, b, a}) == 2
 
 
 def test_schmidt_vector_layout():

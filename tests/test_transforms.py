@@ -3,11 +3,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelection, LutKind,
-                          LutStrategy, ZeroProbabilityError, apply_lut, conditioning_threshold,
-                          fef_witness, make_icps, maximally_mixed, qudit_hadamard,
-                          random_selections, reduce_to_two_qubits, substream)
+                          LutStrategy, QuasiPureParams, ZeroProbabilityError, apply_lut,
+                          conditioning_threshold, fef_witness, haar_unitary, make_icps,
+                          make_quasi_pure, maximally_mixed, qudit_hadamard, random_selections,
+                          reduce_to_two_qubits, substream)
 from quditwitness.transforms import _local_unitaries
-from conftest import ordered_classes, random_density
+from conftest import conjugated_by_kron, ordered_classes, random_density
 
 
 def test_qudit_hadamard_d2():
@@ -53,13 +54,34 @@ def test_apply_lut_preserves_maximally_mixed():
 def test_apply_lut_trace_preserved_and_dense_matches_pure_path(rng):
     p = IcpsParams(4, 3, 0.4, 0.7)
     cached = make_icps(p)
-    dense = DensityMatrix(4, 4, np.array(cached.mat))  # no pure cache
+    dense = DensityMatrix(4, 4, np.array(cached.mat))  # a separate copy of the matrix
     for strat in (LutStrategy.hadamard_b(), LutStrategy.hadamard_both(),
                   LutStrategy.random_both(u_a=qudit_hadamard(4), v_b=np.eye(4, dtype=complex))):
         a = apply_lut(cached, strat, substream(3, 0))
         b = apply_lut(dense, strat, substream(3, 0))
         assert abs(a.mat.trace() - 1.0) <= 1e-12
         assert_allclose(a.mat, b.mat, atol=1e-12)
+
+
+@pytest.mark.parametrize("state", ["pure_noise", "ginibre"])
+@pytest.mark.parametrize("kind", list(LutKind))
+@pytest.mark.parametrize("d", range(2, 7))
+def test_apply_lut_matches_kron_reference(d, kind, state):
+    rng = substream(20, d)
+    if state == "pure_noise":
+        rho = make_quasi_pure(QuasiPureParams(d, 0.6), rng)
+    else:
+        rho = random_density(rng, d, d)
+    h, eye = qudit_hadamard(d), np.eye(d)
+    u, v = {LutKind.IDENTITY: (eye, eye), LutKind.HADAMARD_B: (eye, h),
+            LutKind.HADAMARD_BOTH: (h, h),
+            LutKind.RANDOM_BOTH: (haar_unitary(d, rng), haar_unitary(d, rng))}[kind]
+    if kind is LutKind.RANDOM_BOTH:  # a transposed or swapped factor would show
+        assert min(np.abs(u - u.T).max(), np.abs(v - v.T).max(), np.abs(u - v).max()) > 1e-3
+    pinned = (u, v) if kind is LutKind.RANDOM_BOTH else (None, None)
+    got = apply_lut(rho, LutStrategy(kind, *pinned))
+    assert got.mat.shape == (d * d, d * d) and not got.mat.flags.writeable
+    assert_allclose(got.mat, conjugated_by_kron(rho.mat, u, v), rtol=0, atol=1e-12)
 
 
 def test_apply_lut_random_both_needs_rng():
