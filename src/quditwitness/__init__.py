@@ -23,8 +23,8 @@ from .oracles import (AnalyticSensitivity, BruteForceCounts, IcpsGroundTruth, In
                       Scenario, analytic_fef_score, analytic_sensitivity, brute_force_counts,
                       classify_selection, conditioning_threshold, is_npt, partial_transpose,
                       visibility_thresholds)
-from .detection import (DEFAULT_STRATEGIES, CombinedSelection, DetectionConfig, Mode,
-                        TrialResult, evaluate_selection, run_trial)
+from .detection import (DEFAULT_STRATEGIES, CombinedSelection, Mode, TrialResult,
+                        evaluate_selection, run_trial)
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridCell, GridSpec, SensitivityEstimate,
                          sweep_icps, sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
 from .collective import (CollectiveData, MinimalBasis, collective_R_minimal,

@@ -172,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def run_options(p):
         p.add_argument("--seed", type=_nonnegative_int, default=0)
-        p.add_argument("--workers", type=_positive_int, default=None,
-                       help="pool size (default: $QUDITWITNESS_WORKERS, else the CPU count)")
+        p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
+                       help="pool size (default: the CPU count)")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
     p = sub.add_parser("icps-sweep", help="sensitivity table over the Schmidt-form ensemble")
@@ -227,14 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", 1) is None:
-        env = os.environ.get("QUDITWITNESS_WORKERS")
-        try:
-            args.workers = _positive_int(env) if env else os.cpu_count() or 1
-        except (ValueError, argparse.ArgumentTypeError):
-            print(f"error: QUDITWITNESS_WORKERS must be a positive integer, got {env!r}",
-                  file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (ParseError, InvalidStateError, InvalidParamsError, OSError) as exc:

@@ -7,7 +7,8 @@ the copies are identical, pi_ij = pi_ji, so the minimal-basis route needs only
 10 distinct settings.  The resulting R equals T T^T; the witness only uses
 its eigenvalues, which match those of T^T T.  Both routes take every moment
 from one einsum over the two copies (_two_copy_moments), with no 16x16
-operator built, and stay separate computations.
+operator built, and stay separate computations.  MinimalBasis and
+CollectiveData hold ndarrays, so, like DensityMatrix, they compare by identity.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ CALIBRATION = 4.0
 _SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimalBasis:
     """Tetrahedral rank-1 projectors with even-sign-product Bloch vectors."""
 
@@ -37,7 +38,7 @@ class MinimalBasis:
     bloch: np.ndarray       # (4, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollectiveData:
     """Measured two-copy moments pi_ij; symmetric, 10 independent settings."""
 

@@ -10,12 +10,13 @@ witness maths is the independent part.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .states import DensityMatrix
+from .states import DensityMatrix, InvalidParamsError
 from .transforms import (LevelSelection, LutKind, LutStrategy, ZeroProbabilityError,
                          apply_lut, random_selections, reduce_to_two_qubits)
 from .witness import WitnessOutcome, fef_witness, outcome_from_score
@@ -37,17 +38,11 @@ class CombinedSelection(str, Enum):
 DEFAULT_STRATEGIES = (LutKind.IDENTITY, LutKind.HADAMARD_B, LutKind.HADAMARD_BOTH)
 
 
-@dataclass(frozen=True)
-class DetectionConfig:
-    strategies: tuple[LutStrategy, ...] = tuple(map(LutStrategy, DEFAULT_STRATEGIES))
-    mode: Mode = Mode.SINGLE
-    combined_selection: CombinedSelection = CombinedSelection.FRESH
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", Mode(self.mode))
-        object.__setattr__(self, "combined_selection", CombinedSelection(self.combined_selection))
-        if not self.strategies:
-            raise ValueError("at least one strategy is required")
+def _nonempty(what: str, values: tuple) -> tuple:
+    """values, or InvalidParamsError before any work when there are none."""
+    if not values:
+        raise InvalidParamsError(f"at least one {what} is required")
+    return values
 
 
 @dataclass(frozen=True)
@@ -73,18 +68,25 @@ def evaluate_selection(rho: DensityMatrix, sel: LevelSelection,
     return fef_witness(rho2, selection=sel, strategy=kind)
 
 
-def run_trial(rho: DensityMatrix, cfg: DetectionConfig, rng: np.random.Generator) -> TrialResult:
+def run_trial(rho: DensityMatrix, rng: np.random.Generator,
+              strategies: Sequence[LutKind | str | LutStrategy] = DEFAULT_STRATEGIES,
+              mode: Mode = Mode.SINGLE,
+              combined_selection: CombinedSelection = CombinedSelection.FRESH) -> TrialResult:
     """One protocol round: per strategy, one local unitary and a witness call per selection.
 
-    cfg.mode picks the selections: one random pair, or floor(d/2) disjoint
-    pairs.  Draw order: the shared selections (if shared), then per strategy
-    its local unitary and its own selections (if fresh).
+    The sweeps' arguments; a strategy may also be a LutStrategy, the one way to
+    pin random_both's unitaries.  Draw order: the shared selections (if shared),
+    then per strategy its local unitary and its own selections (if fresh).
     """
+    strats = _nonempty("strategy", tuple(s if isinstance(s, LutStrategy) else LutStrategy(s)
+                                         for s in strategies))
+    mode = Mode(mode)
+
     def draw() -> list[LevelSelection]:
-        return [LevelSelection(*row) for row in random_selections(rng, rho.dim_a, 1, cfg.mode)[0].tolist()]
-    shared = draw() if cfg.combined_selection is CombinedSelection.SHARED else None
+        return [LevelSelection(*row) for row in random_selections(rng, rho.dim_a, 1, mode)[0].tolist()]
+    shared = draw() if CombinedSelection(combined_selection) is CombinedSelection.SHARED else None
     outcomes = []
-    for strat in cfg.strategies:
+    for strat in strats:
         transformed = apply_lut(rho, strat, rng)
         sels = shared if shared is not None else draw()
         outcomes.extend(evaluate_selection(transformed, sel, strat) for sel in sels)

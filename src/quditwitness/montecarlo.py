@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .detection import DEFAULT_STRATEGIES, CombinedSelection, Mode
+from .detection import DEFAULT_STRATEGIES, CombinedSelection, Mode, _nonempty
 from .states import IcpsParams, InvalidParamsError, QuasiPureParams
 from .oracles import IcpsGroundTruth, conditioning_threshold
 from .transforms import LutKind
@@ -90,13 +90,6 @@ def _icps_setup(d: int, r: int, strategies: Sequence[LutKind],
     if len(set(kinds)) < len(kinds):  # results are keyed by strategy name
         raise InvalidParamsError(f"repeated strategy in {[k.value for k in kinds]}")
     return kinds, CombinedSelection(combined_selection) is CombinedSelection.SHARED
-
-
-def _nonempty(what: str, values: tuple) -> tuple:
-    """values, or InvalidParamsError before any work when there are none."""
-    if not values:
-        raise InvalidParamsError(f"at least one {what} is required")
-    return values
 
 
 def _estimates(total: np.ndarray, width: int) -> list[list[SensitivityEstimate]]:

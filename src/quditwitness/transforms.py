@@ -57,18 +57,29 @@ class LutKind(str, Enum):
     RANDOM_BOTH = "random_both"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LutStrategy:
-    """A LutKind tag plus, for RANDOM_BOTH, optionally pinned unitaries."""
+    """A LutKind (or its name) plus, for RANDOM_BOTH only, optionally pinned unitaries.
+    Equal when the kinds are and each pinned array is np.array_equal (or both None)."""
 
     kind: LutKind
     u_a: np.ndarray | None = None
     v_b: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", LutKind(self.kind))
         for m in (self.u_a, self.v_b):
+            if m is not None and self.kind is not LutKind.RANDOM_BOTH:
+                raise ValueError(f"only random_both takes pinned unitaries, not {self.kind.value}")
             if m is not None and np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() > HERMITICITY_TOL:
                 raise ValueError("stored local unitary is not unitary within tolerance")
+
+    def __eq__(self, other):
+        return (isinstance(other, LutStrategy) and self.kind is other.kind
+                and np.array_equal(self.u_a, other.u_a) and np.array_equal(self.v_b, other.v_b))
+
+    def __hash__(self):
+        return hash(self.kind)
 
     @classmethod
     def identity(cls) -> "LutStrategy":

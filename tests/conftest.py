@@ -13,6 +13,11 @@ def random_density(rng: np.random.Generator, dim_a: int, dim_b: int) -> DensityM
     return DensityMatrix(dim_a, dim_b, mat / mat.trace())
 
 
+def two_qubit(mat) -> DensityMatrix:
+    """A 4x4 matrix as a two-qubit DensityMatrix, unvalidated."""
+    return DensityMatrix(2, 2, np.asarray(mat, dtype=complex))
+
+
 def conjugated_by_kron(mat: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(U (x) V) rho (U (x) V)^dag by the explicit d^2 x d^2 Kronecker operator."""
     w = np.kron(u, v)

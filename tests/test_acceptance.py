@@ -6,8 +6,8 @@ percentages are reproduced within +-1.5 percentage points at the pinned seeds.
 """
 import numpy as np
 
-from quditwitness import (DetectionConfig, IcpsGroundTruth, IcpsParams, LevelSelection,
-                          LutStrategy, Mode, Scenario, analytic_fef_score, analytic_sensitivity,
+from quditwitness import (IcpsGroundTruth, IcpsParams, LevelSelection, LutStrategy, Mode,
+                          Scenario, analytic_fef_score, analytic_sensitivity,
                           brute_force_counts, conditioning_threshold, engine, fef_from_collective,
                           fef_witness, haar_unitary, make_icps, pi_matrix,
                           random_product_mixture, reduce_to_two_qubits, substream, sweep_icps,
@@ -213,7 +213,7 @@ def test_criterion_5_soundness_on_ppt_states():
         alpha = float(rng.uniform(0.1, 0.9) / np.sqrt(r - 1))
         thr = conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
         rho = make_icps(IcpsParams(d, r, alpha, float(rng.uniform(0, 0.999 * thr))))
-        par_hits += run_trial(rho, DetectionConfig(mode=Mode.PARALLEL), rng).detected
+        par_hits += run_trial(rho, rng, mode=Mode.PARALLEL).detected
     ok &= check("criterion 5: parallel-mode trials on PPT states", par_hits == 0,
                 f"detections {par_hits}/500")
     assert ok

@@ -256,22 +256,6 @@ def test_random_sweep_nothing_entangled_leaves_sensitivity_empty(tmp_path):
     assert rows[1:] == ["3,,,0.0,identity,single,200,0,0,,,1"]
 
 
-def test_bad_workers_env_exit_2(monkeypatch, capsys):
-    # the variable gets the same check as --workers: non-integers and values < 1
-    argv = ["random-sweep", "--d", "3", "--noise", "0.2", "--samples", "100"]
-    for value in ("abc", "0", "-3"):
-        monkeypatch.setenv("QUDITWITNESS_WORKERS", value)
-        with pytest.raises(SystemExit) as info:
-            main(["--version"])
-        assert info.value.code == 0
-        capsys.readouterr()
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and one_error_line(err) and "QUDITWITNESS_WORKERS" in err
-        # an explicit --workers never reads the variable
-        assert main(argv + ["--workers", "1"]) == 0
-
-
 @pytest.mark.parametrize("argv", [
     ["icps-sweep", "--d", "3", "--r", "2", "--workers", "1"],
     ["random-sweep", "--d", "3", "--noise", "0.2", "--workers", "1"],

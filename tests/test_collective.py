@@ -1,18 +1,14 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from quditwitness import (DensityMatrix, collective_R_minimal, collective_R_pauli,
-                          fef_from_collective, fef_witness, minimal_basis, pi_matrix,
-                          singlet_projector_op, transformation_matrix)
+from quditwitness import (collective_R_minimal, collective_R_pauli, fef_from_collective,
+                          fef_witness, minimal_basis, pi_matrix, singlet_projector_op,
+                          transformation_matrix)
 from quditwitness.witness import PAULI, _t_matrix
-from conftest import random_density, two_copy_moments_reference
+from conftest import random_density, two_copy_moments_reference, two_qubit
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-
-
-def two_qubit(mat):
-    return DensityMatrix(2, 2, np.asarray(mat, dtype=complex))
 
 
 def test_singlet_projector_spectrum_and_action():
@@ -114,3 +110,13 @@ def test_trace_sqrt_r_equals_singular_value_sum(rng):
         tr_sqrt = np.sqrt(np.clip(np.linalg.eigvalsh(r), 0, None)).sum()
         sv_sum = np.linalg.svd(_t_matrix(rho.mat), compute_uv=False).sum()
         assert abs(tr_sqrt - sv_sum) <= 1e-9
+
+
+def test_collective_records_compare_by_identity():
+    # ndarray fields: the generated field-wise == would raise on them
+    bell = two_qubit(np.outer(BELL, BELL))
+    for make in (lambda: pi_matrix(bell), minimal_basis):
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b  # equal values, other objects
+        assert len({a, b}) == 2

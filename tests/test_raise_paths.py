@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from quditwitness import (DetectionConfig, InvalidParamsError, LutStrategy, ParseError,
-                          QuasiPureParams, apply_lut, apply_white_noise, brute_force_counts,
-                          fef_witness, maximally_mixed, qudit_hadamard)
+from quditwitness import (InvalidParamsError, LutStrategy, ParseError, QuasiPureParams,
+                          apply_lut, apply_white_noise, brute_force_counts, fef_witness,
+                          maximally_mixed, qudit_hadamard, run_trial, substream, sweep_icps)
 from quditwitness.serialize import density_from_csv
 
 RECT = maximally_mixed(2, 3)
@@ -12,7 +12,10 @@ RECT = maximally_mixed(2, 3)
 CASES = {  # id -> (call, exception, message)
     "csv-non-integer-dims": (lambda: density_from_csv("# dimA=x dimB=2\n0.25,0.0\n"),
                              ParseError, "malformed density-matrix CSV"),
-    "no-strategies": (lambda: DetectionConfig(strategies=()), ValueError, "at least one strategy"),
+    "no-strategies": (lambda: run_trial(maximally_mixed(2, 2), substream(0, 0), strategies=()),
+                      InvalidParamsError, "^at least one strategy is required$"),
+    "sweep-no-strategies": (lambda: sweep_icps(3, 2, ["single"], strategies=[]),
+                            InvalidParamsError, "^at least one strategy is required$"),
     "white-noise-above-one": (lambda: apply_white_noise(maximally_mixed(2, 2), 1.5),
                               InvalidParamsError, "v must be in"),
     "quasi-pure-v-above-one": (lambda: QuasiPureParams(3, 1.5), InvalidParamsError, "v must be in"),

@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from quditwitness import (CombinedSelection, DensityMatrix, DetectionConfig, IcpsGroundTruth,
-                          IcpsParams, LevelSelection, LutKind, LutStrategy, apply_lut,
+from quditwitness import (CombinedSelection, DensityMatrix, IcpsGroundTruth, IcpsParams,
+                          LevelSelection, LutKind, LutStrategy, apply_lut,
                           conditioning_threshold, engine, evaluate_selection, is_npt, make_icps,
                           partial_transpose, random_selections, run_trial)
 from quditwitness.constants import NPT_TOL, WITNESS_TOL
@@ -133,7 +133,7 @@ def _trial_flags(rho: DensityMatrix, strategies: tuple[LutKind, ...], mode: str,
     """One run_trial call's flags (strategies + 1,): per strategy the OR over its level
     pairs, then res.detected; and how many of its scores lie within NEAR."""
     combined = CombinedSelection.SHARED if shared else CombinedSelection.FRESH
-    res = run_trial(rho, DetectionConfig(tuple(map(LutStrategy, strategies)), mode, combined), rng)
+    res = run_trial(rho, rng, strategies, mode, combined)
     per_strategy = np.array([o.detected for o in res.outcomes]).reshape(len(strategies), -1)
     near = sum(abs(o.score - WITNESS_TOL) < NEAR for o in res.outcomes)
     return np.append(per_strategy.any(axis=1), res.detected), near

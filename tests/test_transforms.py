@@ -51,18 +51,6 @@ def test_apply_lut_preserves_maximally_mixed():
     assert_allclose(out.mat, rho.mat, atol=1e-12)
 
 
-def test_apply_lut_trace_preserved_and_dense_matches_pure_path(rng):
-    p = IcpsParams(4, 3, 0.4, 0.7)
-    cached = make_icps(p)
-    dense = DensityMatrix(4, 4, np.array(cached.mat))  # a separate copy of the matrix
-    for strat in (LutStrategy.hadamard_b(), LutStrategy.hadamard_both(),
-                  LutStrategy.random_both(u_a=qudit_hadamard(4), v_b=np.eye(4, dtype=complex))):
-        a = apply_lut(cached, strat, substream(3, 0))
-        b = apply_lut(dense, strat, substream(3, 0))
-        assert abs(a.mat.trace() - 1.0) <= 1e-12
-        assert_allclose(a.mat, b.mat, atol=1e-12)
-
-
 @pytest.mark.parametrize("state", ["pure_noise", "ginibre"])
 @pytest.mark.parametrize("kind", list(LutKind))
 @pytest.mark.parametrize("d", range(2, 7))
@@ -81,6 +69,7 @@ def test_apply_lut_matches_kron_reference(d, kind, state):
     pinned = (u, v) if kind is LutKind.RANDOM_BOTH else (None, None)
     got = apply_lut(rho, LutStrategy(kind, *pinned))
     assert got.mat.shape == (d * d, d * d) and not got.mat.flags.writeable
+    assert abs(got.mat.trace() - 1.0) <= 1e-12
     assert_allclose(got.mat, conjugated_by_kron(rho.mat, u, v), rtol=0, atol=1e-12)
 
 
@@ -93,6 +82,44 @@ def test_apply_lut_random_both_needs_rng():
 def test_lut_strategy_rejects_non_unitary():
     with pytest.raises(ValueError):
         LutStrategy.random_both(u_a=np.ones((2, 2), dtype=complex), v_b=np.eye(2, dtype=complex))
+
+
+def test_lut_strategy_kind_is_a_lut_kind():
+    # a name acts as its kind: the identity is the identity, never a Haar draw
+    rho = maximally_mixed(3, 3)
+    for kind in LutKind:
+        assert LutStrategy(kind.value).kind is kind
+    assert apply_lut(rho, LutStrategy("identity")) is rho
+    assert_array_equal(apply_lut(rho, LutStrategy("hadamard_both")).mat,
+                       apply_lut(rho, LutStrategy.hadamard_both()).mat)
+    with pytest.raises(ValueError):
+        LutStrategy("bogus")
+
+
+@pytest.mark.parametrize("kind", [LutKind.IDENTITY, LutKind.HADAMARD_B, LutKind.HADAMARD_BOTH])
+def test_lut_strategy_pins_only_random_both(kind):
+    h = qudit_hadamard(3)
+    for pinned in ({"u_a": h}, {"v_b": h}, {"u_a": h, "v_b": h}):
+        with pytest.raises(ValueError, match="only random_both"):
+            LutStrategy(kind, **pinned)
+    assert LutStrategy(LutKind.RANDOM_BOTH, v_b=h).u_a is None
+
+
+def test_lut_strategy_compares_and_hashes_as_a_value():
+    h, eye = qudit_hadamard(3), np.eye(3, dtype=complex)
+    a = LutStrategy.random_both(h, eye)
+    same = LutStrategy.random_both(np.array(h), np.array(eye))  # equal arrays, other objects
+    for other in (LutStrategy.random_both(eye, h), LutStrategy.random_both(h),
+                  LutStrategy.random_both(), LutStrategy.hadamard_both()):
+        assert a != other and not a == other
+    assert a == same and not a != same and hash(a) == hash(same)
+    assert len({a, same, LutStrategy.random_both(eye, h)}) == 2
+    assert LutStrategy.random_both() == LutStrategy("random_both")
+    for kind in LutKind:
+        by_name, by_kind = LutStrategy(kind.value), LutStrategy(kind)
+        assert by_name == by_kind and not by_name != by_kind and hash(by_name) == hash(by_kind)
+    assert LutStrategy("identity") != LutStrategy("hadamard_b")
+    assert len(set(map(LutStrategy, LutKind)) | set(LutStrategy(k.value) for k in LutKind)) == 4
 
 
 def test_random_selection_d2_and_determinism():

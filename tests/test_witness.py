@@ -1,18 +1,14 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from quditwitness import (WITNESS_TOL, ZERO_PROB_TOL, DensityMatrix, fef_witness, haar_unitary, is_npt,
+from quditwitness import (WITNESS_TOL, ZERO_PROB_TOL, fef_witness, haar_unitary, is_npt,
                           substream)
 from quditwitness.witness import (PAULI, PAULI_KRON, _correlations, _t_matrix, pure_noise_detected,
                                   scores_from_submatrices, score_from_t)
-from conftest import random_density
+from conftest import random_density, two_qubit
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-
-
-def two_qubit(mat):
-    return DensityMatrix(2, 2, np.asarray(mat, dtype=complex))
 
 
 def test_decompose_maximally_mixed():
