@@ -27,6 +27,13 @@ under the identity strategy, which draws nothing.  icps samples are
 entangled by oracles.conditioning_threshold alone, Haar (quasi) samples by
 _npt_masks: Cauchy-Binet bounds on lam0 lam1 from the Gram matrix settle
 most rows, and only the rows they leave open get an SVD.
+
+A chunk holds its states (alpha and v, or the Haar states), its flags and
+one strategy's draws at a time: random_both's two (rows, d, d) unitary
+stacks, QR'd in place by linalg.haar_unitary, and one selection array of
+(rows, pairs, 4) integers, whose parallel-mode permutations share one
+(rows, d) buffer.  Its other working arrays are built per level pair or
+per slice of linalg.SLICE_ENTRIES entries.
 """
 from __future__ import annotations
 
@@ -150,7 +157,10 @@ def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
     is detected when witness.pure_noise_detected accepts that |det M|.  Each
     mode replays the generator from its state at the call.  Draw order per
     mode: shared selections (if shared), then per strategy its local unitaries
-    (Haar U then V for random_both) and its selections (if not shared).
+    (Haar U then V for random_both) and its selections (if not shared).  Each
+    strategy's draws are freed before the next strategy's are drawn, and a
+    mode's shared selections before the next mode's, so a chunk holds one
+    strategy's draws at a time.
     """
     start = rng.bit_generator.state
     hit = np.empty((*np.shape(vis)[:-1], len(modes), len(kinds) + 1, n), dtype=bool)
@@ -162,6 +172,8 @@ def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
                     if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
             sel = shared_sel if shared else random_selections(rng, d, n, mode)
             hit[..., j, k, :] = pure_noise_detected(dets(sel, kind, u, v), vis, d * d)
+            del u, v, sel  # freed before the next strategy draws its own
+        del shared_sel
         hit[..., j, -1, :] = hit[..., j, :-1, :].any(axis=-2)
     return hit
 
@@ -228,15 +240,17 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
 
     One Haar draw and one ground-truth pass (_npt_masks) serve every noise
     level and mode.  _hits runs the identity strategy alone, which draws
-    nothing, on the states' selected entries, and keeps its identity row.
+    nothing, on the states' selected entries, and keeps its identity row;
+    each level pair's (n, 4) entries come from one flat take of
+    row d^2 + block_indices.
     """
     rng = substream(seed, _TAG_QUASI, chunk_idx)
     z = linalg.haar_state(d * d, rng, size=n)
     vis = 1.0 - np.array(noises)
+    flat, row = z.reshape(-1), np.arange(n)[:, None] * (d * d)
 
     def dets(sel: np.ndarray, kind: LutKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        idx = block_indices(sel, d)
-        return _max_det(np.take_along_axis(z, idx[:, p], axis=1) for p in range(idx.shape[1]))
+        return _max_det(flat.take(row + block_indices(pair, d)) for pair in np.moveaxis(sel, 1, 0))
     hit = _hits(rng, dets, vis[:, None], d, n, (LutKind.IDENTITY,), modes, False)
     return _npt_masks(z.reshape(n, d, d), d, vis)[:, None], hit[..., 0, :]
 

@@ -2,13 +2,15 @@
 
 All three draw their complex Gaussians through one fill, _complex_normal: all
 real parts, then all imaginary parts, in place in slices of SLICE_ENTRIES
-values, so a draw holds its result and no other array of that size.
+values.  haar_unitary then factors its stack and haar_state normalises its
+vectors in place, in slices of the same budget, so a draw holds its result
+and no other array of that size.
 """
 from __future__ import annotations
 
 import numpy as np
 
-SLICE_ENTRIES = 1 << 15  # per slice of the fill, normalisation and engine._npt_masks
+SLICE_ENTRIES = 1 << 15  # per slice of the fill, QR, normalisation and engine._npt_masks
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -28,16 +30,30 @@ def ginibre(dim: int, rng: np.random.Generator, size: int | None = None) -> np.n
     return _complex_normal(rng, (dim, dim) if size is None else (size, dim, dim))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Haar-distributed random unitary, via QR of a Ginibre matrix.
-
-    The diagonal of the triangular factor is phase-corrected; plain QR output
-    is not Haar-distributed.
-    """
-    q, r = np.linalg.qr(ginibre(dim, rng, size=size))
+def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of each matrix of g, each column times the phase of R's
+    diagonal entry; plain QR output is not Haar-distributed.  R, and the
+    diagonal view into it, are freed on return."""
+    q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diag / np.abs(diag))[..., None, :]
     return q
+
+
+def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar-distributed random unitary, via the phase-fixed QR of a Ginibre matrix.
+
+    Each matrix's QR is its own, so a stack is factored in slices of
+    SLICE_ENTRIES entries (at least one matrix) and each Q is written back
+    over its Ginibre matrix: the values of one QR of the whole stack, holding
+    one slice's Q and R at a time.
+    """
+    g = ginibre(dim, rng, size=size)
+    stack = g if g.ndim == 3 else g[None]
+    step = max(1, SLICE_ENTRIES // max(dim * dim, 1))
+    for lo in range(0, len(stack), step):
+        stack[lo:lo + step] = _phase_fixed_q(stack[lo:lo + step])
+    return g
 
 
 def haar_state(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

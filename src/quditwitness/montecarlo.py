@@ -5,8 +5,9 @@ that the sampled state is entangled.  There is one entry per ensemble:
 sweep_icps (Schmidt-form states, under the conditioning rule
 oracles.IcpsGroundTruth), sweep_quasi_pure (Haar-random states, under the NPT
 criterion, the only notion the witness can ever certify) and sweep_icps_grid
-(fixed states on an (alpha, v) grid).  The Schmidt-form sweeps take LutKinds
-(default DEFAULT_STRATEGIES); pinned unitaries belong to detection.run_trial.
+(fixed states on an (alpha, v) grid).  The Schmidt-form sweeps take
+strategies as LutKinds, their names or unpinned LutStrategys (default
+DEFAULT_STRATEGIES); pinned unitaries belong to detection.run_trial.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from . import engine
 from .detection import DEFAULT_STRATEGIES, CombinedSelection, Mode, _nonempty
 from .states import IcpsParams, InvalidParamsError, QuasiPureParams
 from .oracles import IcpsGroundTruth, conditioning_threshold
-from .transforms import LutKind
+from .transforms import LutKind, LutStrategy
 
 DEFAULT_SAMPLES = 100_000
 
@@ -82,11 +83,21 @@ class GridCell:
     estimates: dict
 
 
-def _icps_setup(d: int, r: int, strategies: Sequence[LutKind],
+def _sweep_kind(s: LutKind | str | LutStrategy) -> LutKind:
+    """The kind of a sweep strategy: a LutKind, its name or an unpinned LutStrategy."""
+    if not isinstance(s, LutStrategy):
+        return LutKind(s)
+    if s.u_a is not None or s.v_b is not None:
+        raise InvalidParamsError("pinned unitaries belong to detection.run_trial; "
+                                 "a sweep draws random_both's unitaries per sample")
+    return s.kind
+
+
+def _icps_setup(d: int, r: int, strategies: Sequence[LutKind | str | LutStrategy],
                 combined_selection: CombinedSelection) -> tuple[tuple[LutKind, ...], bool]:
     """Validate (d, r) and the strategies; the strategy kinds and shared flag of a sweep."""
     IcpsParams(d, r, 0.0, 0.0)
-    kinds = _nonempty("strategy", tuple(LutKind(s) for s in strategies))
+    kinds = _nonempty("strategy", tuple(map(_sweep_kind, strategies)))
     if len(set(kinds)) < len(kinds):  # results are keyed by strategy name
         raise InvalidParamsError(f"repeated strategy in {[k.value for k in kinds]}")
     return kinds, CombinedSelection(combined_selection) is CombinedSelection.SHARED
@@ -107,7 +118,7 @@ def _by_strategy(kinds: tuple[LutKind, ...], total: np.ndarray) -> list[dict]:
 
 
 def sweep_icps(d: int, r: int, modes: Sequence[Mode],
-               strategies: Sequence[LutKind] = DEFAULT_STRATEGIES,
+               strategies: Sequence[LutKind | str | LutStrategy] = DEFAULT_STRATEGIES,
                combined_selection: CombinedSelection = CombinedSelection.FRESH,
                n_samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1,
                ground_truth: IcpsGroundTruth = IcpsGroundTruth.RANK2,
@@ -153,7 +164,7 @@ def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode
 
 
 def sweep_icps_grid(d: int, r: int, grid: GridSpec, mode: Mode = Mode.SINGLE,
-                    strategies: Sequence[LutKind] = DEFAULT_STRATEGIES,
+                    strategies: Sequence[LutKind | str | LutStrategy] = DEFAULT_STRATEGIES,
                     combined_selection: CombinedSelection = CombinedSelection.FRESH,
                     seed: int = 0, workers: int = 1) -> list[GridCell]:
     """Detection-probability estimates on a grid of (alpha, v) cell centres.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,12 +99,18 @@ class LutStrategy:
         return cls(LutKind.RANDOM_BOTH, u_a=u_a, v_b=v_b)
 
 
+@lru_cache(maxsize=16)
 def qudit_hadamard(d: int) -> np.ndarray:
-    """d-level Hadamard gate H[k,l] = omega^(k l)/sqrt(d), omega = exp(2 pi i/d)."""
+    """d-level Hadamard gate H[k,l] = omega^(k l)/sqrt(d), omega = exp(2 pi i/d).
+
+    Built once per process and d; every caller shares the read-only result.
+    """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     k = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+    h = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+    h.setflags(write=False)
+    return h
 
 
 def _local_unitaries(d: int, s: LutStrategy, rng: np.random.Generator | None,
@@ -153,17 +160,19 @@ def random_selections(rng: np.random.Generator, d: int, n: int, mode: str) -> np
 
     Single mode: one ordered distinct pair per side.  Parallel mode: one
     permutation per side whose columns 2k, 2k+1 form pair k, i.e. d // 2
-    disjoint pairs.  Side A is drawn before side B, each straight into its
-    half of one preallocated array.
+    disjoint pairs; both sides are permuted in one reused (n, d) buffer.
+    Side A is drawn before side B, each straight into its half of one
+    preallocated array.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     parallel = mode == "parallel"
     pairs = d // 2 if parallel else 1
-    sel = np.empty((n, pairs, 2, 2), dtype=np.int64)  # (sample, pair, side, level)
+    sel = np.empty((n, pairs, 2, 2), dtype=np.intp)  # (sample, pair, side, level)
+    perm = np.empty((n, d), dtype=np.intp) if parallel else None
     for side in range(2):
         if parallel:
-            perm = np.tile(np.arange(d), (n, 1))
+            perm[:] = np.arange(d)
             rng.permuted(perm, axis=1, out=perm)
             sel[:, :, side] = perm[:, : 2 * pairs].reshape(n, pairs, 2)
         else:

@@ -57,6 +57,34 @@ def explicit_max_det(m, sel):
     return np.abs(b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]).max(axis=1)
 
 
+def tiled_selections(rng, d: int, n: int, mode: str) -> np.ndarray:
+    """random_selections with an np.tile'd (n, d) permutation array per side
+    in parallel mode: the construction the one-buffer draw must reproduce."""
+    parallel = mode == "parallel"
+    pairs = d // 2 if parallel else 1
+    sel = np.empty((n, pairs, 2, 2), dtype=np.int64)
+    for side in range(2):
+        if parallel:
+            perm = np.tile(np.arange(d), (n, 1))
+            rng.permuted(perm, axis=1, out=perm)
+            sel[:, :, side] = perm[:, : 2 * pairs].reshape(n, pairs, 2)
+        else:
+            i = rng.integers(0, d, size=n)
+            j = rng.integers(0, d - 1, size=n)
+            sel[:, 0, side, 0] = i
+            np.add(j, j >= i, out=sel[:, 0, side, 1])
+    return sel.reshape(n, pairs, 4)
+
+
+def one_call_haar_unitary(dim: int, rng, size) -> np.ndarray:
+    """haar_unitary by one np.linalg.qr of the whole Ginibre stack: the
+    construction the sliced, in-place QR must reproduce."""
+    q, r = np.linalg.qr(ginibre(dim, rng, size=size))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
+
+
 class SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs the map in-process."""
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from quditwitness import ginibre, haar_state, haar_unitary, linalg, substream
 from quditwitness.witness import score_from_t
+from conftest import one_call_haar_unitary
 
 # The witness score is Tr sqrt(T^T T) - 1, computed as the sum of the singular
 # values of T; these checks pin that linear-algebra identity on score_from_t.
@@ -113,3 +114,27 @@ def test_haar_state_holds_one_result_sized_array():
     finally:
         tracemalloc.stop()
     assert peak <= z.nbytes + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3, 8, 9, 17, 64])
+@pytest.mark.parametrize("size", [None, 1, "past a slice"])
+def test_sliced_qr_equals_one_call_qr(dim, size):
+    if size == "past a slice":  # one matrix more than a QR slice holds
+        size = max(1, linalg.SLICE_ENTRIES // max(dim * dim, 1)) + 1
+    new, old = np.random.default_rng(dim), np.random.default_rng(dim)
+    got, expected = haar_unitary(dim, new, size=size), one_call_haar_unitary(dim, old, size)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    assert new.random() == old.random()  # the next draw too
+
+
+def test_haar_unitary_holds_one_result_sized_array():
+    # the QR runs in slices over the Ginibre buffer, with no whole-stack Q and R
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        u = haar_unitary(17, rng, size=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= u.nbytes + 2 * 2 ** 20

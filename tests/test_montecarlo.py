@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from quditwitness import (COMBINED_KEY, CombinedSelection, GridSpec, IcpsGroundTruth,
-                          IcpsParams, InvalidParamsError, LutKind, LutStrategy, Mode,
+from quditwitness import (COMBINED_KEY, DEFAULT_STRATEGIES, CombinedSelection, GridSpec,
+                          IcpsGroundTruth, IcpsParams, InvalidParamsError, LutKind, LutStrategy, Mode,
                           SensitivityEstimate, brute_force_counts, conditioning_threshold, is_npt,
                           make_icps, sweep_icps, sweep_icps_grid, sweep_quasi_pure,
                           wilson_halfwidth)
@@ -308,6 +310,22 @@ def test_fixed_kinds_build_unitaries_once_per_process(monkeypatch, d):
     assert_array_equal(engine._counts(engine._icps_flags, *task), first)
 
 
+def test_icps_chunk_holds_one_draw_at_a_time():
+    # an icps-table chunk (d = 9, both modes, three strategies): each strategy's
+    # selections are freed before the next are drawn, and the parallel-mode
+    # permutations share one buffer; numpy reports its allocations to tracemalloc
+    task = (11, 0, engine.CHUNK, 9, 9, DEFAULT_STRATEGIES, ("single", "parallel"), False,
+            IcpsGroundTruth.RANK2)
+    engine._icps_flags(*task[:2], 10, *task[3:])  # the class tables are built once per process
+    tracemalloc.start()
+    try:
+        engine._icps_flags(*task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2 ** 20
+
+
 @pytest.mark.parametrize("d, noises", [(3, (0.2, 0.5, 0.8)), (9, (0.8, 0.9))])
 def test_npt_masks_do_not_depend_on_slice_size(monkeypatch, d, noises):
     # entry caps of one row per slice and of the whole chunk give the same
@@ -370,13 +388,26 @@ def test_entry_points_reject_empty_mode_and_noise_lists(monkeypatch):
 
 
 def test_pinned_unitaries_rejected_in_sweeps(monkeypatch, rng):
-    # the sweeps draw fresh unitaries per sample, so they take LutKinds only
+    # the sweeps draw fresh unitaries per sample, so they take no pinned ones
     monkeypatch.setattr(engine, "run_tasks", None)  # fails if any work starts
     pinned = [LutStrategy.random_both(u_a=haar_unitary(3, rng), v_b=haar_unitary(3, rng))]
-    with pytest.raises(ValueError):
+    message = "^pinned unitaries belong to detection.run_trial"
+    with pytest.raises(InvalidParamsError, match=message):
         sweep_icps(3, 2, [Mode.SINGLE], strategies=pinned, n_samples=100, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError, match=message):
         sweep_icps_grid(3, 2, GridSpec(1, 1, 10), strategies=pinned)
+    with pytest.raises(InvalidParamsError, match=message):  # one pinned side is enough
+        sweep_icps(3, 2, [Mode.SINGLE], strategies=[LutStrategy.random_both(u_a=pinned[0].u_a)])
+
+
+@pytest.mark.parametrize("kind", list(LutKind))
+def test_unpinned_strategies_act_as_their_kinds_in_sweeps(kind):
+    # an unpinned LutStrategy is its kind, as in run_trial
+    modes, grid = ["single", "parallel"], GridSpec(2, 2, 40)
+    assert (sweep_icps(4, 3, modes, strategies=[LutStrategy(kind)], n_samples=300, seed=2)
+            == sweep_icps(4, 3, modes, strategies=[kind], n_samples=300, seed=2))
+    assert (sweep_icps_grid(4, 3, grid, strategies=[LutStrategy(kind)], seed=2)
+            == sweep_icps_grid(4, 3, grid, strategies=[kind], seed=2))
 
 
 def test_repeated_strategies_rejected_in_sweeps(monkeypatch):

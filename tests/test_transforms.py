@@ -7,8 +7,9 @@ from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelec
                           conditioning_threshold, fef_witness, haar_unitary, make_icps,
                           make_quasi_pure, maximally_mixed, qudit_hadamard, random_selections,
                           reduce_to_two_qubits, substream)
+from quditwitness import linalg
 from quditwitness.transforms import _local_unitaries
-from conftest import conjugated_by_kron, ordered_classes, random_density
+from conftest import conjugated_by_kron, ordered_classes, random_density, tiled_selections
 
 
 def test_qudit_hadamard_d2():
@@ -157,6 +158,26 @@ def test_random_selections_equal_stacked_construction(d):
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert_array_equal(got, expected)
                 assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 9, 17, 64])
+@pytest.mark.parametrize("mode", ["single", "parallel"])
+@pytest.mark.parametrize("n", [1, "past a slice"])
+def test_one_buffer_selections_equal_tiled_construction(d, mode, n):
+    if n == "past a slice":
+        n = linalg.SLICE_ENTRIES // d + 1
+    new, old = np.random.default_rng(d), np.random.default_rng(d)
+    got, expected = random_selections(new, d, n, mode), tiled_selections(old, d, n, mode)
+    assert got.dtype == np.intp and got.shape == expected.shape
+    assert_array_equal(got, expected)
+    assert new.random() == old.random()  # the next draw too
+
+
+def test_qudit_hadamard_is_shared_and_read_only():
+    h = qudit_hadamard(5)
+    assert qudit_hadamard(5) is h
+    with pytest.raises(ValueError, match="read-only"):
+        h[0, 0] = 0
 
 
 @pytest.mark.parametrize("mode", ["single", "parallel"])
