@@ -16,18 +16,17 @@ from .rng import substream
 from .states import (DensityMatrix, IcpsParams, InvalidParamsError, InvalidStateError,
                      QuasiPureParams, apply_white_noise, make_icps, make_quasi_pure,
                      maximally_mixed, random_product_mixture)
-from .transforms import (LevelSelection, LutKind, LutStrategy, ZeroProbabilityError,
+from .transforms import (LevelSelection, LutKind, LutStrategy, Mode, ZeroProbabilityError,
                          apply_lut, qudit_hadamard, random_selections, reduce_to_two_qubits)
 from .witness import WitnessOutcome, fef_witness
 from .oracles import (AnalyticSensitivity, BruteForceCounts, IcpsGroundTruth, InvalidScenarioError,
                       Scenario, analytic_fef_score, analytic_sensitivity, brute_force_counts,
                       classify_selection, conditioning_threshold, is_npt, partial_transpose,
                       visibility_thresholds)
-from .detection import (DEFAULT_STRATEGIES, CombinedSelection, Mode, TrialResult,
-                        evaluate_selection, run_trial)
+from .detection import (DEFAULT_STRATEGIES, CombinedSelection, TrialResult, evaluate_selection,
+                        run_trial)
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridCell, GridSpec, SensitivityEstimate,
                          sweep_icps, sweep_icps_grid, sweep_quasi_pure, wilson_halfwidth)
-from .collective import (CollectiveData, MinimalBasis, collective_R_minimal,
-                         collective_R_pauli, fef_from_collective, minimal_basis,
-                         pi_matrix, singlet_projector_op, transformation_matrix)
+from .collective import (BLOCH, PROJECTORS, SETTINGS, TRANSFORM, collective_R_minimal,
+                         collective_R_pauli, fef_from_collective, pi_matrix, singlet_projector_op)
 from .serialize import ParseError, load_density, save_density

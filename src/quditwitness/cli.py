@@ -24,7 +24,7 @@ from .detection import DEFAULT_STRATEGIES, CombinedSelection
 from .linalg import ginibre
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridSpec, sweep_icps, sweep_icps_grid,
                          sweep_quasi_pure)
-from .collective import fef_from_collective, pi_matrix
+from .collective import SETTINGS, fef_from_collective
 from .oracles import (IcpsGroundTruth, analytic_sensitivity, conditioning_threshold,
                       visibility_thresholds)
 from .rng import substream
@@ -154,8 +154,7 @@ def cmd_collective_verify(args) -> int:
         direct = fef_witness(rho).score
         collective = fef_from_collective(rho).score
         worst = max(worst, abs(direct - collective))
-    settings = pi_matrix(DensityMatrix(2, 2, np.eye(4, dtype=complex) / 4)).settings_count
-    print(f"states={args.n} settings={settings} max|score_collective - score_direct|={worst:.3e}")
+    print(f"states={args.n} settings={SETTINGS} max|score_collective - score_direct|={worst:.3e}")
     return 0
 
 

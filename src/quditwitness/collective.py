@@ -2,60 +2,31 @@
 
 Two copies of a two-qubit state are arranged as (a, b, a', b'); the (b, b')
 pair is projected onto the singlet observable S = 1 - 4 |Psi-><Psi-| while
-(a, a') sees either Pauli operators or the minimal tetrahedral basis.  Since
-the copies are identical, pi_ij = pi_ji, so the minimal-basis route needs only
-10 distinct settings.  The resulting R equals T T^T; the witness only uses
-its eigenvalues, which match those of T^T T.  Both routes take every moment
-from one einsum over the two copies (_two_copy_moments), with no 16x16
-operator built, and stay separate computations.  MinimalBasis and
-CollectiveData hold ndarrays, so, like DensityMatrix, they compare by identity.
+(a, a') sees either Pauli operators or the minimal tetrahedral basis.  As the
+copies are identical, pi_ij = pi_ji, so the minimal-basis route needs only
+SETTINGS = 10 settings, for any qudit dimension.  The resulting R equals T T^T;
+the witness uses only its eigenvalues, which match those of T^T T.  Both routes
+take every moment from one einsum over the two copies (_two_copy_moments), with
+no 16x16 operator built, and stay separate computations.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .witness import PAULI, WitnessOutcome, _as_matrix, outcome_from_score
 
-# Bloch-vector scale of the transformation-matrix rows (1, s, s, s): with the
-# tetrahedral projectors Pi_i = (1 + b_i . sigma)/2 and |b_i| = 1, the rows
-# (1, b_i) reproduce pi = (1/4) M G M^T exactly when s = 1/sqrt(3).
-S_PARAM = 1.0 / np.sqrt(3.0)
-
 # pi = (1/4) M G M^T, with G the (1, sigma) x (1, sigma) two-copy correlation
 # block; inverting the congruence therefore carries a factor 4.
 CALIBRATION = 4.0
 
-_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class MinimalBasis:
-    """Tetrahedral rank-1 projectors with even-sign-product Bloch vectors."""
-
-    projectors: np.ndarray  # (4, 2, 2)
-    bloch: np.ndarray       # (4, 3)
-
-
-@dataclass(frozen=True, eq=False)
-class CollectiveData:
-    """Measured two-copy moments pi_ij; symmetric, 10 independent settings."""
-
-    pi_matrix: np.ndarray
-    settings_count: int
-
-
-def minimal_basis() -> MinimalBasis:
-    bloch = _SIGNS / np.sqrt(3.0)
-    projectors = np.array([(np.eye(2) + sum(b[k] * PAULI[k] for k in range(3))) / 2.0
-                           for b in bloch])
-    return MinimalBasis(projectors=projectors, bloch=bloch)
-
-
-def transformation_matrix() -> np.ndarray:
-    """Rows (1, +-s, +-s, +-s) with s = S_PARAM, following the tetrahedral sign pattern."""
-    return np.hstack([np.ones((4, 1)), S_PARAM * _SIGNS])
+# Read-only: the unit tetrahedral Bloch vectors b_i (even sign products), the projectors
+# (1 + b_i . sigma)/2, and M, whose rows (1, b_i) give pi = (1/4) M G M^T exactly.
+BLOCH = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+PROJECTORS = (np.eye(2) + sum(BLOCH[:, k, None, None] * PAULI[k] for k in range(3))) / 2.0
+TRANSFORM = np.hstack([np.ones((4, 1)), BLOCH])
+for _const in (BLOCH, PROJECTORS, TRANSFORM):
+    _const.setflags(write=False)
+SETTINGS = len(np.triu_indices(4)[0])  # the independent moments pi_ij, i <= j
 
 
 def singlet_projector_op() -> np.ndarray:
@@ -80,14 +51,14 @@ def collective_R_pauli(rho2) -> np.ndarray:
     return _two_copy_moments(rho2, PAULI)
 
 
-def pi_matrix(rho2) -> CollectiveData:
-    """The 10 independent two-copy moments of the minimal-basis settings,
-    i <= j, mirrored so that pi is exactly symmetric."""
-    moments = _two_copy_moments(rho2, minimal_basis().projectors)
+def pi_matrix(rho2) -> np.ndarray:
+    """The (4, 4) two-copy moments of the minimal-basis settings: the SETTINGS
+    moments i <= j, mirrored so that pi is exactly symmetric."""
+    moments = _two_copy_moments(rho2, PROJECTORS)
     i, j = np.triu_indices(4)
     pi = np.empty((4, 4))
     pi[i, j] = pi[j, i] = moments[i, j]
-    return CollectiveData(pi_matrix=pi, settings_count=len(i))
+    return pi
 
 
 def collective_R_minimal(rho2) -> np.ndarray:
@@ -96,9 +67,8 @@ def collective_R_minimal(rho2) -> np.ndarray:
     The identity component sits in row/column 0 of the recovered block; R is
     its lower-right 3x3 part.
     """
-    data = pi_matrix(rho2)
-    m_inv = np.linalg.inv(transformation_matrix())
-    g = CALIBRATION * m_inv @ data.pi_matrix @ m_inv.T
+    m_inv = np.linalg.inv(TRANSFORM)
+    g = CALIBRATION * m_inv @ pi_matrix(rho2) @ m_inv.T
     return g[1:, 1:]
 
 

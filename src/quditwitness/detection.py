@@ -17,14 +17,9 @@ from enum import Enum
 import numpy as np
 
 from .states import DensityMatrix, InvalidParamsError
-from .transforms import (LevelSelection, LutKind, LutStrategy, ZeroProbabilityError,
+from .transforms import (LevelSelection, LutKind, LutStrategy, Mode, ZeroProbabilityError,
                          apply_lut, random_selections, reduce_to_two_qubits)
 from .witness import WitnessOutcome, fef_witness, outcome_from_score
-
-
-class Mode(str, Enum):
-    SINGLE = "single"
-    PARALLEL = "parallel"
 
 
 class CombinedSelection(str, Enum):

@@ -218,10 +218,9 @@ def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
     floor = (1.0 - v) / (d * d) + NPT_TOL
     slack = 64 * d * d * np.finfo(float).eps
     pairs = d * (d - 1) / 2
-    rows = max(1, linalg.SLICE_ENTRIES // (d * d))
     masks = []
-    for lo in range(0, len(z), rows):
-        zs = z[lo:lo + rows]
+    for s in linalg.row_slices(len(z), d * d):
+        zs = z[s]
         g = zs @ zs.conj().transpose(0, 2, 1)
         tr = np.einsum("nii->n", g).real
         e2 = (tr * tr - (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))) / 2

@@ -13,14 +13,20 @@ import numpy as np
 SLICE_ENTRIES = 1 << 15  # per slice of the fill, QR, normalisation and engine._npt_masks
 
 
+def row_slices(n: int, row_entries: int):
+    """Slices of rows 0..n-1 of row_entries entries: SLICE_ENTRIES entries or one row each."""
+    step = max(1, SLICE_ENTRIES // max(row_entries, 1))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Standard complex Gaussians of the given shape, the values and draw order
     of rng.standard_normal(shape) + 1j * rng.standard_normal(shape)."""
     z = np.empty(shape, dtype=complex)
     flat = z.reshape(-1)
     for part in (flat.real, flat.imag):
-        for lo in range(0, flat.size, SLICE_ENTRIES):
-            seg = part[lo:lo + SLICE_ENTRIES]
+        for s in row_slices(flat.size, 1):
+            seg = part[s]
             seg[:] = rng.standard_normal(seg.shape)
     return z
 
@@ -50,9 +56,8 @@ def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None) ->
     """
     g = ginibre(dim, rng, size=size)
     stack = g if g.ndim == 3 else g[None]
-    step = max(1, SLICE_ENTRIES // max(dim * dim, 1))
-    for lo in range(0, len(stack), step):
-        stack[lo:lo + step] = _phase_fixed_q(stack[lo:lo + step])
+    for s in row_slices(len(stack), dim * dim):
+        stack[s] = _phase_fixed_q(stack[s])
     return g
 
 
@@ -64,8 +69,7 @@ def haar_state(dim: int, rng: np.random.Generator, size: int | None = None) -> n
     """
     z = _complex_normal(rng, (dim,) if size is None else (size, dim))
     rows = z if z.ndim == 2 else z[None]
-    step = max(1, SLICE_ENTRIES // max(dim, 1))
-    for lo in range(0, len(rows), step):
-        zs = rows[lo:lo + step]
+    for s in row_slices(len(rows), dim):
+        zs = rows[s]
         zs /= np.linalg.norm(zs, axis=-1, keepdims=True)
     return z

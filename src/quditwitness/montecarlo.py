@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .detection import DEFAULT_STRATEGIES, CombinedSelection, Mode, _nonempty
+from .detection import DEFAULT_STRATEGIES, CombinedSelection, _nonempty
 from .states import IcpsParams, InvalidParamsError, QuasiPureParams
 from .oracles import IcpsGroundTruth, conditioning_threshold
-from .transforms import LutKind, LutStrategy
+from .transforms import LutKind, LutStrategy, Mode
 
 DEFAULT_SAMPLES = 100_000
 

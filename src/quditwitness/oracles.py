@@ -41,16 +41,15 @@ class InvalidScenarioError(ValueError):
     """Raised when a closed form is requested for a non-detecting scenario."""
 
 
-def partial_transpose(mat: np.ndarray, dim_a: int, dim_b: int, sys: str = "b") -> np.ndarray:
-    """Partial transpose of a bipartite matrix over subsystem 'a' or 'b'."""
+def partial_transpose(mat: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Partial transpose of a bipartite matrix over subsystem b."""
     t = np.asarray(mat).reshape(dim_a, dim_b, dim_a, dim_b)
-    axes = (0, 3, 2, 1) if sys == "b" else (2, 1, 0, 3)
-    return t.transpose(axes).reshape(dim_a * dim_b, dim_a * dim_b)
+    return t.transpose(0, 3, 2, 1).reshape(dim_a * dim_b, dim_a * dim_b)
 
 
-def is_npt(rho: DensityMatrix, sys: str = "b") -> bool:
+def is_npt(rho: DensityMatrix) -> bool:
     """True iff the partial transpose has an eigenvalue below -NPT_TOL."""
-    eig_min = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dim_a, rho.dim_b, sys)).min()
+    eig_min = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dim_a, rho.dim_b)).min()
     return bool(eig_min < -NPT_TOL)
 
 

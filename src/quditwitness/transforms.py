@@ -154,7 +154,12 @@ def apply_lut(rho: DensityMatrix, s: LutStrategy, rng: np.random.Generator | Non
     return DensityMatrix(d, d, (t @ v.T).reshape(d * d, d * d).conj())
 
 
-def random_selections(rng: np.random.Generator, d: int, n: int, mode: str) -> np.ndarray:
+class Mode(str, Enum):
+    SINGLE = "single"
+    PARALLEL = "parallel"
+
+
+def random_selections(rng: np.random.Generator, d: int, n: int, mode: Mode | str) -> np.ndarray:
     """Uniform level selections, shape (n, pairs, 4) with rows (a0, a1, b0, b1):
     the one selection draw of the sweeps and of detection.run_trial.
 
@@ -162,11 +167,11 @@ def random_selections(rng: np.random.Generator, d: int, n: int, mode: str) -> np
     permutation per side whose columns 2k, 2k+1 form pair k, i.e. d // 2
     disjoint pairs; both sides are permuted in one reused (n, d) buffer.
     Side A is drawn before side B, each straight into its half of one
-    preallocated array.
+    preallocated array.  An unknown mode raises ValueError before any draw.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    parallel = mode == "parallel"
+    parallel = Mode(mode) is Mode.PARALLEL
     pairs = d // 2 if parallel else 1
     sel = np.empty((n, pairs, 2, 2), dtype=np.intp)  # (sample, pair, side, level)
     perm = np.empty((n, d), dtype=np.intp) if parallel else None

@@ -6,12 +6,12 @@ percentages are reproduced within +-1.5 percentage points at the pinned seeds.
 """
 import numpy as np
 
-from quditwitness import (IcpsGroundTruth, IcpsParams, LevelSelection, LutStrategy, Mode,
-                          Scenario, analytic_fef_score, analytic_sensitivity,
+from quditwitness import (SETTINGS, IcpsGroundTruth, IcpsParams, LevelSelection, LutStrategy,
+                          Mode, Scenario, analytic_fef_score, analytic_sensitivity,
                           brute_force_counts, conditioning_threshold, engine, fef_from_collective,
-                          fef_witness, haar_unitary, make_icps, pi_matrix,
-                          random_product_mixture, reduce_to_two_qubits, substream, sweep_icps,
-                          sweep_quasi_pure, visibility_thresholds)
+                          fef_witness, haar_unitary, make_icps, random_product_mixture,
+                          reduce_to_two_qubits, substream, sweep_icps, sweep_quasi_pure,
+                          visibility_thresholds)
 from quditwitness.cli import main
 from quditwitness.states import DensityMatrix, schmidt_vector
 from conftest import random_density
@@ -245,10 +245,9 @@ def test_criterion_7_collective_equivalence(rng):
     for _ in range(1000):
         rho = random_density(rng, 2, 2)
         worst = max(worst, abs(fef_from_collective(rho).score - fef_witness(rho).score))
-    settings = pi_matrix(random_density(rng, 2, 2)).settings_count
     assert check("criterion 7: 10-setting collective witness equals direct witness",
-                 worst <= 1e-9 and settings == 10,
-                 f"max |delta score| = {worst:.2e}, settings = {settings}")
+                 worst <= 1e-9 and SETTINGS == 10,
+                 f"max |delta score| = {worst:.2e}, settings = {SETTINGS}")
 
 
 def test_criterion_8_determinism_across_workers(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from quditwitness import (collective_R_minimal, collective_R_pauli, fef_from_collective,
-                          fef_witness, minimal_basis, pi_matrix, singlet_projector_op,
-                          transformation_matrix)
+from quditwitness import (BLOCH, PROJECTORS, SETTINGS, TRANSFORM, collective_R_minimal,
+                          collective_R_pauli, fef_from_collective, fef_witness, pi_matrix,
+                          singlet_projector_op)
 from quditwitness.witness import PAULI, _t_matrix
 from conftest import random_density, two_copy_moments_reference, two_qubit
 
@@ -27,22 +28,33 @@ def test_singlet_projector_equals_pauli_sum():
 
 
 def test_minimal_basis_geometry():
-    basis = minimal_basis()
-    assert_allclose(sum(basis.projectors), 2 * np.eye(2), atol=1e-14)
+    assert PROJECTORS.shape == (4, 2, 2) and BLOCH.shape == (4, 3)
+    assert_allclose(sum(PROJECTORS), 2 * np.eye(2), atol=1e-14)
     for i in range(4):
-        assert_allclose(np.linalg.norm(basis.bloch[i]), 1.0, atol=1e-14)
+        assert_allclose(np.linalg.norm(BLOCH[i]), 1.0, atol=1e-14)
         for j in range(i + 1, 4):
-            overlap = np.trace(basis.projectors[i] @ basis.projectors[j]).real
+            overlap = np.trace(PROJECTORS[i] @ PROJECTORS[j]).real
             assert abs(overlap - 1 / 3) <= 1e-12
     # even sign products on every Bloch vector
-    assert np.all(np.prod(np.sign(basis.bloch), axis=1) > 0)
+    assert np.all(np.prod(np.sign(BLOCH), axis=1) > 0)
 
 
 def test_transformation_matrix_rows():
-    m = transformation_matrix()
-    assert m.shape == (4, 4)
-    assert_allclose(m[:, 0], 1.0)
-    assert_allclose(np.abs(m[:, 1:]), 1 / np.sqrt(3))
+    assert TRANSFORM.shape == (4, 4)
+    assert_allclose(TRANSFORM[:, 0], 1.0)
+    assert_allclose(np.abs(TRANSFORM[:, 1:]), 1 / np.sqrt(3))
+    assert np.array_equal(TRANSFORM[:, 1:], BLOCH)  # the rows (1, b_i), from BLOCH itself
+
+
+@pytest.mark.parametrize("const", [BLOCH, PROJECTORS, TRANSFORM],
+                         ids=["BLOCH", "PROJECTORS", "TRANSFORM"])
+def test_basis_constants_are_read_only(const):
+    before = const.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        const[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        const *= 2
+    assert np.array_equal(const, before)
 
 
 def test_collective_r_examples():
@@ -67,21 +79,19 @@ def test_methods_agree_and_r_is_gram_of_t(rng):
 
 
 def test_ten_settings_and_symmetry(rng):
-    rho = random_density(rng, 2, 2)
-    data = pi_matrix(rho)
-    assert data.settings_count == 10
-    pi = data.pi_matrix
+    assert SETTINGS == 10
+    pi = pi_matrix(random_density(rng, 2, 2))
+    assert pi.shape == (4, 4)
     # the 10 upper-triangle moments determine all 16: pi is mirrored, so symmetric exactly
     assert np.array_equal(pi, pi.T)
 
 
 def test_moments_match_explicit_kron_traces(rng):
-    projectors = minimal_basis().projectors
     for _ in range(20):
         rho = random_density(rng, 2, 2)
         assert_allclose(collective_R_pauli(rho), two_copy_moments_reference(rho.mat, PAULI),
                         rtol=0, atol=1e-12)
-        assert_allclose(pi_matrix(rho).pi_matrix, two_copy_moments_reference(rho.mat, projectors),
+        assert_allclose(pi_matrix(rho), two_copy_moments_reference(rho.mat, PROJECTORS),
                         rtol=0, atol=1e-12)
 
 
@@ -110,13 +120,3 @@ def test_trace_sqrt_r_equals_singular_value_sum(rng):
         tr_sqrt = np.sqrt(np.clip(np.linalg.eigvalsh(r), 0, None)).sum()
         sv_sum = np.linalg.svd(_t_matrix(rho.mat), compute_uv=False).sum()
         assert abs(tr_sqrt - sv_sum) <= 1e-9
-
-
-def test_collective_records_compare_by_identity():
-    # ndarray fields: the generated field-wise == would raise on them
-    bell = two_qubit(np.outer(BELL, BELL))
-    for make in (lambda: pi_matrix(bell), minimal_basis):
-        a, b = make(), make()
-        assert a == a and not a != a
-        assert a != b and not a == b  # equal values, other objects
-        assert len({a, b}) == 2

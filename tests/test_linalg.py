@@ -138,3 +138,15 @@ def test_haar_unitary_holds_one_result_sized_array():
     finally:
         tracemalloc.stop()
     assert peak <= u.nbytes + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("cap", [1, 7, 1 << 15])
+@pytest.mark.parametrize("n, row_entries", [(0, 4), (1, 81), (100, 1), (100, 3), (5, 0), (3, 10 ** 6)])
+def test_row_slices_cover_rows_within_the_budget(monkeypatch, cap, n, row_entries):
+    monkeypatch.setattr(linalg, "SLICE_ENTRIES", cap)  # the budget is read at call time
+    rows = [list(range(n))[s] for s in linalg.row_slices(n, row_entries)]
+    assert sum(rows, []) == list(range(n))
+    assert all(len(r) == 1 or len(r) * row_entries <= cap for r in rows)
+    # every slice but the last is as long as the budget allows, and none is empty
+    step = max(1, cap // max(row_entries, 1))
+    assert all(len(r) == step for r in rows[:-1]) and all(rows)

@@ -34,12 +34,6 @@ def test_is_npt_examples():
     assert is_npt(make_icps(IcpsParams(3, 3, 1 / np.sqrt(3), 0.26)))
 
 
-def test_is_npt_cut_symmetric(rng):
-    for _ in range(10):
-        rho = random_density(rng, 2, 3)
-        assert is_npt(rho, "a") == is_npt(rho, "b")
-
-
 def test_thresholds_isotropic():
     for d in range(2, 7):
         v_a, v_b = visibility_thresholds(d, d, 1 / np.sqrt(d))

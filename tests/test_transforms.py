@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelection, LutKind,
-                          LutStrategy, QuasiPureParams, ZeroProbabilityError, apply_lut,
+                          LutStrategy, Mode, QuasiPureParams, ZeroProbabilityError, apply_lut,
                           conditioning_threshold, fef_witness, haar_unitary, make_icps,
                           make_quasi_pure, maximally_mixed, qudit_hadamard, random_selections,
                           reduce_to_two_qubits, substream)
@@ -171,6 +171,15 @@ def test_one_buffer_selections_equal_tiled_construction(d, mode, n):
     assert got.dtype == np.intp and got.shape == expected.shape
     assert_array_equal(got, expected)
     assert new.random() == old.random()  # the next draw too
+
+
+def test_unknown_mode_raises_before_any_draw():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="paralel"):
+        random_selections(rng, 5, 2, "paralel")
+    assert rng.bit_generator.state == state
+    assert random_selections(rng, 5, 2, Mode.PARALLEL).shape == (2, 2, 4)
 
 
 def test_qudit_hadamard_is_shared_and_read_only():
