@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 import os
 
 # One BLAS thread per process, set before numpy loads BLAS: every matrix here is
-# at most d x d, and the process pool is the parallelism.  An explicit setting wins.
+# at most d x d, and the forked sweep workers are the parallelism.  An explicit setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

@@ -7,13 +7,14 @@ check).  Every output file starts with comment lines recording the version,
 the command and every option but --workers and --out; re-running with the
 same seed produces byte-identical files for any worker count.
 
-Exit codes: 0 success, 2 usage error, 3 parse/validation or I/O error, 4
-numeric failure.
+Exit codes: 0 success, 2 usage error, 3 parse/validation or I/O error (a
+sweep worker killed by a signal included), 4 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
-import os
+import errno
+import gc
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .detection import DEFAULT_STRATEGIES, CombinedSelection
+from .engine import usable_cpus
 from .linalg import ginibre
 from .montecarlo import (COMBINED_KEY, DEFAULT_SAMPLES, GridSpec, sweep_icps, sweep_icps_grid,
                          sweep_quasi_pure)
@@ -74,6 +76,16 @@ def _write_table(args, rows: list[list], columns: list[str] = COLUMNS) -> None:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text)
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work where --out cannot be written: it names a
+    directory, or sits in a missing one.  Creates and truncates nothing."""
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "--out names a directory", path)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "--out is in a missing directory", path)
 
 
 def _row(args, label: str, mode: str, e, alpha=None, v=None) -> list:
@@ -171,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def run_options(p):
         p.add_argument("--seed", type=_nonnegative_int, default=0)
-        p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
-                       help="pool size (default: the CPU count)")
+        p.add_argument("--workers", type=_positive_int, default=usable_cpus(),
+                       help="worker processes (default: the CPUs this process may use)")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
     p = sub.add_parser("icps-sweep", help="sensitivity table over the Schmidt-form ensemble")
@@ -227,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except (ParseError, InvalidStateError, InvalidParamsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -237,4 +251,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cli_entry() -> None:
+    # The objects numpy and the package create at import live until exit.
+    # Frozen, no collection walks them: not during the run, not in a forked
+    # sweep worker (whose pages then stay shared) and not at interpreter exit.
+    gc.freeze()
     sys.exit(main())

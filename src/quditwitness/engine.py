@@ -6,7 +6,9 @@ substream(seed, tag, ..., c).  A flags function (_icps_flags, _grid_flags,
 _quasi_flags) draws a chunk's states once and returns its per-sample flags
 (ent, hit), one hit row per output entry.  _counts reduces them inside the
 worker to one integer count vector [n, entangled per entry..., detected per
-entry...], so results are bit-identical for any worker count.
+entry...], so results are bit-identical for any worker count.  run_tasks
+forks W workers, each computing every W-th task, and only these count
+vectors cross a pipe back.
 
 One kernel, _hits, decides detection for all three.  Each mode replays the
 generator from the state right after the chunk's state draw, so its flags
@@ -38,9 +40,12 @@ per slice of linalg.SLICE_ENTRIES entries.
 from __future__ import annotations
 
 import os
-import sys
+import pickle
+import signal
 from collections.abc import Sequence
+from contextlib import suppress
 from functools import lru_cache, partial
+from typing import BinaryIO
 
 import numpy as np
 
@@ -264,15 +269,87 @@ def _counts(flags_fn, *task) -> np.ndarray:
                            (hit & ent).sum(axis=-1).ravel()], dtype=np.int64)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (a container's cpuset), else the host count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_share(count, share: list[tuple]) -> tuple[int, BinaryIO]:
+    """(pid, read end of its pipe) of a forked child that writes the pickled list
+    [count(*task) for task in share], or its pickled exception, to the pipe.
+
+    The child leaves by os._exit: no atexit handler, stdio flush or
+    interpreter teardown runs in it.  Its exit status is 0 only once the
+    whole payload is written."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps([count(*task) for task in share], pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:  # handed to the parent, which re-raises it
+                payload = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _share_result(pid: int, status: int, payload: bytes) -> list[np.ndarray]:
+    """The counts a reaped child wrote; raises the exception it wrote, or
+    ChildProcessError when it ended without a result (killed by a signal)."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(f"sweep worker {pid} ended without a result ({how})")
+    result = pickle.loads(payload)  # bytes this function's own child wrote
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def run_tasks(flags_fn, tasks: list[tuple], workers: int = 1) -> list[np.ndarray]:
-    """_counts(flags_fn, *task) per task, in order, on min(workers, tasks, CPUs) processes."""
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    """_counts(flags_fn, *task) per task, in order.
+
+    W = min(workers, tasks, usable CPUs) forked children compute every W-th
+    task each (child w computes tasks[w::W]) and send only their count
+    vectors back through a pipe; the parent computes nothing, so its memory
+    stays that of the imports.  With W <= 1, or where os has no fork, the
+    tasks run serially in this process.  A child's exception is re-raised
+    here; if this process raises while waiting (Ctrl-C), every child still
+    running is killed and reaped.
+    """
     count = partial(_counts, flags_fn)
-    if workers <= 1:
+    workers = min(workers, len(tasks), usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork"):
         return [count(*t) for t in tasks]
-    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(count, *zip(*tasks),
-                             chunksize=max(1, len(tasks) // (4 * workers))))
+    children = []  # (pid, pipe) per child not yet reaped, in share order
+    results: list = [None] * len(tasks)
+    try:
+        for w in range(workers):
+            children.append(_fork_share(count, tasks[w::workers]))
+        for w in range(workers):
+            pid, pipe = children[0]
+            payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            pipe.close()
+            results[w::workers] = _share_result(pid, status, payload)
+    finally:
+        for pid, pipe in children:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            pipe.close()
+    return results
 
 
 def chunk_sizes(n: int, d: int) -> list[int]:
@@ -283,12 +360,3 @@ def chunk_sizes(n: int, d: int) -> list[int]:
     rows = max(1, min(CHUNK, CHUNK_ENTRIES // (d * d)))
     return [min(rows, n - start) for start in range(0, n, rows)]
 
-
-def __getattr__(name: str):
-    """engine.ProcessPoolExecutor, imported on first use: concurrent.futures.process
-    adds about 12 ms to start-up, which single-worker runs skip.  run_tasks looks
-    the name up on the module, so rebinding it (a serial stand-in) still works."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -130,7 +130,7 @@ def sweep_icps(d: int, r: int, modes: Sequence[Mode],
     the OR over the strategies within each sample.  Returns one estimate
     dict per entry of modes; each equals a one-mode sweep at the same seed.
     Every chunk draws its (alpha, v) samples once for all modes, and one
-    process pool serves the whole run.
+    set of forked workers serves the whole run.
     """
     kinds, shared = _icps_setup(d, r, strategies, combined_selection)
     mode_names = _nonempty("mode", tuple(Mode(m).value for m in modes))
@@ -149,7 +149,7 @@ def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode
     the Haar ensemble is invariant under them.  Returns out[i][j] for
     noise_levels[i] and modes[j]; each entry equals a one-pair sweep at the
     same seed.  Every chunk draws its Haar states once for all pairs, and one
-    process pool serves the whole table.
+    set of forked workers serves the whole table.
     """
     noises = _nonempty("noise level", tuple(noise_levels))
     mode_names = _nonempty("mode", tuple(Mode(m).value for m in modes))

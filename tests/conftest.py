@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -85,22 +87,39 @@ def one_call_haar_unitary(dim: int, rng, size) -> np.ndarray:
     return q
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs the map in-process."""
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="sweeps run serially without fork")
 
-    started: list = []
 
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
+def set_usable_cpus(monkeypatch, cpus: int | None) -> None:
+    """Make engine.usable_cpus() see cpus CPUs through the affinity set; None:
+    no affinity set and an unknown CPU count, as on a platform that has neither."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+def assert_no_child_left() -> None:
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pids of the children forked while the test runs: os.fork, the one
+    function run_tasks forks through, is replaced by a stand-in that records
+    each child and calls the real fork."""
+    started, real_fork = [], os.fork
+
+    def fork() -> int:
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return started
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditwitness import DensityMatrix, maximally_mixed
+from quditwitness import DensityMatrix, InvalidParamsError, maximally_mixed
 from quditwitness import cli, engine
 from quditwitness.cli import main
 from quditwitness.serialize import save_density
-from conftest import SerialPool
+from conftest import assert_no_child_left, needs_fork, set_usable_cpus
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -112,17 +113,52 @@ def test_icps_sweep_deterministic_across_workers(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_workers_beyond_chunk_count_start_one_process_per_chunk(tmp_path, monkeypatch):
-    # a stand-in pool records its size; 40000 samples are 3 chunks
-    monkeypatch.setattr(SerialPool, "started", [])
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+@needs_fork
+def test_workers_beyond_chunk_count_start_one_process_per_chunk(tmp_path, monkeypatch, forks):
+    # the fork stand-in records each child; 40000 samples are 3 chunks
+    set_usable_cpus(monkeypatch, 64)
     base = ["icps-sweep", "--d", "3", "--r", "2", "--samples", "40000", "--seed", "3"]
     paths = [tmp_path / f"w{w}.csv" for w in (1, 5000)]
     assert main(base + ["--workers", "1", "--out", str(paths[0])]) == 0
     assert main(base + ["--workers", "5000", "--out", str(paths[1])]) == 0
-    assert SerialPool.started == [3]
+    assert len(forks) == 3
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def killed_icps_flags(seed, chunk_idx, *task):
+    """engine._icps_flags, but the child holding chunk 1 ends by SIGKILL."""
+    if chunk_idx == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return ICPS_FLAGS(seed, chunk_idx, *task)
+
+
+def failing_icps_flags(seed, chunk_idx, *task):
+    """engine._icps_flags, but chunk 2 raises."""
+    if chunk_idx == 2:
+        raise InvalidParamsError(f"chunk {chunk_idx} is out of range")
+    return ICPS_FLAGS(seed, chunk_idx, *task)
+
+
+ICPS_FLAGS = engine._icps_flags
+
+
+@needs_fork
+@pytest.mark.parametrize("flags, message", [
+    (killed_icps_flags, f"ended without a result (killed by signal {int(signal.SIGKILL)})"),
+    (failing_icps_flags, "error: chunk 2 is out of range"),
+])
+def test_worker_failure_exit_3(flags, message, tmp_path, monkeypatch, capsys, forks):
+    # a worker killed by a signal, or raising, ends the run with one line and
+    # exit 3; every child is reaped and no output is written
+    set_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(engine, "_icps_flags", flags)
+    out_path = tmp_path / "x.csv"
+    assert main(["icps-sweep", "--d", "3", "--r", "2", "--samples", "40000", "--seed", "3",
+                 "--workers", "2", "--out", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err) and message in err
+    assert len(forks) == 2 and not out_path.exists()
+    assert_no_child_left()
 
 
 def test_sweep_header_and_columns(tmp_path):
@@ -275,13 +311,23 @@ def test_missing_state_file_exit_3(tmp_path, capsys):
     assert out == "" and one_error_line(err)
 
 
-def test_out_into_missing_directory_exit_3(tmp_path, capsys):
+def test_out_into_missing_directory_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "run_tasks", None)  # checked before any work starts
     out_path = tmp_path / "missing" / "x.csv"
     assert main(["random-sweep", "--d", "3", "--noise", "0.2", "--samples", "100",
                  "--workers", "1", "--out", str(out_path)]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and one_error_line(err)
-    assert not out_path.exists()
+    assert out == "" and one_error_line(err) and "missing directory" in err
+    assert not out_path.parent.exists()
+
+
+def test_out_is_directory_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "run_tasks", None)  # checked before any work starts
+    (tmp_path / "keep.txt").write_text("kept")
+    assert main(["grid", "--d", "3", "--r", "2", "--workers", "1", "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err) and "names a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
 
 
 @pytest.mark.parametrize("entry, argv", [

@@ -1,3 +1,5 @@
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,8 @@ from quditwitness import (COMBINED_KEY, DEFAULT_STRATEGIES, CombinedSelection, G
 from quditwitness import engine, haar_state, haar_unitary, linalg, transforms
 from quditwitness.states import last_schmidt_coefficient
 from quditwitness.transforms import _local_unitaries, random_selections
-from conftest import SerialPool, explicit_max_det, schmidt_amplitude_matrices
+from conftest import (assert_no_child_left, explicit_max_det, needs_fork, schmidt_amplitude_matrices,
+                      set_usable_cpus)
 
 
 def test_wilson_halfwidth_value():
@@ -203,13 +206,82 @@ def stand_in_flags(i):
 
 @pytest.mark.parametrize("workers, tasks, cpus, pool", [
     (5000, 4, 2, 2), (5000, 4, 64, 4), (3, 10, 64, 3), (8, 10, None, None), (5000, 1, 64, None)])
-def test_run_tasks_pool_capped_by_tasks_and_cpus(monkeypatch, workers, tasks, cpus, pool):
-    monkeypatch.setattr(SerialPool, "started", [])
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)  # None: unknown, so serial
+@needs_fork
+def test_run_tasks_pool_capped_by_tasks_and_cpus(monkeypatch, forks, workers, tasks, cpus, pool):
+    set_usable_cpus(monkeypatch, cpus)  # None: unknown, so serial
     out = engine.run_tasks(stand_in_flags, [(i,) for i in range(tasks)], workers)
     assert [list(row) for row in out] == [STAND_IN_COUNTS[i % 5] for i in range(tasks)]
-    assert SerialPool.started == ([] if pool is None else [pool])
+    assert len(forks) == (0 if pool is None else pool)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_sweep_on_one_usable_cpu_forks_nothing(monkeypatch, forks):
+    # a host with many CPUs whose affinity set allows one: 3 chunks run serially
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    set_usable_cpus(monkeypatch, 1)
+    one = sweep_icps(3, 2, [Mode.SINGLE], n_samples=40_000, seed=3, workers=8)
+    assert forks == []
+    set_usable_cpus(monkeypatch, 2)
+    assert sweep_icps(3, 2, [Mode.SINGLE], n_samples=40_000, seed=3, workers=8) == one
+    assert len(forks) == 2
+
+
+def failing_flags(i):
+    """stand_in_flags, but task 2 raises."""
+    if i == 2:
+        raise InvalidParamsError(f"task {i} is out of range")
+    return stand_in_flags(i)
+
+
+def killed_flags(i):
+    """stand_in_flags, but the child holding task 1 ends by SIGKILL."""
+    if i == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return stand_in_flags(i)
+
+
+@needs_fork
+def test_run_tasks_reraises_a_child_exception(monkeypatch, forks):
+    set_usable_cpus(monkeypatch, 2)
+    with pytest.raises(InvalidParamsError, match="^task 2 is out of range$"):
+        engine.run_tasks(failing_flags, [(i,) for i in range(4)], 2)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@needs_fork
+def test_run_tasks_killed_child_is_child_process_error(monkeypatch, forks):
+    set_usable_cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match=f"killed by signal {int(signal.SIGKILL)}"):
+        engine.run_tasks(killed_flags, [(i,) for i in range(4)], 2)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def blocking_flags(i):
+    """Never returns: the child waits for a signal."""
+    signal.pause()
+
+
+@needs_fork
+def test_run_tasks_parent_exception_kills_and_reaps_children(monkeypatch, forks):
+    # a timer interrupts the parent while it waits on the first child's pipe,
+    # as Ctrl-C would; the children never finish, so only a kill ends them
+    set_usable_cpus(monkeypatch, 2)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_tasks(blocking_flags, [(i,) for i in range(4)], 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
