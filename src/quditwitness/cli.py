@@ -253,6 +253,6 @@ def main(argv: list[str] | None = None) -> int:
 def cli_entry() -> None:
     # The objects numpy and the package create at import live until exit.
     # Frozen, no collection walks them: not during the run, not in a forked
-    # sweep worker (whose pages then stay shared) and not at interpreter exit.
+    # sweep worker (so none copies their pages) and not at interpreter exit.
     gc.freeze()
     sys.exit(main())

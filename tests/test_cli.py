@@ -125,6 +125,9 @@ def test_workers_beyond_chunk_count_start_one_process_per_chunk(tmp_path, monkey
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+ICPS_FLAGS = engine._icps_flags
+
+
 def killed_icps_flags(seed, chunk_idx, *task):
     """engine._icps_flags, but the child holding chunk 1 ends by SIGKILL."""
     if chunk_idx == 1:
@@ -137,9 +140,6 @@ def failing_icps_flags(seed, chunk_idx, *task):
     if chunk_idx == 2:
         raise InvalidParamsError(f"chunk {chunk_idx} is out of range")
     return ICPS_FLAGS(seed, chunk_idx, *task)
-
-
-ICPS_FLAGS = engine._icps_flags
 
 
 @needs_fork

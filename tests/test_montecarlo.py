@@ -1,5 +1,6 @@
 import os
 import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -260,8 +261,9 @@ def test_run_tasks_killed_child_is_child_process_error(monkeypatch, forks):
 
 
 def blocking_flags(i):
-    """Never returns: the child waits for a signal."""
-    signal.pause()
+    """Outlasts the test, so only a kill ends the child in time; bounded, so a
+    child that escapes the kill still ends."""
+    time.sleep(60)
 
 
 @needs_fork
