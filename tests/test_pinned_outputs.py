@@ -72,6 +72,18 @@ RUNS = {
     # so the second noise level takes each row's NPT flag from the SVD
     "random-d9-settled-and-undecided": ["random-sweep", "--d", "9", "--noise", "0.2", "0.9",
                                         "--mode", "both", "--samples", "17000", "--seed", "41"],
+    # CI's runs above the class table's d <= 16 cap: drawn classes in three chunks of
+    # 14513 rows, and the per-process (K0, K1) tables in 20 chunks of 1024 rows
+    "icps17": ["icps-sweep", "--d", "17", "--r", "3", "--mode", "both", "--samples", "30000",
+               "--seed", "1"],
+    "icps64": ["icps-sweep", "--d", "64", "--r", "5", "--strategies", "hadamard_b",
+               "hadamard_both", "--mode", "both", "--samples", "20000", "--seed", "1"],
+    # the benchmark's icps-table and grid-cells commands (bench/workloads.py)
+    "bench-icps-table": ["icps-sweep", "--d", "9", "--r", "9", "--mode", "both",
+                         "--samples", "65536", "--seed", "5"],
+    "bench-grid-cells": ["grid", "--d", "5", "--r", "5", "--alpha-steps", "20", "--v-steps", "20",
+                         "--trials", "1000", "--strategy", "all", "--mode", "single",
+                         "--seed", "5"],
 }
 
 
