@@ -42,7 +42,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from collections.abc import Sequence
 from contextlib import suppress
 from functools import lru_cache, partial
 from typing import BinaryIO
@@ -153,13 +152,13 @@ def _schmidt_dets(alpha: np.ndarray, d: int, r: int):
 
 def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
           kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
-    """Detection flags (..., modes, strategies + 1, n): per mode, each strategy then their OR.
+    """Detection flags (modes, strategies + 1, n): per mode, each strategy then their OR.
 
     dets(sel, kind, u, v) gives each sample's largest |det M| over the level
     pairs of sel under the local unitaries of strategy kind: the drawn
     (n, d, d) stacks (u, v) for random_both, None for a fixed kind; vis
-    broadcasts against (n,), and its leading axes lead the result.  A sample
-    is detected when witness.pure_noise_detected accepts that |det M|.  Each
+    broadcasts against (n,).  A sample is detected when
+    witness.pure_noise_detected accepts that |det M|.  Each
     mode replays the generator from its state at the call.  Draw order per
     mode: shared selections (if shared), then per strategy its local unitaries
     (Haar U then V for random_both) and its selections (if not shared).  Each
@@ -168,7 +167,7 @@ def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
     strategy's draws at a time.
     """
     start = rng.bit_generator.state
-    hit = np.empty((*np.shape(vis)[:-1], len(modes), len(kinds) + 1, n), dtype=bool)
+    hit = np.empty((len(modes), len(kinds) + 1, n), dtype=bool)
     for j, mode in enumerate(modes):
         rng.bit_generator.state = start
         shared_sel = random_selections(rng, d, n, mode) if shared else None
@@ -176,10 +175,10 @@ def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
             u, v = (_local_unitaries(d, LutStrategy(kind), rng, size=n)
                     if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
             sel = shared_sel if shared else random_selections(rng, d, n, mode)
-            hit[..., j, k, :] = pure_noise_detected(dets(sel, kind, u, v), vis, d * d)
+            hit[j, k] = pure_noise_detected(dets(sel, kind, u, v), vis, d * d)
             del u, v, sel  # freed before the next strategy draws its own
         del shared_sel
-        hit[..., j, -1, :] = hit[..., j, :-1, :].any(axis=-2)
+        hit[j, -1] = hit[j, :-1].any(axis=0)
     return hit
 
 
@@ -202,7 +201,7 @@ def _grid_flags(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int
     return True, _hits(rng, dets, np.full(n, vis), d, n, kinds, (mode,), shared)
 
 
-def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
+def _npt_masks(z: np.ndarray, d: int, vis: np.ndarray) -> np.ndarray:
     """NPT flags (len(vis), n) of the states z (n, d, d) mixed with white noise.
 
     Row i at visibility v is NPT iff v lam0 lam1 - (1 - v) / d^2 > NPT_TOL,
@@ -215,48 +214,56 @@ def _npt_masks(z: np.ndarray, d: int, vis: Sequence[float]) -> np.ndarray:
     64 d^2 eps on e2 and on v lam0 lam1: e2 rounds within about d^2 eps, the
     SVD's product and the expression within about d eps.  A row the bounds
     settle at every level keeps those flags; every other row is scored by
-    the expression above from an SVD.  Gram matrices and SVDs run over
-    slices of at most linalg.SLICE_ENTRIES entries (one row if d^2 exceeds
-    it), so their memory stays small for any d.
+    the expression above from an SVD.  Each row's flags are its own, so a
+    caller may pass any run of rows: _quasi_flags passes one slice of at most
+    linalg.SLICE_ENTRIES entries at a time.
     """
     v = np.asarray(vis, dtype=float)[:, None]
     floor = (1.0 - v) / (d * d) + NPT_TOL
     slack = 64 * d * d * np.finfo(float).eps
-    pairs = d * (d - 1) / 2
-    masks = []
-    for s in linalg.row_slices(len(z), d * d):
-        zs = z[s]
-        g = zs @ zs.conj().transpose(0, 2, 1)
-        tr = np.einsum("nii->n", g).real
-        e2 = (tr * tr - (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))) / 2
-        ent = v * v * (e2 - slack) > pairs * (floor + slack) ** 2  # NPT for sure
-        ppt = v * v * (e2 + slack) < np.maximum(floor - slack, 0.0) ** 2  # PPT for sure
-        open_rows = ~(ent | ppt).all(axis=0)
-        lam = np.linalg.svd(zs[open_rows], compute_uv=False)
-        ent[:, open_rows] = v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL
-        masks.append(ent)
-    return np.concatenate(masks, axis=1)
+    g = z @ z.conj().transpose(0, 2, 1)
+    tr = np.einsum("nii->n", g).real
+    e2 = (tr * tr - (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))) / 2
+    ent = v * v * (e2 - slack) > (d * (d - 1) / 2) * (floor + slack) ** 2  # NPT for sure
+    ppt = v * v * (e2 + slack) < np.maximum(floor - slack, 0.0) ** 2  # PPT for sure
+    open_rows = ~(ent | ppt).all(axis=0)
+    lam = np.linalg.svd(z[open_rows], compute_uv=False)
+    ent[:, open_rows] = v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL
+    return ent
 
 
 def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float, ...],
                  modes: tuple[str, ...]):
     """(ent (noises, 1, n), hit (noises, modes, n)) for n Haar states with white noise.
 
-    One Haar draw and one ground-truth pass (_npt_masks) serve every noise
-    level and mode.  _hits runs the identity strategy alone, which draws
-    nothing, on the states' selected entries, and keeps its identity row;
-    each level pair's (n, 4) entries come from one flat take of
-    row d^2 + block_indices.
+    Two streams: each mode draws its level selections from
+    substream(seed, _TAG_QUASI, chunk_idx, 1), starting from its start as if
+    it ran alone, and the states come from substream(seed, _TAG_QUASI,
+    chunk_idx), one linalg.row_slices(n, d^2) slice at a time (a stack of
+    Haar states equals its slices drawn in sequence).  Each slice serves
+    every noise level and mode, then is freed: its ground truth
+    (_npt_masks) and, per mode, each sample's largest |det M| over its level
+    pairs, gathered at block_indices under the identity strategy (the Haar
+    ensemble is invariant under local unitaries).  So a chunk holds one
+    slice of states, every mode's selections and (modes, n) maxima.
     """
+    sel_rng = substream(seed, _TAG_QUASI, chunk_idx, 1)
+    start = sel_rng.bit_generator.state
+    sels = []
+    for mode in modes:
+        sel_rng.bit_generator.state = start
+        sels.append(random_selections(sel_rng, d, n, mode))
     rng = substream(seed, _TAG_QUASI, chunk_idx)
-    z = linalg.haar_state(d * d, rng, size=n)
     vis = 1.0 - np.array(noises)
-    flat, row = z.reshape(-1), np.arange(n)[:, None] * (d * d)
-
-    def dets(sel: np.ndarray, kind: LutKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _max_det(flat.take(row + block_indices(pair, d)) for pair in np.moveaxis(sel, 1, 0))
-    hit = _hits(rng, dets, vis[:, None], d, n, (LutKind.IDENTITY,), modes, False)
-    return _npt_masks(z.reshape(n, d, d), d, vis)[:, None], hit[..., 0, :]
+    ent = np.empty((len(noises), 1, n), dtype=bool)
+    det = np.empty((len(modes), n))
+    for s in linalg.row_slices(n, d * d):
+        z = linalg.haar_state(d * d, rng, size=len(range(n)[s]))
+        ent[:, 0, s] = _npt_masks(z.reshape(-1, d, d), d, vis)
+        for j, sel in enumerate(sels):
+            det[j, s] = _max_det(np.take_along_axis(z, block_indices(pair, d), axis=1)
+                                 for pair in np.moveaxis(sel[s], 1, 0))
+    return ent, pure_noise_detected(det, vis[:, None, None], d * d)
 
 
 def _counts(flags_fn, *task) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Random matrices and states: Ginibre matrices, Haar unitaries, Haar pure states.
 
-All three draw their complex Gaussians through one fill, _complex_normal: all
-real parts, then all imaginary parts, in place in slices of SLICE_ENTRIES
-values.  haar_unitary then factors its stack and haar_state normalises its
-vectors in place, in slices of the same budget, so a draw holds its result
-and no other array of that size.
+All three draw their complex Gaussians through one fill, _complex_normal:
+item after item (one matrix or vector), its real parts and then its
+imaginary parts, in place in slices of SLICE_ENTRIES entries.  So a stack of
+n equals n single draws in sequence, and any run of rows can be drawn alone
+with the values it has inside the whole stack.  haar_unitary then factors
+its stack and haar_state normalises its vectors in place, in slices of the
+same budget, so a draw holds its result and no other array of that size.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-SLICE_ENTRIES = 1 << 15  # per slice of the fill, QR, normalisation and engine._npt_masks
+SLICE_ENTRIES = 1 << 15  # per slice of the fill, QR, normalisation and a random-sweep chunk
 
 
 def row_slices(n: int, row_entries: int):
@@ -19,21 +23,24 @@ def row_slices(n: int, row_entries: int):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
-def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard complex Gaussians of the given shape, the values and draw order
-    of rng.standard_normal(shape) + 1j * rng.standard_normal(shape)."""
-    z = np.empty(shape, dtype=complex)
-    flat = z.reshape(-1)
-    for part in (flat.real, flat.imag):
-        for s in row_slices(flat.size, 1):
-            seg = part[s]
-            seg[:] = rng.standard_normal(seg.shape)
-    return z
+def _complex_normal(rng: np.random.Generator, item: tuple[int, ...],
+                    size: int | None) -> np.ndarray:
+    """Standard complex Gaussians of shape item, or (size, *item): per item, the
+    values and draw order of rng.standard_normal(item) + 1j * rng.standard_normal(item).
+
+    The items are drawn one after another, so a stack of n equals n single draws.
+    """
+    n, entries = 1 if size is None else size, math.prod(item)
+    z = np.empty((n, entries), dtype=complex)
+    parts = z.view(float).reshape(n, entries, 2).transpose(0, 2, 1)  # (n, real/imag, entries)
+    for s in row_slices(n, entries):
+        parts[s] = rng.standard_normal(parts[s].shape)
+    return z.reshape(item if size is None else (size, *item))
 
 
 def ginibre(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Complex Ginibre matrix (i.i.d. standard complex Gaussian entries)."""
-    return _complex_normal(rng, (dim, dim) if size is None else (size, dim, dim))
+    return _complex_normal(rng, (dim, dim), size)
 
 
 def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
@@ -67,7 +74,7 @@ def haar_state(dim: int, rng: np.random.Generator, size: int | None = None) -> n
     Identical in distribution to applying a Haar unitary to any fixed
     reference vector.
     """
-    z = _complex_normal(rng, (dim,) if size is None else (size, dim))
+    z = _complex_normal(rng, (dim,), size)
     rows = z if z.ndim == 2 else z[None]
     for s in row_slices(len(rows), dim):
         zs = rows[s]

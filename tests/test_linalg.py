@@ -67,22 +67,21 @@ def test_haar_state_distribution_matches_rotated_reference():
         assert abs((x ** 2).mean() - 2 / (dim * (dim + 1))) <= 5e-4
 
 
-# The two-array construction the in-place fill replaces, written out: every
-# draw must keep its values and the generator's position bit for bit.
-def two_array_ginibre(dim, rng, size):
-    shape = (dim, dim) if size is None else (size, dim, dim)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+# The two-array construction the in-place fill replaces, written out: a single
+# draw must keep its values and the generator's position bit for bit, and a
+# stack of n must equal n of them in sequence.
+def two_array_ginibre(dim, rng):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def two_array_haar_unitary(dim, rng, size):
-    q, r = np.linalg.qr(two_array_ginibre(dim, rng, size))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+def two_array_haar_unitary(dim, rng):
+    q, r = np.linalg.qr(two_array_ginibre(dim, rng))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))[None, :]
 
 
-def two_array_haar_state(dim, rng, size):
-    shape = (dim,) if size is None else (size, dim)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def two_array_haar_state(dim, rng):
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
@@ -98,9 +97,29 @@ def test_in_place_fill_equals_two_array_construction(draw, reference, per_sample
         size = linalg.SLICE_ENTRIES // per_sample(dim) + 3
         assert size * per_sample(dim) % linalg.SLICE_ENTRIES != 0
     new, old = np.random.default_rng(dim), np.random.default_rng(dim)
-    got, expected = draw(dim, new, size=size), reference(dim, old, size)
+    got = draw(dim, new, size=size)
+    expected = (reference(dim, old) if size is None
+                else np.stack([reference(dim, old) for _ in range(size)]))
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
+    assert new.random() == old.random()  # the next draw too
+
+
+@pytest.mark.parametrize("draw, per_sample", [
+    (haar_state, lambda dim: dim), (ginibre, lambda dim: dim * dim),
+    (haar_unitary, lambda dim: dim * dim)], ids=["haar_state", "ginibre", "haar_unitary"])
+@pytest.mark.parametrize("dim", [0, 1, 3, 64])
+@pytest.mark.parametrize("size", [0, 1, "past a slice"])
+def test_stack_equals_single_draws_in_sequence(monkeypatch, draw, per_sample, dim, size):
+    # so any run of rows of a stack can be drawn alone, as random-sweep's chunks do
+    monkeypatch.setattr(linalg, "SLICE_ENTRIES", 50)  # the budget is read at call time
+    if size == "past a slice":  # more rows than one slice holds
+        size = 50 // max(per_sample(dim), 1) + 3
+    new, old = np.random.default_rng(dim), np.random.default_rng(dim)
+    got = draw(dim, new, size=size)
+    singles = [draw(dim, old) for _ in range(size)]
+    assert got.shape == (size, *draw(dim, np.random.default_rng(0)).shape)
+    assert got.tobytes() == b"".join(x.tobytes() for x in singles)
     assert new.random() == old.random()  # the next draw too
 
 

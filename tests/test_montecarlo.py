@@ -12,7 +12,7 @@ from quditwitness import (COMBINED_KEY, DEFAULT_STRATEGIES, CombinedSelection, G
                           SensitivityEstimate, brute_force_counts, conditioning_threshold, is_npt,
                           make_icps, sweep_icps, sweep_icps_grid, sweep_quasi_pure,
                           wilson_halfwidth)
-from quditwitness import engine, haar_state, haar_unitary, linalg, transforms
+from quditwitness import engine, haar_unitary, linalg, transforms
 from quditwitness.states import last_schmidt_coefficient
 from quditwitness.transforms import _local_unitaries, random_selections
 from conftest import (assert_no_child_left, explicit_max_det, needs_fork, schmidt_amplitude_matrices,
@@ -402,11 +402,10 @@ def test_icps_chunk_holds_one_draw_at_a_time():
 
 @pytest.mark.parametrize("d, noises", [(3, (0.2, 0.5, 0.8)), (9, (0.8, 0.9))])
 def test_npt_masks_do_not_depend_on_slice_size(monkeypatch, d, noises):
-    # entry caps of one row per slice and of the whole chunk give the same
-    # flags, on noise levels where the bounds leave rows to the SVD
+    # a random-sweep chunk drawn, classified and gathered one row per slice and
+    # as one slice gives the same flags, on noise levels where the bounds leave
+    # rows to the SVD
     n = 600
-    z = haar_state(d * d, np.random.default_rng(d), size=n).reshape(n, d, d)
-    vis = 1.0 - np.array(noises)
     svd, svd_rows = np.linalg.svd, []
 
     def counted_svd(a, *args, **kwargs):
@@ -416,9 +415,24 @@ def test_npt_masks_do_not_depend_on_slice_size(monkeypatch, d, noises):
     flags = []
     for cap in (1, n * d * d):
         monkeypatch.setattr(linalg, "SLICE_ENTRIES", cap)
-        flags.append(engine._npt_masks(z, d, vis))
+        flags.append(engine._quasi_flags(d, 0, n, d, noises, ("single", "parallel")))
     assert sum(svd_rows) > 0
-    assert_array_equal(flags[0], flags[1])
+    for one_row, whole in zip(*flags):
+        assert_array_equal(one_row, whole)
+
+
+def test_quasi_chunk_streams_its_states():
+    # a random-table chunk (d = 9, three noise levels, both modes) holds one
+    # slice of its Haar states at a time, not a (rows, d^2) array (20.25 MiB);
+    # numpy reports its allocations to tracemalloc
+    task = (12, 0, engine.CHUNK, 9, (0.2, 0.4, 0.6), ("single", "parallel"))
+    tracemalloc.start()
+    try:
+        engine._quasi_flags(*task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("shared", [False, True])

@@ -78,6 +78,12 @@ RUNS = {
                "--seed", "1"],
     "icps64": ["icps-sweep", "--d", "64", "--r", "5", "--strategies", "hadamard_b",
                "hadamard_both", "--mode", "both", "--samples", "20000", "--seed", "1"],
+    # CI's Haar-state run above the cap, streamed inside chunks of 14513, 14513 and 974 rows
+    "random17": ["random-sweep", "--d", "17", "--noise", "0.6", "--mode", "both",
+                 "--samples", "30000", "--seed", "1"],
+    # random_both's per-sample Haar stacks at d = 32: chunks of 4096 rows and 1 row
+    "rb32-4097": ["icps-sweep", "--d", "32", "--r", "2", "--strategies", "random_both",
+                  "--mode", "single", "--samples", "4097", "--seed", "1"],
     # the benchmark's icps-table and grid-cells commands (bench/workloads.py)
     "bench-icps-table": ["icps-sweep", "--d", "9", "--r", "9", "--mode", "both",
                          "--samples", "65536", "--seed", "5"],

@@ -9,7 +9,7 @@ from conditioning_threshold or is_npt.  The engine's flags must equal these
 sample by sample.  test_one_sample_chunks_are_run_trial_calls goes one step
 further: run_trial makes the kernel's draws in the kernel's order, so a
 chunk of one sample must give the flags of one run_trial call on the same
-substream.  A flag decided within NEAR of its threshold could differ by
+substream (for random-sweep, the chunk's selection stream).  A flag decided within NEAR of its threshold could differ by
 rounding alone; such samples are counted and the count must be 0, so the
 seeds below exercise no tolerance.
 
@@ -113,11 +113,12 @@ def test_quasi_flags_replay_the_scalar_protocol(d):
     seed, noises = 500 + d, (0.7, 0.2, 0.5)  # not sorted, so a reordering shows
     ent, hit = engine._quasi_flags(seed, 0, N, d, noises, MODES)
     assert ent.shape == (len(noises), 1, N) and hit.shape == (len(noises), len(MODES), N)
+    # the states from the chunk's stream, one Ginibre matrix per state; each mode's
+    # selections from the start of the chunk's second stream
+    z = ginibre(d, substream(seed, engine._TAG_QUASI, 0), size=N)
+    z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
     for j, mode in enumerate(MODES):
-        rng = substream(seed, engine._TAG_QUASI, 0)
-        z = ginibre(d, rng, size=N)
-        z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
-        sel = random_selections(rng, d, N, mode)
+        sel = random_selections(substream(seed, engine._TAG_QUASI, 0, 1), d, N, mode)
         for n_idx, noise in enumerate(noises):
             for i in range(N):
                 rho = DensityMatrix.from_pure(z[i].reshape(d * d), d, d, visibility=1.0 - noise)
@@ -174,8 +175,8 @@ def test_one_sample_chunks_are_run_trial_calls(d):
     seed, noises = 500 + d, (0.7, 0.2, 0.5)
     for c in range(40):
         _, hit = engine._quasi_flags(seed, c, 1, d, noises, MODES)
-        rng = substream(seed, engine._TAG_QUASI, c)
-        z = haar_state(d * d, rng, size=1)[0]
+        z = haar_state(d * d, substream(seed, engine._TAG_QUASI, c), size=1)[0]
+        rng = substream(seed, engine._TAG_QUASI, c, 1)  # the selection stream
         start = rng.bit_generator.state
         for i, noise in enumerate(noises):
             rho = DensityMatrix.from_pure(z, d, d, visibility=1.0 - noise)
