@@ -8,13 +8,15 @@ the command and every option but --workers and --out; re-running with the
 same seed produces byte-identical files for any worker count.
 
 Exit codes: 0 success, 2 usage error, 3 parse/validation or I/O error (a
-sweep worker killed by a signal included), 4 numeric failure.
+sweep worker killed by a signal included), 4 numeric failure; the console
+script exits 128 + N on signal N: 130 on SIGINT, 143 on SIGTERM, 129 on SIGHUP.
 """
 from __future__ import annotations
 
 import argparse
 import errno
 import gc
+import signal
 import sys
 from pathlib import Path
 
@@ -250,9 +252,28 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
+class Terminated(BaseException):
+    """SIGTERM or SIGHUP, raised where the main thread is, like KeyboardInterrupt:
+    it unwinds through engine.run_tasks, which kills and reaps its workers."""
+
+
+def _terminate(signum, frame):
+    raise Terminated(signum)
+
+
 def cli_entry() -> None:
     # The objects numpy and the package create at import live until exit.
     # Frozen, no collection walks them: not during the run, not in a forked
     # sweep worker (so none copies their pages) and not at interpreter exit.
     gc.freeze()
-    sys.exit(main())
+    for name in ("SIGTERM", "SIGHUP"):
+        if hasattr(signal, name):
+            signal.signal(getattr(signal, name), _terminate)
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt:
+        signum = signal.SIGINT
+    except Terminated as exc:
+        signum = exc.args[0]
+    print(f"interrupted: {signal.Signals(signum).name}", file=sys.stderr)
+    sys.exit(128 + signum)

@@ -10,8 +10,8 @@ entry...], so results are bit-identical for any worker count.  run_tasks
 forks W workers, each computing every W-th task, and only these count
 vectors cross a pipe back.
 
-One kernel, _hits, decides detection for all three.  Each mode replays the
-generator from the state right after the chunk's state draw, so its flags
+One kernel, _hits, decides detection for icps and grid.  Each mode replays
+the generator from the state right after the chunk's state draw, so its flags
 equal a run alone; each strategy draws its unitaries (U, V) from
 transforms._local_unitaries (random_both alone draws; the fixed kinds'
 unitaries are built once per process, in _k_tables) and its level
@@ -19,23 +19,28 @@ selections from transforms.random_selections, the draws detection.run_trial
 makes in the same order, so a one-sample chunk gives run_trial's flags.  Every sampled state
 is pure plus white noise, so no score is computed: a sample is detected when
 witness.pure_noise_detected accepts its largest |det M| over level pairs.
-_hits takes that maximum from one of two det sources.  _schmidt_dets (icps
-and grid) splits M = U diag(s) V^T into two terms, so det M_k of a selection
-class k is alpha (alpha a_k + alpha_r c_k); for the strategies with fixed
+_hits takes that maximum from _schmidt_dets, which splits M = U diag(s) V^T
+into two terms, so det M_k of a selection class k is
+alpha (alpha a_k + alpha_r c_k); for the strategies with fixed
 unitaries, (a_k, c_k) is read from a per-process class table at the class
 index of each drawn selection, or above TABLE_MAX_D computed from the
-per-process (K0, K1) tables.  random-sweep gathers its Haar states' entries
-under the identity strategy, which draws nothing.  icps samples are
-entangled by oracles.conditioning_threshold alone, Haar (quasi) samples by
-_npt_masks: Cauchy-Binet bounds on lam0 lam1 from the Gram matrix settle
-most rows, and only the rows they leave open get an SVD.
+per-process (K0, K1) tables.  random-sweep (_quasi_flags) draws each mode's
+selections from a second substream of its chunk, then streams its Haar
+states: it draws them one slice at a time, a stack being its single draws in
+sequence, and gathers each slice's entries under the identity strategy,
+which draws nothing.  icps samples are entangled by
+oracles.conditioning_threshold alone, Haar (quasi) samples by _npt_masks:
+Cauchy-Binet bounds on lam0 lam1 from the Gram matrix settle most rows, and
+only the rows they leave open get an SVD.
 
-A chunk holds its states (alpha and v, or the Haar states), its flags and
-one strategy's draws at a time: random_both's two (rows, d, d) unitary
-stacks, QR'd in place by linalg.haar_unitary, and one selection array of
+An icps or grid chunk holds its states (alpha and v), its flags and one
+strategy's draws at a time: random_both's two (rows, d, d) unitary stacks,
+QR'd in place by linalg.haar_unitary, and one selection array of
 (rows, pairs, 4) integers, whose parallel-mode permutations share one
-(rows, d) buffer.  Its other working arrays are built per level pair or
-per slice of linalg.SLICE_ENTRIES entries.
+(rows, d) buffer.  A random-sweep chunk holds every mode's selection array,
+its flags and one slice of linalg.SLICE_ENTRIES state entries, never a
+(rows, d^2) state array.  Other working arrays are built per level pair or
+per slice.
 """
 from __future__ import annotations
 
@@ -154,12 +159,12 @@ def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
           kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
     """Detection flags (modes, strategies + 1, n): per mode, each strategy then their OR.
 
-    dets(sel, kind, u, v) gives each sample's largest |det M| over the level
-    pairs of sel under the local unitaries of strategy kind: the drawn
-    (n, d, d) stacks (u, v) for random_both, None for a fixed kind; vis
-    broadcasts against (n,).  A sample is detected when
-    witness.pure_noise_detected accepts that |det M|.  Each
-    mode replays the generator from its state at the call.  Draw order per
+    dets(sel, kind, u, v), from _schmidt_dets, gives each sample's largest
+    |det M| over the level pairs of sel under the local unitaries of strategy
+    kind: the drawn (n, d, d) stacks (u, v) for random_both, None for a fixed
+    kind; vis broadcasts against (n,).  A sample is detected when
+    witness.pure_noise_detected accepts that |det M|.  Each mode replays the
+    generator from its state at the call.  Draw order per
     mode: shared selections (if shared), then per strategy its local unitaries
     (Haar U then V for random_both) and its selections (if not shared).  Each
     strategy's draws are freed before the next strategy's are drawn, and a
@@ -291,14 +296,21 @@ def _fork_share(count, share: list[tuple]) -> tuple[int, BinaryIO]:
 
     The child leaves by os._exit: no atexit handler, stdio flush or
     interpreter teardown runs in it.  Its exit status is 0 only once the
-    whole payload is written."""
+    whole payload is written.  A child whose parent is gone (killed, so its
+    finally never ran) has no reader: it exits 1 before its next task."""
+    parent = os.getpid()
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read_fd)
             try:
-                payload = pickle.dumps([count(*task) for task in share], pickle.HIGHEST_PROTOCOL)
+                counts = []
+                for task in share:
+                    if os.getppid() != parent:
+                        os._exit(1)
+                    counts.append(count(*task))
+                payload = pickle.dumps(counts, pickle.HIGHEST_PROTOCOL)
             except BaseException as exc:  # handed to the parent, which re-raises it
                 payload = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:

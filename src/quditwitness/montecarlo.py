@@ -148,8 +148,10 @@ def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode
     Ground truth is the NPT criterion; no local unitaries are applied since
     the Haar ensemble is invariant under them.  Returns out[i][j] for
     noise_levels[i] and modes[j]; each entry equals a one-pair sweep at the
-    same seed.  Every chunk draws its Haar states once for all pairs, and one
-    set of forked workers serves the whole table.
+    same seed.  Every chunk draws its Haar states once for all pairs, one
+    slice at a time from its state stream, and each mode's level selections
+    from a second stream (engine._quasi_flags); one set of forked workers
+    serves the whole table.
     """
     noises = _nonempty("noise level", tuple(noise_levels))
     mode_names = _nonempty("mode", tuple(Mode(m).value for m in modes))

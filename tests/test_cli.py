@@ -3,6 +3,8 @@ import os
 import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +161,81 @@ def test_worker_failure_exit_3(flags, message, tmp_path, monkeypatch, capsys, fo
     assert out == "" and one_error_line(err) and message in err
     assert len(forks) == 2 and not out_path.exists()
     assert_no_child_left()
+
+
+def stat_fields(pid: int) -> list[str] | None:
+    """The fields of /proc/<pid>/stat after the command name (state, ppid, ...);
+    None when there is no such process."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def live_children(pid: int) -> list[int]:
+    """Pids of the processes whose parent is pid."""
+    return [int(p.name) for p in Path("/proc").glob("[0-9]*")
+            if (fields := stat_fields(int(p.name))) and int(fields[1]) == pid]
+
+
+def stopped(pid: int, within: float) -> bool:
+    """Whether pid runs no more (gone, or a zombie that its new parent has not
+    reaped yet), waiting up to `within` seconds."""
+    deadline = time.monotonic() + within
+    while (fields := stat_fields(pid)) and fields[0] != "Z":
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+# Two workers for about 10 s each if nothing stops them: 8e6 samples are 489 chunks
+SIGNAL_SWEEP = ["icps-sweep", "--d", "9", "--r", "9", "--samples", "8000000", "--workers", "2"]
+
+
+@contextmanager
+def console_sweep(tmp_path):
+    """(process, its two worker pids, --out path) of the console script running
+    SIGNAL_SWEEP, once both workers have forked; killed on the way out."""
+    if not sys.platform.startswith("linux") or engine.usable_cpus() < 2:
+        pytest.skip("reads worker pids from /proc and needs two usable CPUs")
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "quditwitness", *SIGNAL_SWEEP, "--out", str(out)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers := live_children(proc.pid)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert len(workers) == 2
+        yield proc, workers, out
+    finally:
+        proc.kill()
+        proc.communicate()
+
+
+@needs_fork
+@pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGINT, 130)])
+def test_signal_ends_the_sweep_and_its_workers(signum, code, tmp_path):
+    # the signal unwinds through run_tasks, which kills and reaps both workers;
+    # one stderr line, exit 128 + N and no output file
+    with console_sweep(tmp_path) as (proc, workers, out):
+        proc.send_signal(signum)
+        stdout, stderr = proc.communicate(timeout=30)
+        assert proc.returncode == code
+        assert stdout == "" and stderr == f"interrupted: {signal.Signals(signum).name}\n"
+        assert not out.exists()
+        assert all(stat_fields(pid) is None for pid in workers)  # killed and reaped
+
+
+@needs_fork
+def test_workers_of_a_killed_parent_stop_at_their_next_task(tmp_path):
+    # SIGKILL skips every handler and finally: each worker notices at its next
+    # chunk (about 0.04 s at d = 9) that its parent is gone, not after its share
+    with console_sweep(tmp_path) as (proc, workers, out):
+        proc.kill()
+        proc.wait(timeout=30)
+        assert all(stopped(pid, within=3.0) for pid in workers)
 
 
 def test_sweep_header_and_columns(tmp_path):
