@@ -265,9 +265,9 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     for s in linalg.row_slices(n, d * d):
         z = linalg.haar_state(d * d, rng, size=len(range(n)[s]))
         ent[:, 0, s] = _npt_masks(z.reshape(-1, d, d), d, vis)
+        row = np.arange(0, z.size, d * d)[:, None, None]  # each state's offset in z's flat entries
         for j, sel in enumerate(sels):
-            det[j, s] = _max_det(np.take_along_axis(z, block_indices(pair, d), axis=1)
-                                 for pair in np.moveaxis(sel[s], 1, 0))
+            det[j, s] = _max_det(np.moveaxis(z.take(row + block_indices(sel[s], d)), 1, 0))
     return ent, pure_noise_detected(det, vis[:, None, None], d * d)
 
 

@@ -32,9 +32,9 @@ def _complex_normal(rng: np.random.Generator, item: tuple[int, ...],
     """
     n, entries = 1 if size is None else size, math.prod(item)
     z = np.empty((n, entries), dtype=complex)
-    parts = z.view(float).reshape(n, entries, 2).transpose(0, 2, 1)  # (n, real/imag, entries)
     for s in row_slices(n, entries):
-        parts[s] = rng.standard_normal(parts[s].shape)
+        zs = z[s]
+        zs.real, zs.imag = rng.standard_normal((len(zs), 2, entries)).transpose(1, 0, 2)
     return z.reshape(item if size is None else (size, *item))
 
 
