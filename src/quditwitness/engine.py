@@ -241,23 +241,19 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
                  modes: tuple[str, ...]):
     """(ent (noises, 1, n), hit (noises, modes, n)) for n Haar states with white noise.
 
-    Two streams: each mode draws its level selections from
-    substream(seed, _TAG_QUASI, chunk_idx, 1), starting from its start as if
-    it ran alone, and the states come from substream(seed, _TAG_QUASI,
-    chunk_idx), one linalg.row_slices(n, d^2) slice at a time (a stack of
-    Haar states equals its slices drawn in sequence).  Each slice serves
-    every noise level and mode, then is freed: its ground truth
-    (_npt_masks) and, per mode, each sample's largest |det M| over its level
-    pairs, gathered at block_indices under the identity strategy (the Haar
-    ensemble is invariant under local unitaries).  So a chunk holds one
-    slice of states, every mode's selections and (modes, n) maxima.
+    Two streams: each mode draws its level selections from the start of
+    substream(seed, _TAG_QUASI, chunk_idx, 1), as if it ran alone, and the
+    states come from substream(seed, _TAG_QUASI, chunk_idx), one
+    linalg.row_slices(n, d^2) slice at a time (a stack of Haar states equals
+    its slices drawn in sequence).  Each slice serves every noise level and
+    mode, then is freed: its ground truth (_npt_masks) and, per mode, each
+    sample's largest |det M| over its level pairs, gathered at block_indices
+    under the identity strategy (the Haar ensemble is invariant under local
+    unitaries).  So a chunk holds one slice of states, every mode's
+    selections and (modes, n) maxima.
     """
-    sel_rng = substream(seed, _TAG_QUASI, chunk_idx, 1)
-    start = sel_rng.bit_generator.state
-    sels = []
-    for mode in modes:
-        sel_rng.bit_generator.state = start
-        sels.append(random_selections(sel_rng, d, n, mode))
+    sels = [random_selections(substream(seed, _TAG_QUASI, chunk_idx, 1), d, n, mode)
+            for mode in modes]
     rng = substream(seed, _TAG_QUASI, chunk_idx)
     vis = 1.0 - np.array(noises)
     ent = np.empty((len(noises), 1, n), dtype=bool)

@@ -9,9 +9,10 @@ from conditioning_threshold or is_npt.  The engine's flags must equal these
 sample by sample.  test_one_sample_chunks_are_run_trial_calls goes one step
 further: run_trial makes the kernel's draws in the kernel's order, so a
 chunk of one sample must give the flags of one run_trial call on the same
-substream (for random-sweep, the chunk's selection stream).  A flag decided within NEAR of its threshold could differ by
-rounding alone; such samples are counted and the count must be 0, so the
-seeds below exercise no tolerance.
+substream (for random-sweep, the chunk's selection stream).  A flag decided
+within NEAR of its threshold could differ by rounding alone; such samples
+are counted and the count must be 0, so the seeds below exercise no
+tolerance.
 
 Two kinds of change cannot fail these tests.  Swapping a0/a1 (or b0/b1, or
 transposing a 2x2 block) leaves |det M| and the witness unchanged.  A change
