@@ -84,6 +84,17 @@ RUNS = {
     # random_both's per-sample Haar stacks at d = 32: chunks of 4096 rows and 1 row
     "rb32-4097": ["icps-sweep", "--d", "32", "--r", "2", "--strategies", "random_both",
                   "--mode", "single", "--samples", "4097", "--seed", "1"],
+    # CI's grid runs: the class table at d = 3 and at odd d = 9 in parallel mode, and a
+    # selection shared by the strategies
+    "grid": ["grid", "--d", "3", "--r", "2", "--alpha-steps", "2", "--v-steps", "2",
+             "--trials", "50", "--seed", "1"],
+    "grid9": ["grid", "--d", "9", "--r", "4", "--mode", "parallel", "--alpha-steps", "2",
+              "--v-steps", "2", "--trials", "50", "--seed", "1"],
+    "gridshared": ["grid", "--d", "3", "--r", "3", "--combined-selection", "shared",
+                   "--alpha-steps", "2", "--v-steps", "2", "--trials", "50", "--seed", "1"],
+    # above the cap: each cell spans chunks of 14513 and 487 rows on the drawn-class path
+    "grid17": ["grid", "--d", "17", "--r", "3", "--alpha-steps", "1", "--v-steps", "2",
+               "--trials", "15000", "--seed", "1"],
     # the benchmark's icps-table and grid-cells commands (bench/workloads.py)
     "bench-icps-table": ["icps-sweep", "--d", "9", "--r", "9", "--mode", "both",
                          "--samples", "65536", "--seed", "5"],
