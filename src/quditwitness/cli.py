@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import os
 import signal
 import sys
 from pathlib import Path
@@ -262,18 +263,25 @@ def _terminate(signum, frame):
 
 
 def cli_entry() -> None:
-    # The objects numpy and the package create at import live until exit.
-    # Frozen, no collection walks them: not during the run, not in a forked
-    # sweep worker (so none copies their pages) and not at interpreter exit.
+    # Frozen, no collection walks the import-time objects (so a forked sweep worker copies
+    # none of their pages); every exit flushes stdout and stderr, then skips teardown.
     gc.freeze()
     for name in ("SIGTERM", "SIGHUP"):
         if hasattr(signal, name):
             signal.signal(getattr(signal, name), _terminate)
     try:
-        sys.exit(main())
-    except KeyboardInterrupt:
-        signum = signal.SIGINT
-    except Terminated as exc:
-        signum = exc.args[0]
-    print(f"interrupted: {signal.Signals(signum).name}", file=sys.stderr)
-    sys.exit(128 + signum)
+        code = main()
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help or --version
+        code = exc.code or 0
+    except (KeyboardInterrupt, Terminated) as exc:
+        signum = exc.args[0] if isinstance(exc, Terminated) else signal.SIGINT
+        print(f"interrupted: {signal.Signals(signum).name}", file=sys.stderr)
+        code = 128 + signum
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # stdout's reader is gone: an I/O error, unless main failed first
+        if code == 0:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 3
+    sys.stderr.flush()
+    os._exit(code)

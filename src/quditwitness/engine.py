@@ -2,17 +2,18 @@
 
 Work is split into chunks sized from n and d alone (chunk_sizes); chunk c of
 a task draws every random number it needs, in a fixed order, from
-substream(seed, tag, ..., c).  A flags function (_icps_flags, _grid_flags,
-_quasi_flags) draws a chunk's states once and returns its per-sample flags
-(ent, hit), one hit row per output entry.  _counts reduces them inside the
-worker to one integer count vector [n, entangled per entry..., detected per
-entry...], so results are bit-identical for any worker count.  run_tasks
-forks W workers, each computing every W-th task, and only these count
-vectors cross a pipe back.
+substream(seed, tag, ..., c).  A task is one chunk or, for a grid, a run of
+whole cells (_hits), each with its own substream.  A flags function
+(_icps_flags, _grid_flags, _quasi_flags) draws a task's states once and
+returns (rows, ent, hit), one hit row of per-sample flags per output entry;
+_counts reduces them in the worker to one integer vector [rows, entangled per
+entry..., detected per entry...], so results are bit-identical for any worker
+count.  run_tasks forks W workers, each computing every W-th task, and only
+these vectors cross a pipe back.
 
 One kernel, _hits, decides detection for icps and grid.  Each mode replays
 the generator from the state right after the chunk's state draw, so its flags
-equal a run alone; each strategy draws its unitaries (U, V) from
+equal a one-mode chunk's; each strategy draws its unitaries (U, V) from
 transforms._local_unitaries (random_both alone draws; the fixed kinds'
 unitaries are built once per process, in _k_tables) and its level
 selections from transforms.random_selections, the draws detection.run_trial
@@ -33,7 +34,7 @@ oracles.conditioning_threshold alone, Haar (quasi) samples by _npt_masks:
 Cauchy-Binet bounds on lam0 lam1 from the Gram matrix settle most rows, and
 only the rows they leave open get an SVD.
 
-An icps or grid chunk holds its states (alpha and v), its flags and one
+An icps chunk or grid run holds its states (alpha and v), its flags and one
 strategy's draws at a time: random_both's two (rows, d, d) unitary stacks,
 QR'd in place by linalg.haar_unitary, and one selection array of
 (rows, pairs, 4) integers, whose parallel-mode permutations share one
@@ -64,6 +65,7 @@ from .witness import pure_noise_detected
 CHUNK = 16384
 TABLE_MAX_D = 16  # largest d with a _class_table (32 d^4 bytes, 2 MiB) and full CHUNK rows
 CHUNK_ENTRIES = CHUNK * TABLE_MAX_D ** 2  # rows * d^2 cap: a complex (n, d, d) stack <= 64 MiB
+RUN_ROWS = 4096  # rows of a grid run of one-chunk cells, capped at a chunk's rows for d
 
 _TAG_ICPS = 0
 _TAG_QUASI = 1
@@ -155,31 +157,45 @@ def _schmidt_dets(alpha: np.ndarray, d: int, r: int):
     return dets
 
 
-def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
-          kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
-    """Detection flags (modes, strategies + 1, n): per mode, each strategy then their OR.
+def _stacked(draw, rngs: list[np.random.Generator], n: int) -> list[np.ndarray]:
+    """Each array of draw(rng, n) for a run's members, stacked over its rows; a member's draw is
+    copied and freed before the next member draws (a one-member run's is returned as is)."""
+    if len(rngs) == 1:
+        return draw(rngs[0], n)
+    out = None
+    for i, rng in enumerate(rngs):
+        parts = draw(rng, n)
+        out = out or [np.empty((len(rngs) * n, *p.shape[1:]), p.dtype) for p in parts]
+        for o, p in zip(out, parts):
+            o[i * n:(i + 1) * n] = p
+    return out
 
-    dets(sel, kind, u, v), from _schmidt_dets, gives each sample's largest
-    |det M| over the level pairs of sel under the local unitaries of strategy
-    kind: the drawn (n, d, d) stacks (u, v) for random_both, None for a fixed
-    kind; vis broadcasts against (n,).  A sample is detected when
-    witness.pure_noise_detected accepts that |det M|.  Each mode replays the
-    generator from its state at the call.  Draw order per
-    mode: shared selections (if shared), then per strategy its local unitaries
-    (Haar U then V for random_both) and its selections (if not shared).  Each
-    strategy's draws are freed before the next strategy's are drawn, and a
-    mode's shared selections before the next mode's, so a chunk holds one
-    strategy's draws at a time.
+
+def _hits(rngs: list[np.random.Generator], n: int, dets, vis: np.ndarray, d: int,
+          kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
+    """Detection flags (modes, strategies + 1, rows): per mode, each strategy then their OR.
+
+    A run is len(rngs) members of n rows (an icps chunk is one), each drawing from its
+    own generator what it would draw alone.  dets(sel, kind, u, v) (_schmidt_dets) is
+    each row's largest |det M| over the level pairs of sel under kind's local unitaries:
+    random_both's drawn (rows, d, d) stacks (u, v), None for a fixed kind; a row is
+    detected when witness.pure_noise_detected accepts it at vis.  Draw order per mode:
+    shared selections (if shared), then per strategy its local unitaries (Haar U then
+    V for random_both) and its selections (if not shared); a second mode replays each
+    member's generator from its state at the call.  Each strategy is evaluated once
+    over the run's rows and its draws are freed before the next one's are drawn.
     """
-    start = rng.bit_generator.state
-    hit = np.empty((len(modes), len(kinds) + 1, n), dtype=bool)
+    starts = [rng.bit_generator.state for rng in rngs] if len(modes) > 1 else []
+    hit = np.empty((len(modes), len(kinds) + 1, len(rngs) * n), dtype=bool)
     for j, mode in enumerate(modes):
-        rng.bit_generator.state = start
-        shared_sel = random_selections(rng, d, n, mode) if shared else None
+        for rng, start in zip(rngs, starts if j else ()):
+            rng.bit_generator.state = start
+        select = lambda: _stacked(lambda rng, m: [random_selections(rng, d, m, mode)], rngs, n)[0]
+        shared_sel = select() if shared else None
         for k, kind in enumerate(kinds):
-            u, v = (_local_unitaries(d, LutStrategy(kind), rng, size=n)
+            u, v = (_stacked(partial(_local_unitaries, d, LutStrategy(kind)), rngs, n)
                     if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
-            sel = shared_sel if shared else random_selections(rng, d, n, mode)
+            sel = shared_sel if shared else select()
             hit[j, k] = pure_noise_detected(dets(sel, kind, u, v), vis, d * d)
             del u, v, sel  # freed before the next strategy draws its own
         del shared_sel
@@ -189,21 +205,23 @@ def _hits(rng: np.random.Generator, dets, vis: np.ndarray, d: int, n: int,
 
 def _icps_flags(seed: int, chunk_idx: int, n: int, d: int, r: int, kinds: tuple[LutKind, ...],
                 modes: tuple[str, ...], shared: bool, ground_truth: IcpsGroundTruth):
-    """(ent (n,), _hits) for alpha ~ U[0, 1/sqrt(r-1)] and v ~ U[0, 1]; a
+    """(n, ent (n,), _hits) for alpha ~ U[0, 1/sqrt(r-1)] and v ~ U[0, 1]; a
     sample is entangled when v exceeds oracles.conditioning_threshold."""
     rng = substream(seed, _TAG_ICPS, chunk_idx)
     alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), n)
     vis = rng.uniform(0.0, 1.0, n)
-    return (vis > conditioning_threshold(d, r, alpha, ground_truth),
-            _hits(rng, _schmidt_dets(alpha, d, r), vis, d, n, kinds, modes, shared))
+    return (n, vis > conditioning_threshold(d, r, alpha, ground_truth),
+            _hits([rng], n, _schmidt_dets(alpha, d, r), vis, d, kinds, modes, shared))
 
 
-def _grid_flags(seed: int, cell_idx: int, chunk_idx: int, n: int, d: int, r: int,
-                alpha: float, vis: float, kinds: tuple[LutKind, ...], mode: str, shared: bool):
-    """(True, _hits) for n trials on one fixed state: every trial counts."""
-    rng = substream(seed, _TAG_GRID, cell_idx, chunk_idx)
-    dets = _schmidt_dets(np.full(n, alpha), d, r)
-    return True, _hits(rng, dets, np.full(n, vis), d, n, kinds, (mode,), shared)
+def _grid_flags(seed: int, cells: range, chunk_idx: int, n: int, d: int, r: int, alphas: tuple,
+                vis: tuple, kinds: tuple[LutKind, ...], mode: str, shared: bool):
+    """(rows, True, hit (cells, strategies + 1, n)) of a run of cells: cell i, state (alphas[i],
+    vis[i]), draws from substream(seed, _TAG_GRID, cells[i], chunk_idx); every trial counts."""
+    rngs = [substream(seed, _TAG_GRID, cell, chunk_idx) for cell in cells]
+    hit = _hits(rngs, n, _schmidt_dets(np.repeat(alphas, n), d, r), np.repeat(vis, n), d, kinds,
+                (mode,), shared)
+    return len(cells) * n, True, hit[0].reshape(-1, len(cells), n).swapaxes(0, 1)
 
 
 def _npt_masks(z: np.ndarray, d: int, vis: np.ndarray) -> np.ndarray:
@@ -239,7 +257,7 @@ def _npt_masks(z: np.ndarray, d: int, vis: np.ndarray) -> np.ndarray:
 
 def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float, ...],
                  modes: tuple[str, ...]):
-    """(ent (noises, 1, n), hit (noises, modes, n)) for n Haar states with white noise.
+    """(n, ent (noises, 1, n), hit (noises, modes, n)) for n Haar states with white noise.
 
     Two streams: each mode draws its level selections from the start of
     substream(seed, _TAG_QUASI, chunk_idx, 1), as if it ran alone, and the
@@ -264,16 +282,16 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
         row = np.arange(0, z.size, d * d)[:, None, None]  # each state's offset in z's flat entries
         for j, sel in enumerate(sels):
             det[j, s] = _max_det(np.moveaxis(z.take(row + block_indices(sel[s], d)), 1, 0))
-    return ent, pure_noise_detected(det, vis[:, None, None], d * d)
+    return n, ent, pure_noise_detected(det, vis[:, None, None], d * d)
 
 
 def _counts(flags_fn, *task) -> np.ndarray:
-    """[n, entangled per entry..., detected per entry...] from (ent, hit) = flags_fn(*task):
-    hit (..., n) has one row of per-sample flags per entry, in row-major order, and
-    ent broadcasts against it."""
-    ent, hit = flags_fn(*task)
+    """[rows, entangled per entry..., detected per entry...] from (rows, ent, hit) =
+    flags_fn(*task): rows is the task's sample count, hit (..., n) has one row of
+    per-sample flags per entry, in row-major order, and ent broadcasts against it."""
+    rows, ent, hit = flags_fn(*task)
     ent = np.broadcast_to(ent, hit.shape)
-    return np.concatenate([[hit.shape[-1]], ent.sum(axis=-1).ravel(),
+    return np.concatenate([[rows], ent.sum(axis=-1).ravel(),
                            (hit & ent).sum(axis=-1).ravel()], dtype=np.int64)
 
 

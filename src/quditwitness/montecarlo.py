@@ -181,12 +181,15 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, mode: Mode = Mode.SINGLE,
     cells = [((ia + 0.5) / grid.alpha_steps * amax, (iv + 0.5) / grid.v_steps)
              for ia in range(grid.alpha_steps) for iv in range(grid.v_steps)]
     sizes = engine.chunk_sizes(grid.trials_per_cell, d)
-    tasks = [(seed, cell_idx, c, size, d, r, alpha, v, kinds, mode, shared)
-             for cell_idx, (alpha, v) in enumerate(cells) for c, size in enumerate(sizes)]
-    results = engine.run_tasks(engine._grid_flags, tasks, workers)
-    # every cell has the same chunks, so its totals are a sum over one axis
-    totals = np.reshape(results, (len(cells), len(sizes), -1)).sum(axis=1)
+    # a task: a run of one-chunk cells of RUN_ROWS rows at most, or a chunk of a larger cell
+    per_run = max(1, engine.chunk_sizes(engine.RUN_ROWS, d)[0] // sizes[0])
+    runs = [range(len(cells))[i:i + per_run] for i in range(0, len(cells), per_run)]
+    tasks = [(seed, run, c, size, d, r, *zip(*cells[run.start:run.stop]), kinds, mode, shared)
+             for run in runs for c, size in enumerate(sizes)]
+    counts = np.zeros((len(cells), 2, len(kinds) + 1), dtype=np.int64)  # entangled, detected
+    for (_, run, *_), result in zip(tasks, engine.run_tasks(engine._grid_flags, tasks, workers)):
+        counts[run] += result[1:].reshape(2, len(run), -1).swapaxes(0, 1)
     npt = IcpsGroundTruth.NPT
     return [GridCell(alpha, v, separable=not v > conditioning_threshold(d, r, alpha, npt),
-                     estimates=_by_strategy(kinds, total)[0])
-            for (alpha, v), total in zip(cells, totals)]
+                     estimates=_by_strategy(kinds, np.append(grid.trials_per_cell, count))[0])
+            for (alpha, v), count in zip(cells, counts)]

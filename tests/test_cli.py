@@ -238,6 +238,46 @@ def test_workers_of_a_killed_parent_stop_at_their_next_task(tmp_path):
         assert all(stopped(pid, within=3.0) for pid in workers)
 
 
+# CI's grid run at --workers 1
+GRID_RUN = ["grid", "--d", "3", "--r", "2", "--alpha-steps", "2", "--v-steps", "2",
+            "--trials", "50", "--seed", "1", "--workers", "1"]
+
+
+def console(*argv: str) -> subprocess.Popen:
+    """The console script on argv, its stdout and stderr piped; without
+    PYTHONUNBUFFERED its stdout is block-buffered, as in a shell pipeline."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return subprocess.Popen([sys.executable, "-m", "quditwitness", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_console_csv_on_stdout_equals_out_file(tmp_path):
+    out = tmp_path / "grid.csv"
+    stdout, stderr = console(*GRID_RUN).communicate(timeout=60)
+    assert console(*GRID_RUN, "--out", str(out)).wait(timeout=60) == 0
+    assert stdout == out.read_bytes() and stderr == b""
+
+
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["--version"], 0, f"quditwitness {cli.__version__}\n".encode()),
+    (["grid", "--d", "0", "--r", "2"], 2, b""),
+])
+def test_console_exit_codes(argv, code, stdout):
+    proc = console(*argv)
+    assert proc.communicate(timeout=60)[0] == stdout and proc.returncode == code
+
+
+def test_console_closed_stdout_exit_3():
+    # the reader of stdout is gone before the CSV is written: one line and exit 3,
+    # not a BrokenPipeError traceback from interpreter teardown and exit 120
+    proc = console(*GRID_RUN)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 3
+    assert stderr == b"error: [Errno 32] Broken pipe\n"
+
+
 def test_sweep_header_and_columns(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["icps-sweep", "--d", "3", "--r", "2", "--mode", "single",

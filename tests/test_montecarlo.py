@@ -124,6 +124,31 @@ def test_grid_separable_flag_is_exact_ppt(d, r):
         assert cell.separable == (not is_npt(make_icps(IcpsParams(d, r, cell.alpha, cell.v))))
 
 
+@pytest.mark.parametrize("chunk", [engine.CHUNK, 512], ids=["one-chunk-cells", "cells-span-chunks"])
+@pytest.mark.parametrize("mode", ["single", "parallel"])
+@pytest.mark.parametrize("selection", ["fresh", "shared"])
+def test_run_budget_does_not_change_a_count(monkeypatch, chunk, mode, selection):
+    # six cells of 1500 trials as one-cell tasks (a budget of 1 row), in runs of three,
+    # of two (the default budget) and as one run: the same counts for every strategy;
+    # with 512-row chunks each cell spans 3 chunks and is a one-cell run per chunk
+    monkeypatch.setattr(engine, "CHUNK", chunk)
+    run_tasks, tasks = engine.run_tasks, []
+
+    def counted(flags_fn, batch, workers):
+        tasks.append(len(batch))
+        return run_tasks(flags_fn, batch, workers)
+    monkeypatch.setattr(engine, "run_tasks", counted)
+    grids = []
+    for budget in (1, 3 * 1500 + 1, engine.RUN_ROWS, 6 * 1500):
+        monkeypatch.setattr(engine, "RUN_ROWS", budget)
+        grids.append(sweep_icps_grid(4, 3, GridSpec(2, 3, 1500), mode, tuple(LutKind), selection,
+                                     seed=17))
+    assert all(grid == grids[0] for grid in grids[1:])
+    assert tasks == ([18] * 4 if chunk == 512 else [6, 2, 3, 1])
+    detected = [e.detected for cell in grids[0] for e in cell.estimates.values()]
+    assert sum(detected) > 0 and min(detected) < 1500
+
+
 def test_grid_monotone_in_v():
     cells = sweep_icps_grid(3, 3, GridSpec(1, 8, 1500), strategies=[LutKind.IDENTITY], seed=12)
     cells.sort(key=lambda c: c.v)
@@ -169,8 +194,8 @@ def test_wilson_coverage_on_known_probability():
     n, reps, z = 300, 200, 2.5758
     covered = 0
     for rep in range(reps):
-        _, hit = engine._grid_flags(1000 + rep, 0, 0, n, d, r, alpha, v,
-                                    (LutKind.IDENTITY,), "single", False)
+        _, _, hit = engine._grid_flags(1000 + rep, [0], 0, n, d, r, [alpha], [v],
+                                       (LutKind.IDENTITY,), "single", False)
         k = int(hit[0, 0].sum())
         p_hat = k / n
         if abs(p_hat - exact) <= wilson_halfwidth(k, n, z=z):
@@ -201,8 +226,8 @@ STAND_IN_COUNTS = [[4, 0, 0, 0, 0, 0, 0], [4, 1, 1, 1, 1, 0, 0], [4, 2, 2, 2, 2,
 
 
 def stand_in_flags(i):
-    """A hand-built (ent, hit): ent (4,) broadcasts against hit (3, 4)."""
-    return np.arange(4) < i % 5, STAND_IN_HIT
+    """A hand-built (rows, ent, hit): ent (4,) broadcasts against hit (3, 4)."""
+    return 4, np.arange(4) < i % 5, STAND_IN_HIT
 
 
 @pytest.mark.parametrize("workers, tasks, cpus, pool", [

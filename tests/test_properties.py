@@ -50,8 +50,8 @@ def test_sweep_kernel_never_detects_below_npt_threshold(case, data, shared, seed
     d, r, alpha, mode = case
     frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(alpha), max_size=len(alpha)))
     vis = np.array(frac) * (1 - 1e-9) * conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
-    hit = engine._hits(np.random.default_rng(seed), engine._schmidt_dets(alpha, d, r), vis, d,
-                       len(alpha), tuple(LutKind), (mode,), shared)
+    hit = engine._hits([np.random.default_rng(seed)], len(alpha),
+                       engine._schmidt_dets(alpha, d, r), vis, d, tuple(LutKind), (mode,), shared)
     assert hit.shape == (1, len(LutKind) + 1, len(alpha)) and not hit.any()
 
 

@@ -82,8 +82,8 @@ def test_icps_flags_replay_the_scalar_protocol(d, r, shared):
     seed = 1000 * d + 10 * r + shared
     flags = {gt: engine._icps_flags(seed, 0, N, d, r, KINDS, MODES, shared, gt)
              for gt in IcpsGroundTruth}
-    hit = flags[IcpsGroundTruth.NPT][1]
-    assert_array_equal(flags[IcpsGroundTruth.RANK2][1], hit)
+    hit = flags[IcpsGroundTruth.NPT][2]
+    assert_array_equal(flags[IcpsGroundTruth.RANK2][2], hit)
     for j, mode in enumerate(MODES):
         # every mode draws as if it ran alone, right after the (alpha, v) draw
         rng, alpha, vis = _icps_draws(seed, r)
@@ -94,25 +94,31 @@ def test_icps_flags_replay_the_scalar_protocol(d, r, shared):
     for gt in IcpsGroundTruth:
         threshold = np.array([conditioning_threshold(d, r, float(a), gt) for a in alpha])
         assert np.sum(np.abs(vis - threshold) < NEAR) == 0
-        assert_array_equal(flags[gt][0], vis > threshold)
+        assert_array_equal(flags[gt][1], vis > threshold)
 
 
 @pytest.mark.parametrize("mode, shared", [("single", False), ("parallel", True)])
 def test_grid_flags_replay_the_scalar_protocol(mode, shared):
-    d, r, alpha, v, seed, cell, chunk = 5, 4, 0.4, 0.6, 77, 3, 1
-    ent, hit = engine._grid_flags(seed, cell, chunk, N, d, r, alpha, v, KINDS, mode, shared)
-    rng = substream(seed, engine._TAG_GRID, cell, chunk)
-    expected, near = reference_hits(rng, [make_icps(IcpsParams(d, r, alpha, v))] * N, d,
-                                    mode, shared)
-    assert ent is True and near == 0
-    assert_array_equal(hit[0], expected)
-    assert 0 < expected.sum() < expected.size  # the cell is neither always nor never detected
+    # a run of three cells, each on its own state: every member's flags are those
+    # of its own scalar replay on its own substream
+    d, r, seed, chunk = 5, 4, 77, 1
+    cells, alphas, vis = (3, 4, 9), (0.4, 0.5, 0.3), (0.6, 0.7, 0.8)
+    rows, ent, hit = engine._grid_flags(seed, cells, chunk, N, d, r, alphas, vis, KINDS, mode,
+                                        shared)
+    assert rows == len(cells) * N and hit.shape == (len(cells), len(KINDS) + 1, N)
+    for cell, alpha, v, member in zip(cells, alphas, vis, hit):
+        rng = substream(seed, engine._TAG_GRID, cell, chunk)
+        expected, near = reference_hits(rng, [make_icps(IcpsParams(d, r, alpha, v))] * N, d,
+                                        mode, shared)
+        assert ent is True and near == 0
+        assert_array_equal(member, expected)
+        assert 0 < expected.sum() < expected.size  # the cell is neither always nor never detected
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_quasi_flags_replay_the_scalar_protocol(d):
     seed, noises = 500 + d, (0.7, 0.2, 0.5)  # not sorted, so a reordering shows
-    ent, hit = engine._quasi_flags(seed, 0, N, d, noises, MODES)
+    _, ent, hit = engine._quasi_flags(seed, 0, N, d, noises, MODES)
     assert ent.shape == (len(noises), 1, N) and hit.shape == (len(noises), len(MODES), N)
     # the states from the chunk's stream, one Ginibre matrix per state; each mode's
     # selections from the start of the chunk's second stream
@@ -153,15 +159,16 @@ def test_one_sample_chunks_are_run_trial_calls(d):
                 vis = draw.uniform(0.0, 1.0)
                 rho = make_icps(IcpsParams(d, r, alpha, vis))
                 for mode in MODES:
-                    _, hit = engine._grid_flags(seed, c, 0, 1, d, r, alpha, vis, KINDS, mode, shared)
+                    _, _, hit = engine._grid_flags(seed, [c], 0, 1, d, r, [alpha], [vis], KINDS,
+                                                   mode, shared)
                     rng = substream(seed, engine._TAG_GRID, c, 0)
                     expected, close = _trial_flags(rho, KINDS, mode, shared, rng)
                     near += close
                     seen.update(expected.tolist())
                     assert_array_equal(hit[0, :, 0], expected)
 
-                _, hit = engine._icps_flags(seed, c, 1, d, r, KINDS, MODES, shared,
-                                            IcpsGroundTruth.NPT)
+                _, _, hit = engine._icps_flags(seed, c, 1, d, r, KINDS, MODES, shared,
+                                               IcpsGroundTruth.NPT)
                 rng = substream(seed, engine._TAG_ICPS, c)
                 alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), 1)[0]
                 vis = rng.uniform(0.0, 1.0, 1)[0]
@@ -175,7 +182,7 @@ def test_one_sample_chunks_are_run_trial_calls(d):
 
     seed, noises = 500 + d, (0.7, 0.2, 0.5)
     for c in range(40):
-        _, hit = engine._quasi_flags(seed, c, 1, d, noises, MODES)
+        _, _, hit = engine._quasi_flags(seed, c, 1, d, noises, MODES)
         z = haar_state(d * d, substream(seed, engine._TAG_QUASI, c), size=1)[0]
         rng = substream(seed, engine._TAG_QUASI, c, 1)  # the selection stream
         start = rng.bit_generator.state
