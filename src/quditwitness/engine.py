@@ -65,7 +65,7 @@ from .witness import pure_noise_detected
 CHUNK = 16384
 TABLE_MAX_D = 16  # largest d with a _class_table (32 d^4 bytes, 2 MiB) and full CHUNK rows
 CHUNK_ENTRIES = CHUNK * TABLE_MAX_D ** 2  # rows * d^2 cap: a complex (n, d, d) stack <= 64 MiB
-RUN_ROWS = 4096  # rows of a grid run of one-chunk cells, capped at a chunk's rows for d
+RUN_ROWS = 2048  # rows of a grid run of one-chunk cells, capped at a chunk's rows for d
 
 _TAG_ICPS = 0
 _TAG_QUASI = 1

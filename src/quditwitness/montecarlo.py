@@ -105,7 +105,7 @@ def _icps_setup(d: int, r: int, strategies: Sequence[LutKind | str | LutStrategy
 
 def _estimates(total: np.ndarray, width: int) -> list[list[SensitivityEstimate]]:
     """Estimates from the sum over chunks of engine._counts' vectors
-    [n, entangled per entry..., detected per entry...], in rows of width entries."""
+    [rows, entangled per entry..., detected per entry...], in rows of width entries."""
     entangled, detected = np.reshape(total[1:], (2, -1, width))
     return [[SensitivityEstimate(int(k), int(e), int(total[0])) for e, k in zip(*row)]
             for row in zip(entangled, detected)]
@@ -169,11 +169,11 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, mode: Mode = Mode.SINGLE,
                     strategies: Sequence[LutKind | str | LutStrategy] = DEFAULT_STRATEGIES,
                     combined_selection: CombinedSelection = CombinedSelection.FRESH,
                     seed: int = 0, workers: int = 1) -> list[GridCell]:
-    """Detection-probability estimates on a grid of (alpha, v) cell centres.
+    """Detection-probability estimates on a grid of (alpha, v) cell centres, alpha-major.
 
-    Cells are ordered alpha-major; each trial draws fresh selections per
-    strategy (or one shared selection, per combined_selection).  The
-    separable flag uses the exact (NPT) entanglement boundary.
+    Each trial draws fresh selections per strategy (or one shared selection, per
+    combined_selection); the workers take runs of whole cells (engine._grid_flags).
+    The separable flag uses the exact (NPT) entanglement boundary.
     """
     kinds, shared = _icps_setup(d, r, strategies, combined_selection)
     mode = Mode(mode).value
@@ -188,7 +188,7 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, mode: Mode = Mode.SINGLE,
              for run in runs for c, size in enumerate(sizes)]
     counts = np.zeros((len(cells), 2, len(kinds) + 1), dtype=np.int64)  # entangled, detected
     for (_, run, *_), result in zip(tasks, engine.run_tasks(engine._grid_flags, tasks, workers)):
-        counts[run] += result[1:].reshape(2, len(run), -1).swapaxes(0, 1)
+        counts[run.start:run.stop] += result[1:].reshape(2, len(run), -1).swapaxes(0, 1)
     npt = IcpsGroundTruth.NPT
     return [GridCell(alpha, v, separable=not v > conditioning_threshold(d, r, alpha, npt),
                      estimates=_by_strategy(kinds, np.append(grid.trials_per_cell, count))[0])

@@ -128,9 +128,9 @@ def test_grid_separable_flag_is_exact_ppt(d, r):
 @pytest.mark.parametrize("mode", ["single", "parallel"])
 @pytest.mark.parametrize("selection", ["fresh", "shared"])
 def test_run_budget_does_not_change_a_count(monkeypatch, chunk, mode, selection):
-    # six cells of 1500 trials as one-cell tasks (a budget of 1 row), in runs of three,
+    # six cells of 1000 trials as one-cell tasks (a budget of 1 row), in runs of three,
     # of two (the default budget) and as one run: the same counts for every strategy;
-    # with 512-row chunks each cell spans 3 chunks and is a one-cell run per chunk
+    # with 512-row chunks each cell spans 2 chunks and is a one-cell run per chunk
     monkeypatch.setattr(engine, "CHUNK", chunk)
     run_tasks, tasks = engine.run_tasks, []
 
@@ -139,14 +139,14 @@ def test_run_budget_does_not_change_a_count(monkeypatch, chunk, mode, selection)
         return run_tasks(flags_fn, batch, workers)
     monkeypatch.setattr(engine, "run_tasks", counted)
     grids = []
-    for budget in (1, 3 * 1500 + 1, engine.RUN_ROWS, 6 * 1500):
+    for budget in (1, 3 * 1000 + 1, engine.RUN_ROWS, 6 * 1000):
         monkeypatch.setattr(engine, "RUN_ROWS", budget)
-        grids.append(sweep_icps_grid(4, 3, GridSpec(2, 3, 1500), mode, tuple(LutKind), selection,
+        grids.append(sweep_icps_grid(4, 3, GridSpec(2, 3, 1000), mode, tuple(LutKind), selection,
                                      seed=17))
     assert all(grid == grids[0] for grid in grids[1:])
-    assert tasks == ([18] * 4 if chunk == 512 else [6, 2, 3, 1])
+    assert tasks == ([12] * 4 if chunk == 512 else [6, 2, 3, 1])
     detected = [e.detected for cell in grids[0] for e in cell.estimates.values()]
-    assert sum(detected) > 0 and min(detected) < 1500
+    assert sum(detected) > 0 and min(detected) < 1000
 
 
 def test_grid_monotone_in_v():
