@@ -254,9 +254,9 @@ def console(*argv: str) -> subprocess.Popen:
 
 def test_console_csv_on_stdout_equals_out_file(tmp_path):
     out = tmp_path / "grid.csv"
-    stdout, stderr = console(*GRID_RUN).communicate(timeout=60)
-    assert console(*GRID_RUN, "--out", str(out)).wait(timeout=60) == 0
-    assert stdout == out.read_bytes() and stderr == b""
+    piped, to_file = console(*GRID_RUN), console(*GRID_RUN, "--out", str(out))
+    assert to_file.communicate(timeout=60) == (b"", b"") and to_file.returncode == 0
+    assert piped.communicate(timeout=60) == (out.read_bytes(), b"") and piped.returncode == 0
 
 
 @pytest.mark.parametrize("argv, code, stdout", [
@@ -271,10 +271,10 @@ def test_console_exit_codes(argv, code, stdout):
 def test_console_closed_stdout_exit_3():
     # the reader of stdout is gone before the CSV is written: one line and exit 3,
     # not a BrokenPipeError traceback from interpreter teardown and exit 120
-    proc = console(*GRID_RUN)
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 3
+    with console(*GRID_RUN) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 3
     assert stderr == b"error: [Errno 32] Broken pipe\n"
 
 
