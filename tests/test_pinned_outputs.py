@@ -95,9 +95,28 @@ RUNS = {
     # above the cap: each cell spans chunks of 14513 and 487 rows on the drawn-class path
     "grid17": ["grid", "--d", "17", "--r", "3", "--alpha-steps", "1", "--v-steps", "2",
                "--trials", "15000", "--seed", "1"],
-    # the benchmark's icps-table and grid-cells commands (bench/workloads.py)
+    # CI's other loop runs: random_both stacks with a shared selection, Haar states at d = 4
+    # and at d = 9, where the SVD fallback scores most rows, and the NPT ground truth
+    "icps": ["icps-sweep", "--d", "5", "--r", "3", "--strategies", "random_both", "hadamard_b",
+             "--combined-selection", "shared", "--mode", "both", "--samples", "17000",
+             "--seed", "1"],
+    "random": ["random-sweep", "--d", "4", "--noise", "0.6", "0.2", "0.6", "--mode", "both",
+               "--samples", "17000", "--seed", "1"],
+    "random9": ["random-sweep", "--d", "9", "--noise", "0.8", "0.9", "--mode", "both",
+                "--samples", "17000", "--seed", "1"],
+    "npt": ["icps-sweep", "--d", "4", "--r", "3", "--ground-truth", "npt", "--mode", "both",
+            "--samples", "17000", "--seed", "1"],
+    # level pairs in blocks of CHUNK // rows: a 2621-row chunk in blocks of 6, 6, 6 and 2 of
+    # its 20 pairs, then a 379-row chunk in one block; random_both's 16 pairs in blocks of 10, 6
+    "icps40": ["icps-sweep", "--d", "40", "--r", "7", "--mode", "parallel", "--samples", "3000",
+               "--seed", "1"],
+    "rb32par": ["icps-sweep", "--d", "32", "--r", "4", "--strategies", "random_both",
+                "--mode", "parallel", "--samples", "1500", "--seed", "1"],
+    # the benchmark's icps-table, random-table and grid-cells commands (bench/workloads.py)
     "bench-icps-table": ["icps-sweep", "--d", "9", "--r", "9", "--mode", "both",
                          "--samples", "65536", "--seed", "5"],
+    "bench-random-table": ["random-sweep", "--d", "9", "--noise", "0.2", "0.4", "0.6",
+                           "--mode", "both", "--samples", "32768", "--seed", "5"],
     "bench-grid-cells": ["grid", "--d", "5", "--r", "5", "--alpha-steps", "20", "--v-steps", "20",
                          "--trials", "1000", "--strategy", "all", "--mode", "single",
                          "--seed", "5"],
