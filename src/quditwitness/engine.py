@@ -14,34 +14,29 @@ these vectors cross a pipe back.
 One kernel, _hits, decides detection for icps and grid.  Each mode replays
 the generator from the state right after the chunk's state draw, so its flags
 equal a one-mode chunk's; each strategy draws its unitaries (U, V) from
-transforms._local_unitaries (random_both alone draws; the fixed kinds'
-unitaries are built once per process, in _k_tables) and its level
-selections from transforms.random_selections, the draws detection.run_trial
-makes in the same order, so a one-sample chunk gives run_trial's flags.  Every sampled state
-is pure plus white noise, so no score is computed: a sample is detected when
-witness.pure_noise_detected accepts its largest |det M| over level pairs.
-_hits takes that maximum from _schmidt_dets, which splits M = U diag(s) V^T
-into two terms, so det M_k of a selection class k is
-alpha (alpha a_k + alpha_r c_k); for the strategies with fixed
-unitaries, (a_k, c_k) is read from a per-process class table at the class
-index of each drawn selection, or above TABLE_MAX_D computed from the
-per-process (K0, K1) tables.  random-sweep (_quasi_flags) draws each mode's
-selections from a second substream of its chunk, then streams its Haar
-states: it draws them one slice at a time, a stack being its single draws in
-sequence, and gathers each slice's entries under the identity strategy,
-which draws nothing.  icps samples are entangled by
-oracles.conditioning_threshold alone, Haar (quasi) samples by _npt_masks:
-Cauchy-Binet bounds on lam0 lam1 from the Gram matrix settle most rows, and
-only the rows they leave open get an SVD.
+transforms._local_unitaries (random_both alone draws; the fixed kinds' are
+built once per process, in _k_tables) and its level selections from
+transforms.random_selections, as detection.run_trial does, so a one-sample
+chunk gives run_trial's flags.  Every sampled state is pure plus white noise,
+so a sample is detected when witness.pure_noise_detected accepts its largest
+|det M| over level pairs (_schmidt_dets).  _pair_max is the one loop over
+level pairs: a running maximum over blocks of max(1, CHUNK // rows) pairs, so
+a full chunk takes one pair per numpy call and the few-row chunks above
+TABLE_MAX_D take many.  random-sweep (_quasi_flags) draws each mode's
+selections from a second substream of its chunk, streams its Haar states one
+slice at a time (a stack is its single draws in sequence) and gathers their
+entries under the identity strategy.  icps samples are entangled by
+oracles.conditioning_threshold alone, Haar samples by _npt_masks:
+Cauchy-Binet bounds on lam0 lam1 settle most rows, and only the rows they
+leave open get an SVD.
 
 An icps chunk or grid run holds its states (alpha and v), its flags and one
 strategy's draws at a time: random_both's two (rows, d, d) unitary stacks,
-QR'd in place by linalg.haar_unitary, and one selection array of
-(rows, pairs, 4) integers, whose parallel-mode permutations share one
-(rows, d) buffer.  A random-sweep chunk holds every mode's selection array,
-its flags and one slice of linalg.SLICE_ENTRIES state entries, never a
-(rows, d^2) state array.  Other working arrays are built per level pair or
-per slice.
+QR'd in place by linalg.haar_unitary, and one (rows, pairs, 4) selection
+array, whose parallel-mode permutations share one (rows, d) buffer.  A
+random-sweep chunk holds every mode's selections, its flags and one slice of
+linalg.SLICE_ENTRIES state entries.  Other working arrays are built per block
+of level pairs or per slice.
 """
 from __future__ import annotations
 
@@ -49,7 +44,7 @@ import os
 import pickle
 import signal
 from contextlib import suppress
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import BinaryIO
 
 import numpy as np
@@ -118,43 +113,44 @@ def _class_table(d: int, r: int, kind: LutKind) -> np.ndarray:
     return table
 
 
-def _max_det(blocks) -> np.ndarray:
-    """Per-sample max |m0 m3 - m1 m2| over an iterable of (n, 4) amplitude blocks."""
-    return np.max([np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) for m in blocks], axis=0)
+def _pair_max(det, sel: np.ndarray) -> np.ndarray:
+    """Each row's max over the level pairs of sel (rows, pairs, 4) of det(block), the
+    (rows, k) |det M| of a block of k pairs: the one level-pair loop, in blocks of
+    max(1, CHUNK // rows) pairs.  A maximum is exact, so the block size changes no bit."""
+    step = max(1, CHUNK // len(sel))
+    return reduce(np.maximum, (det(sel[:, i:i + step]).max(axis=1)
+                               for i in range(0, sel.shape[1], step)))
 
 
-def _schmidt_dets(alpha: np.ndarray, d: int, r: int):
-    """dets(sel, kind, u, v): per-sample max |det M| over the level pairs of sel,
-    for M = U diag(s) V^T with the local unitaries of strategy kind.
+def _det2(m: np.ndarray) -> np.ndarray:
+    """|m0 m3 - m1 m2| of the 2x2 blocks m[..., (a0b0, a0b1, a1b0, a1b1)]."""
+    return np.abs(m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2])
 
+
+def _schmidt_dets(sel: np.ndarray, kind: LutKind, u, v, alpha, d: int, r: int) -> np.ndarray:
+    """Each row's max |det M| over the level pairs of sel, for M = U diag(s) V^T under the
+    local unitaries of kind: random_both's drawn (rows, d, d) stacks (u, v), contracted
+    by one einsum per block of pairs; a kind with unitaries fixed by d ignores (u, v).
     s = alpha 1_{<r-1} + alpha_r e_{r-1}, so M = alpha K0 + alpha_r K1 and
-    |det M_k| = alpha |alpha a_k + alpha_r c_k| (_class_terms).  A kind with
-    unitaries fixed by d ignores (u, v): up to TABLE_MAX_D it reads (a_k, c_k)
-    from _class_table at each sample's class index; above it, _class_terms
-    runs on the drawn classes of the per-process _k_tables.  Both take one
-    level pair at a time and keep a running maximum, so a chunk holds one
-    pair's terms.  random_both's per-sample (n, d, d) stacks (u, v): one
-    einsum over the selected rows of U and V per pair.
+    |det M_k| = alpha |alpha a_k + alpha_r c_k| (_class_terms): (a_k, c_k) is read from
+    _class_table at each row's class index up to TABLE_MAX_D, else computed from _k_tables.
     """
     alpha_r = last_schmidt_coefficient(r, alpha)
+    if kind is LutKind.RANDOM_BOTH:
+        s = np.stack([alpha, alpha_r], axis=1) @ _schmidt_basis(d, r)
+        rows = np.arange(len(sel))[:, None, None]
+        return _pair_max(lambda b: _det2(np.einsum("nyqk,nk,nypk->nyqp", u[rows, b[..., :2]], s,
+                                                   v[rows, b[..., 2:]]).reshape(b.shape)), sel)
+    if d <= TABLE_MAX_D:
+        table = _class_table(d, r, kind)
+        terms = lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
+    else:
+        terms = partial(_class_terms, *_k_tables(d, r, kind), d)
 
-    def dets(sel: np.ndarray, kind: LutKind, u, v) -> np.ndarray:
-        if kind is LutKind.RANDOM_BOTH:
-            s = np.stack([alpha, alpha_r], axis=1) @ _schmidt_basis(d, r)
-            return _max_det(np.einsum("nqk,nk,npk->nqp", np.take_along_axis(u, p[:, :2, None], axis=1),
-                                      s, np.take_along_axis(v, p[:, 2:, None], axis=1)).reshape(-1, 4)
-                            for p in np.moveaxis(sel, 1, 0))
-        if d <= TABLE_MAX_D:
-            table = _class_table(d, r, kind)
-            terms = lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
-        else:
-            terms = partial(_class_terms, *_k_tables(d, r, kind), d)
-        best = np.zeros(len(alpha))
-        for pair in np.moveaxis(sel, 0, -1):  # per level pair: rows a0, a1, b0, b1 of n
-            a, c = terms(*pair)
-            best = np.maximum(best, np.abs(alpha * a + alpha_r * c))
-        return alpha * best
-    return dets
+    def det(block):  # (a, c) at the block's rows a0, a1, b0, b1
+        a, c = terms(*np.moveaxis(block, -1, 0))
+        return np.abs(alpha[:, None] * a + alpha_r[:, None] * c)
+    return alpha * _pair_max(det, sel)
 
 
 def _stacked(draw, rngs: list[np.random.Generator], n: int) -> list[np.ndarray]:
@@ -171,15 +167,13 @@ def _stacked(draw, rngs: list[np.random.Generator], n: int) -> list[np.ndarray]:
     return out
 
 
-def _hits(rngs: list[np.random.Generator], n: int, dets, vis: np.ndarray, d: int,
-          kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
+def _hits(rngs: list[np.random.Generator], n: int, alpha: np.ndarray, vis: np.ndarray, d: int,
+          r: int, kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
     """Detection flags (modes, strategies + 1, rows): per mode, each strategy then their OR.
 
     A run is len(rngs) members of n rows (an icps chunk is one), each drawing from its
-    own generator what it would draw alone.  dets(sel, kind, u, v) (_schmidt_dets) is
-    each row's largest |det M| over the level pairs of sel under kind's local unitaries:
-    random_both's drawn (rows, d, d) stacks (u, v), None for a fixed kind; a row is
-    detected when witness.pure_noise_detected accepts it at vis.  Draw order per mode:
+    own generator what it would draw alone.  A row of state (alpha, vis) is detected when
+    witness.pure_noise_detected accepts its _schmidt_dets at vis.  Draw order per mode:
     shared selections (if shared), then per strategy its local unitaries (Haar U then
     V for random_both) and its selections (if not shared); a second mode replays each
     member's generator from its state at the call.  Each strategy is evaluated once
@@ -196,7 +190,7 @@ def _hits(rngs: list[np.random.Generator], n: int, dets, vis: np.ndarray, d: int
             u, v = (_stacked(partial(_local_unitaries, d, LutStrategy(kind)), rngs, n)
                     if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
             sel = shared_sel if shared else select()
-            hit[j, k] = pure_noise_detected(dets(sel, kind, u, v), vis, d * d)
+            hit[j, k] = pure_noise_detected(_schmidt_dets(sel, kind, u, v, alpha, d, r), vis, d * d)
             del u, v, sel  # freed before the next strategy draws its own
         del shared_sel
         hit[j, -1] = hit[j, :-1].any(axis=0)
@@ -211,7 +205,7 @@ def _icps_flags(seed: int, chunk_idx: int, n: int, d: int, r: int, kinds: tuple[
     alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), n)
     vis = rng.uniform(0.0, 1.0, n)
     return (n, vis > conditioning_threshold(d, r, alpha, ground_truth),
-            _hits([rng], n, _schmidt_dets(alpha, d, r), vis, d, kinds, modes, shared))
+            _hits([rng], n, alpha, vis, d, r, kinds, modes, shared))
 
 
 def _grid_flags(seed: int, cells: range, chunk_idx: int, n: int, d: int, r: int, alphas: tuple,
@@ -219,8 +213,7 @@ def _grid_flags(seed: int, cells: range, chunk_idx: int, n: int, d: int, r: int,
     """(rows, True, hit (cells, strategies + 1, n)) of a run of cells: cell i, state (alphas[i],
     vis[i]), draws from substream(seed, _TAG_GRID, cells[i], chunk_idx); every trial counts."""
     rngs = [substream(seed, _TAG_GRID, cell, chunk_idx) for cell in cells]
-    hit = _hits(rngs, n, _schmidt_dets(np.repeat(alphas, n), d, r), np.repeat(vis, n), d, kinds,
-                (mode,), shared)
+    hit = _hits(rngs, n, np.repeat(alphas, n), np.repeat(vis, n), d, r, kinds, (mode,), shared)
     return len(cells) * n, True, hit[0].reshape(-1, len(cells), n).swapaxes(0, 1)
 
 
@@ -265,8 +258,7 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     linalg.row_slices(n, d^2) slice at a time (a stack of Haar states equals
     its slices drawn in sequence).  Each slice serves every noise level and
     mode, then is freed: its ground truth (_npt_masks) and, per mode, each
-    sample's largest |det M| over its level pairs, gathered at block_indices
-    under the identity strategy (the Haar ensemble is invariant under local
+    sample's _pair_max of |det M|, gathered at block_indices under the identity strategy (the Haar ensemble is invariant under local
     unitaries).  So a chunk holds one slice of states, every mode's
     selections and (modes, n) maxima.
     """
@@ -281,7 +273,7 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
         ent[:, 0, s] = _npt_masks(z.reshape(-1, d, d), d, vis)
         row = np.arange(0, z.size, d * d)[:, None, None]  # each state's offset in z's flat entries
         for j, sel in enumerate(sels):
-            det[j, s] = _max_det(np.moveaxis(z.take(row + block_indices(sel[s], d)), 1, 0))
+            det[j, s] = _pair_max(lambda b: _det2(z.take(row + block_indices(b, d))), sel[s])
     return n, ent, pure_noise_detected(det, vis[:, None, None], d * d)
 
 

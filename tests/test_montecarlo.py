@@ -326,7 +326,7 @@ def test_schmidt_amps_match_local_unitary_product(d, rng):
             m = schmidt_amplitude_matrices(alpha, r, d, u, v)
             for mode in ("single", "parallel"):
                 sel = random_selections(rng, d, n, mode)
-                got = engine._schmidt_dets(alpha, d, r)(sel, kind, u, v)
+                got = engine._schmidt_dets(sel, kind, u, v, alpha, d, r)
                 assert got.shape == (n,)
                 assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
 
@@ -370,16 +370,40 @@ def test_class_table_equals_drawn_classes(d, rng, monkeypatch):
     for r in ranks:
         alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
         alpha[0] = 1 / np.sqrt(r - 1)
-        dets = engine._schmidt_dets(alpha, d, r)
         for kind in FIXED_KINDS:
             u, v = _local_unitaries(d, LutStrategy(kind), None)
             for mode in ("single", "parallel"):
                 sel = random_selections(rng, d, n, mode)
-                table = dets(sel, kind, u, v)
+                table = engine._schmidt_dets(sel, kind, u, v, alpha, d, r)
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "TABLE_MAX_D", d - 1)
-                    assert_array_equal(dets(sel, kind, u, v), table)
+                    assert_array_equal(engine._schmidt_dets(sel, kind, u, v, alpha, d, r), table)
     assert engine._class_table.cache_info().misses == len(ranks) * len(FIXED_KINDS)
+
+
+@pytest.mark.parametrize("d", [9, 20])
+def test_level_pair_block_size_changes_no_bit(d, rng, monkeypatch):
+    # _pair_max walks the level pairs in blocks of CHUNK // rows: one pair per block, a
+    # partial last block (3, ..., 3, rest) and all pairs in one block give the same maxima
+    # for every kind, on the class table (d = 9) and on the drawn classes (d = 20)
+    n, r, pairs = 60, 3, d // 2
+    alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
+    stacks = [(kind, *_local_unitaries(d, LutStrategy(kind), rng, size=n)) for kind in LutKind]
+    sels = {mode: random_selections(rng, d, n, mode) for mode in ("single", "parallel")}
+    pair_max, widths = engine._pair_max, []
+    monkeypatch.setattr(engine, "_pair_max", lambda det, sel: pair_max(
+        lambda block: widths.append(block.shape[1]) or det(block), sel))
+    results = []
+    for step in (1, 3, pairs):
+        monkeypatch.setattr(engine, "CHUNK", step * n)
+        widths.clear()
+        results.append([engine._schmidt_dets(sels[mode], kind, u, v, alpha, d, r)
+                         for kind, u, v in stacks for mode in sels])
+        blocks = [step] * (pairs // step) + [pairs % step] * (pairs % step > 0)
+        assert widths == len(LutKind) * ([1] + blocks)  # per kind: single mode, then parallel
+    for got in results[1:]:
+        for a, b in zip(got, results[0]):
+            assert_array_equal(a, b)
 
 
 def test_drawn_classes_above_table_cap_match_local_unitary_product(rng, monkeypatch):
@@ -395,7 +419,7 @@ def test_drawn_classes_above_table_cap_match_local_unitary_product(rng, monkeypa
             m = schmidt_amplitude_matrices(alpha, r, d, u, v)
             for mode in ("single", "parallel"):
                 sel = random_selections(rng, d, n, mode)
-                got = engine._schmidt_dets(alpha, d, r)(sel, kind, u, v)
+                got = engine._schmidt_dets(sel, kind, u, v, alpha, d, r)
                 assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
 
 

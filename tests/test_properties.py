@@ -37,7 +37,7 @@ def test_table_amplitudes_equal_local_unitary_product(case, kind, seed):
     u, v = _local_unitaries(d, LutStrategy(kind), None)
     m = schmidt_amplitude_matrices(alpha, r, d, u, v)
     sel = random_selections(np.random.default_rng(seed), d, n, mode)
-    got = engine._schmidt_dets(alpha, d, r)(sel, kind, u, v)  # from the class table
+    got = engine._schmidt_dets(sel, kind, u, v, alpha, d, r)  # from the class table
     assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
 
 
@@ -50,8 +50,8 @@ def test_sweep_kernel_never_detects_below_npt_threshold(case, data, shared, seed
     d, r, alpha, mode = case
     frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(alpha), max_size=len(alpha)))
     vis = np.array(frac) * (1 - 1e-9) * conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
-    hit = engine._hits([np.random.default_rng(seed)], len(alpha),
-                       engine._schmidt_dets(alpha, d, r), vis, d, tuple(LutKind), (mode,), shared)
+    hit = engine._hits([np.random.default_rng(seed)], len(alpha), alpha, vis, d, r, tuple(LutKind),
+                       (mode,), shared)
     assert hit.shape == (1, len(LutKind) + 1, len(alpha)) and not hit.any()
 
 
