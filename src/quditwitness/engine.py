@@ -148,7 +148,7 @@ def _schmidt_dets(sel: np.ndarray, kind: LutKind, u, v, alpha, d: int, r: int) -
         terms = partial(_class_terms, *_k_tables(d, r, kind), d)
 
     def det(block):  # (a, c) at the block's rows a0, a1, b0, b1
-        a, c = terms(*np.moveaxis(block, -1, 0))
+        a, c = terms(*block.transpose(2, 0, 1))
         return np.abs(alpha[:, None] * a + alpha_r[:, None] * c)
     return alpha * _pair_max(det, sel)
 
@@ -258,8 +258,9 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     linalg.row_slices(n, d^2) slice at a time (a stack of Haar states equals
     its slices drawn in sequence).  Each slice serves every noise level and
     mode, then is freed: its ground truth (_npt_masks) and, per mode, each
-    sample's _pair_max of |det M|, gathered at block_indices under the identity strategy (the Haar ensemble is invariant under local
-    unitaries).  So a chunk holds one slice of states, every mode's
+    sample's _pair_max of |det M| over its level pairs, gathered at
+    block_indices under the identity strategy (the Haar ensemble is invariant
+    under local unitaries).  So a chunk holds one slice of states, every mode's
     selections and (modes, n) maxima.
     """
     sels = [random_selections(substream(seed, _TAG_QUASI, chunk_idx, 1), d, n, mode)
