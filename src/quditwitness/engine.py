@@ -19,9 +19,10 @@ built once per process, in _k_tables) and its level selections from
 transforms.random_selections, as detection.run_trial does, so a one-sample
 chunk gives run_trial's flags.  Every sampled state is pure plus white noise,
 so a sample is detected when witness.pure_noise_detected accepts its largest
-|det M| over level pairs (_schmidt_dets).  _pair_max is the one loop over
-level pairs: a running maximum over blocks of max(1, CHUNK // rows) pairs, so
-a full chunk takes one pair per numpy call and the few-row chunks above
+|det M| over level pairs (_schmidt_dets, at Schmidt weights _hits computes once
+per task).  _pair_max is the one loop over level pairs: a running maximum over
+blocks of max(1, CHUNK // rows) pairs, each block's |det M| pairs first, so a
+full chunk takes one pair per numpy call and the few-row chunks above
 TABLE_MAX_D take many.  random-sweep (_quasi_flags) draws each mode's
 selections from a second substream of its chunk, streams its Haar states one
 slice at a time (a stack is its single draws in sequence) and gathers their
@@ -36,7 +37,7 @@ QR'd in place by linalg.haar_unitary, and one (rows, pairs, 4) selection
 array, whose parallel-mode permutations share one (rows, d) buffer.  A
 random-sweep chunk holds every mode's selections, its flags and one slice of
 linalg.SLICE_ENTRIES state entries.  Other working arrays are built per block
-of level pairs or per slice.
+of level pairs or per slice (random_both's block: r columns of U and V).
 """
 from __future__ import annotations
 
@@ -82,12 +83,6 @@ def _class_terms(k0: np.ndarray, k1: np.ndarray, d: int, a0, a1, b0, b1):
     return a, c
 
 
-def _schmidt_basis(d: int, r: int) -> np.ndarray:
-    """(2, d) rows 1_{<r-1} and e_{r-1}: s = alpha row 0 + alpha_r row 1."""
-    levels = np.arange(d)
-    return np.array([levels < r - 1, levels == r - 1], dtype=float)
-
-
 @lru_cache(maxsize=16)
 def _k_tables(d: int, r: int, kind: LutKind) -> np.ndarray:
     """Read-only flat (2, d^2) tables (K0, K1) of a strategy with fixed
@@ -95,7 +90,8 @@ def _k_tables(d: int, r: int, kind: LutKind) -> np.ndarray:
     r-1 of U and V).  The one map from such a strategy to its terms; 32 d^2
     bytes, built once per process and (d, r, kind)."""
     u, v = _local_unitaries(d, LutStrategy(kind), None)
-    k = np.einsum("qk,jk,pk->jqp", u, _schmidt_basis(d, r), v).reshape(2, -1)
+    basis = np.vstack([np.arange(d) < r - 1, np.eye(d)[r - 1]])  # diag P_{r-1}, e_{r-1}
+    k = np.einsum("qk,jk,pk->jqp", u, basis, v).reshape(2, -1)
     k.setflags(write=False)
     return k
 
@@ -115,10 +111,11 @@ def _class_table(d: int, r: int, kind: LutKind) -> np.ndarray:
 
 def _pair_max(det, sel: np.ndarray) -> np.ndarray:
     """Each row's max over the level pairs of sel (rows, pairs, 4) of det(block), the
-    (rows, k) |det M| of a block of k pairs: the one level-pair loop, in blocks of
-    max(1, CHUNK // rows) pairs.  A maximum is exact, so the block size changes no bit."""
+    (k, rows) |det M| of a block of k pairs (pairs first: a max over whole rows): the one
+    level-pair loop, in blocks of max(1, CHUNK // rows) pairs.  A maximum is exact, so the
+    block size changes no bit."""
     step = max(1, CHUNK // len(sel))
-    return reduce(np.maximum, (det(sel[:, i:i + step]).max(axis=1)
+    return reduce(np.maximum, (det(sel[:, i:i + step]).max(axis=0)
                                for i in range(0, sel.shape[1], step)))
 
 
@@ -127,29 +124,29 @@ def _det2(m: np.ndarray) -> np.ndarray:
     return np.abs(m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2])
 
 
-def _schmidt_dets(sel: np.ndarray, kind: LutKind, u, v, alpha, d: int, r: int) -> np.ndarray:
+def _schmidt_dets(sel: np.ndarray, kind: LutKind, u, v, alpha, alpha_r, d: int, r: int):
     """Each row's max |det M| over the level pairs of sel, for M = U diag(s) V^T under the
-    local unitaries of kind: random_both's drawn (rows, d, d) stacks (u, v), contracted
-    by one einsum per block of pairs; a kind with unitaries fixed by d ignores (u, v).
-    s = alpha 1_{<r-1} + alpha_r e_{r-1}, so M = alpha K0 + alpha_r K1 and
+    local unitaries of kind and s = alpha 1_{<r-1} + alpha_r e_{r-1} (alpha_r from _hits):
+    random_both's drawn (rows, d, d) stacks (u, v), read at each sample's selected rows and
+    first r columns (s is 0 past them) and contracted by one einsum per block of pairs; a
+    kind with unitaries fixed by d ignores (u, v).  There M = alpha K0 + alpha_r K1 and
     |det M_k| = alpha |alpha a_k + alpha_r c_k| (_class_terms): (a_k, c_k) is read from
     _class_table at each row's class index up to TABLE_MAX_D, else computed from _k_tables.
     """
-    alpha_r = last_schmidt_coefficient(r, alpha)
     if kind is LutKind.RANDOM_BOTH:
-        s = np.stack([alpha, alpha_r], axis=1) @ _schmidt_basis(d, r)
-        rows = np.arange(len(sel))[:, None, None]
+        s = np.where(np.arange(r) < r - 1, alpha[:, None], alpha_r[:, None])
+        rows, u, v = np.arange(len(sel))[:, None, None], u[..., :r], v[..., :r]
         return _pair_max(lambda b: _det2(np.einsum("nyqk,nk,nypk->nyqp", u[rows, b[..., :2]], s,
-                                                   v[rows, b[..., 2:]]).reshape(b.shape)), sel)
+                                                   v[rows, b[..., 2:]]).reshape(b.shape)).T, sel)
     if d <= TABLE_MAX_D:
         table = _class_table(d, r, kind)
         terms = lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
     else:
         terms = partial(_class_terms, *_k_tables(d, r, kind), d)
 
-    def det(block):  # (a, c) at the block's rows a0, a1, b0, b1
-        a, c = terms(*block.transpose(2, 0, 1))
-        return np.abs(alpha[:, None] * a + alpha_r[:, None] * c)
+    def det(block):  # (a, c) at the block's (k, rows) levels a0, a1, b0, b1
+        a, c = terms(*block.T)
+        return np.abs(alpha * a + alpha_r * c)
     return alpha * _pair_max(det, sel)
 
 
@@ -179,6 +176,7 @@ def _hits(rngs: list[np.random.Generator], n: int, alpha: np.ndarray, vis: np.nd
     member's generator from its state at the call.  Each strategy is evaluated once
     over the run's rows and its draws are freed before the next one's are drawn.
     """
+    alpha_r = last_schmidt_coefficient(r, alpha)
     starts = [rng.bit_generator.state for rng in rngs] if len(modes) > 1 else []
     hit = np.empty((len(modes), len(kinds) + 1, len(rngs) * n), dtype=bool)
     for j, mode in enumerate(modes):
@@ -190,7 +188,8 @@ def _hits(rngs: list[np.random.Generator], n: int, alpha: np.ndarray, vis: np.nd
             u, v = (_stacked(partial(_local_unitaries, d, LutStrategy(kind)), rngs, n)
                     if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
             sel = shared_sel if shared else select()
-            hit[j, k] = pure_noise_detected(_schmidt_dets(sel, kind, u, v, alpha, d, r), vis, d * d)
+            hit[j, k] = pure_noise_detected(_schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r),
+                                            vis, d * d)
             del u, v, sel  # freed before the next strategy draws its own
         del shared_sel
         hit[j, -1] = hit[j, :-1].any(axis=0)
@@ -272,9 +271,9 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     for s in linalg.row_slices(n, d * d):
         z = linalg.haar_state(d * d, rng, size=len(range(n)[s]))
         ent[:, 0, s] = _npt_masks(z.reshape(-1, d, d), d, vis)
-        row = np.arange(0, z.size, d * d)[:, None, None]  # each state's offset in z's flat entries
+        gather = lambda b: _det2(z[np.arange(len(z))[:, None], block_indices(b.swapaxes(0, 1), d)])
         for j, sel in enumerate(sels):
-            det[j, s] = _pair_max(lambda b: _det2(z.take(row + block_indices(b, d))), sel[s])
+            det[j, s] = _pair_max(gather, sel[s])
     return n, ent, pure_noise_detected(det, vis[:, None, None], d * d)
 
 

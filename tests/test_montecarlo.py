@@ -322,11 +322,12 @@ def test_schmidt_amps_match_local_unitary_product(d, rng):
     for r in range(2, d + 1):
         alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
         alpha[0] = 1 / np.sqrt(r - 1)
+        alpha_r = last_schmidt_coefficient(r, alpha)
         for kind, u, v in pairs:
             m = schmidt_amplitude_matrices(alpha, r, d, u, v)
             for mode in ("single", "parallel"):
                 sel = random_selections(rng, d, n, mode)
-                got = engine._schmidt_dets(sel, kind, u, v, alpha, d, r)
+                got = engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r)
                 assert got.shape == (n,)
                 assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
 
@@ -370,14 +371,16 @@ def test_class_table_equals_drawn_classes(d, rng, monkeypatch):
     for r in ranks:
         alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
         alpha[0] = 1 / np.sqrt(r - 1)
+        alpha_r = last_schmidt_coefficient(r, alpha)
         for kind in FIXED_KINDS:
             u, v = _local_unitaries(d, LutStrategy(kind), None)
             for mode in ("single", "parallel"):
                 sel = random_selections(rng, d, n, mode)
-                table = engine._schmidt_dets(sel, kind, u, v, alpha, d, r)
+                table = engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r)
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "TABLE_MAX_D", d - 1)
-                    assert_array_equal(engine._schmidt_dets(sel, kind, u, v, alpha, d, r), table)
+                    assert_array_equal(engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r),
+                                       table)
     assert engine._class_table.cache_info().misses == len(ranks) * len(FIXED_KINDS)
 
 
@@ -388,6 +391,7 @@ def test_level_pair_block_size_changes_no_bit(d, rng, monkeypatch):
     # for every kind, on the class table (d = 9) and on the drawn classes (d = 20)
     n, r, pairs = 60, 3, d // 2
     alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
+    alpha_r = last_schmidt_coefficient(r, alpha)
     stacks = [(kind, *_local_unitaries(d, LutStrategy(kind), rng, size=n)) for kind in LutKind]
     sels = {mode: random_selections(rng, d, n, mode) for mode in ("single", "parallel")}
     pair_max, widths = engine._pair_max, []
@@ -397,7 +401,7 @@ def test_level_pair_block_size_changes_no_bit(d, rng, monkeypatch):
     for step in (1, 3, pairs):
         monkeypatch.setattr(engine, "CHUNK", step * n)
         widths.clear()
-        results.append([engine._schmidt_dets(sels[mode], kind, u, v, alpha, d, r)
+        results.append([engine._schmidt_dets(sels[mode], kind, u, v, alpha, alpha_r, d, r)
                          for kind, u, v in stacks for mode in sels])
         blocks = [step] * (pairs // step) + [pairs % step] * (pairs % step > 0)
         assert widths == len(LutKind) * ([1] + blocks)  # per kind: single mode, then parallel
@@ -414,13 +418,51 @@ def test_drawn_classes_above_table_cap_match_local_unitary_product(rng, monkeypa
     for r in (2, 3, 9, 17):
         alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
         alpha[0] = 1 / np.sqrt(r - 1)
+        alpha_r = last_schmidt_coefficient(r, alpha)
         for kind in FIXED_KINDS:
             u, v = _local_unitaries(d, LutStrategy(kind), None)
             m = schmidt_amplitude_matrices(alpha, r, d, u, v)
             for mode in ("single", "parallel"):
                 sel = random_selections(rng, d, n, mode)
-                got = engine._schmidt_dets(sel, kind, u, v, alpha, d, r)
+                got = engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r)
                 assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
+
+
+@pytest.mark.parametrize("d, r", [(5, 2), (9, 3), (9, 9), (20, 7), (32, 2)])
+def test_random_both_first_r_columns_equal_full_contraction(d, r, rng):
+    # s is zero past column r - 1, so contracting the drawn rows of U and V over
+    # their first r columns adds the same terms as the d-column einsum with the
+    # d-wide s, less exact zeros: the maxima agree bit for bit (at d = 32 in
+    # parallel mode, one block holds all 16 pairs)
+    n = 64
+    u, v = _local_unitaries(d, LutStrategy(LutKind.RANDOM_BOTH), rng, size=n)
+    alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
+    alpha[:2] = 0, 1 / np.sqrt(r - 1)
+    alpha_r = last_schmidt_coefficient(r, alpha)
+    levels = np.arange(d)
+    s = alpha[:, None] * (levels < r - 1) + alpha_r[:, None] * (levels == r - 1)
+    rows = np.arange(n)[:, None, None]
+    for mode in ("single", "parallel"):
+        sel = random_selections(rng, d, n, mode)
+        m = np.einsum("nyqk,nk,nypk->nyqp", u[rows, sel[..., :2]], s, v[rows, sel[..., 2:]])
+        full = np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).max(axis=1)
+        got = engine._schmidt_dets(sel, LutKind.RANDOM_BOTH, u, v, alpha, alpha_r, d, r)
+        assert_array_equal(got, full)
+
+
+def test_hits_computes_schmidt_weights_once_per_task(monkeypatch, rng):
+    # alpha_r is a function of the task's states alone, so every strategy and
+    # mode of a _hits call reads the one vector computed at its start
+    calls = []
+    weights = engine.last_schmidt_coefficient
+    monkeypatch.setattr(engine, "last_schmidt_coefficient",
+                        lambda r, alpha: calls.append(r) or weights(r, alpha))
+    d, r, n = 5, 3, 100
+    alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
+    hit = engine._hits([np.random.default_rng(1)], n, alpha, rng.uniform(0, 1, n), d, r,
+                       DEFAULT_STRATEGIES, ("single", "parallel"), False)
+    assert hit.shape == (2, len(DEFAULT_STRATEGIES) + 1, n)
+    assert calls == [r]
 
 
 @pytest.mark.parametrize("d", [5, 17])

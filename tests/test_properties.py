@@ -12,6 +12,7 @@ from quditwitness import (NPT_TOL, WITNESS_TOL, ZERO_PROB_TOL, LutKind, LutStrat
                           engine)
 from quditwitness.linalg import ginibre, haar_state
 from quditwitness.oracles import IcpsGroundTruth, conditioning_threshold
+from quditwitness.states import last_schmidt_coefficient
 from quditwitness.transforms import _local_unitaries, random_selections
 from quditwitness.witness import (bounded_detections, pure_noise_detected,
                                   scores_from_submatrices)
@@ -37,7 +38,8 @@ def test_table_amplitudes_equal_local_unitary_product(case, kind, seed):
     u, v = _local_unitaries(d, LutStrategy(kind), None)
     m = schmidt_amplitude_matrices(alpha, r, d, u, v)
     sel = random_selections(np.random.default_rng(seed), d, n, mode)
-    got = engine._schmidt_dets(sel, kind, u, v, alpha, d, r)  # from the class table
+    alpha_r = last_schmidt_coefficient(r, alpha)
+    got = engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r)  # from the class table
     assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
 
 
