@@ -15,7 +15,7 @@ One kernel, _hits, decides detection for icps and grid.  Each mode replays
 the generator from the state right after the chunk's state draw, so its flags
 equal a one-mode chunk's; each strategy draws its unitaries (U, V) from
 transforms._local_unitaries (random_both alone draws; the fixed kinds' are
-built once per process, in _k_tables) and its level selections from
+read once per process, by _fixed_terms) and its level selections from
 transforms.random_selections, as detection.run_trial does, so a one-sample
 chunk gives run_trial's flags.  Every sampled state is pure plus white noise,
 so a sample is detected when witness.pure_noise_detected accepts its largest
@@ -59,7 +59,7 @@ from .transforms import LutKind, LutStrategy, _local_unitaries, block_indices, r
 from .witness import pure_noise_detected
 
 CHUNK = 16384
-TABLE_MAX_D = 16  # largest d with a _class_table (32 d^4 bytes, 2 MiB) and full CHUNK rows
+TABLE_MAX_D = 16  # largest d with a _fixed_terms class table (32 d^4 bytes, 2 MiB), full CHUNK rows
 CHUNK_ENTRIES = CHUNK * TABLE_MAX_D ** 2  # rows * d^2 cap: a complex (n, d, d) stack <= 64 MiB
 RUN_ROWS = 2048  # rows of a grid run of one-chunk cells, capped at a chunk's rows for d
 
@@ -74,8 +74,8 @@ def _class_terms(k0: np.ndarray, k1: np.ndarray, d: int, a0, a1, b0, b1):
     from the flat (d^2,) tables k0, k1.
 
     a is the 2x2 minor of K0 and c the mixed term; the alpha_r^2 term vanishes
-    because K1 has rank 1.  The class table and the drawn-class path both
-    evaluate these expressions, so their values agree bit for bit.
+    because K1 has rank 1.  Both paths of _fixed_terms (the class table and the
+    drawn classes) evaluate these expressions, so their values agree bit for bit.
     """
     i00, i01, i10, i11 = a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1
     a = k0[i00] * k0[i11] - k0[i01] * k0[i10]
@@ -84,29 +84,23 @@ def _class_terms(k0: np.ndarray, k1: np.ndarray, d: int, a0, a1, b0, b1):
 
 
 @lru_cache(maxsize=16)
-def _k_tables(d: int, r: int, kind: LutKind) -> np.ndarray:
-    """Read-only flat (2, d^2) tables (K0, K1) of a strategy with fixed
-    unitaries (U, V): K0 = U P_{r-1} V^T and K1 = u_{r-1} v_{r-1}^T (columns
-    r-1 of U and V).  The one map from such a strategy to its terms; 32 d^2
-    bytes, built once per process and (d, r, kind)."""
+def _fixed_terms(d: int, r: int, kind: LutKind):
+    """The map (a0, a1, b0, b1) -> (a, c) of _class_terms under a strategy with fixed
+    unitaries (U, V), built once per process and (d, r, kind) from the flat read-only
+    tables K0 = U P_{r-1} V^T and K1 = u_{r-1} v_{r-1}^T (columns r-1 of U and V).  Up to
+    TABLE_MAX_D it takes (a, c) from a read-only (2, d^4) table of every class
+    k = ((a0 d + a1) d + b0) d + b1; above it, it evaluates _class_terms at the given levels."""
     u, v = _local_unitaries(d, LutStrategy(kind), None)
     basis = np.vstack([np.arange(d) < r - 1, np.eye(d)[r - 1]])  # diag P_{r-1}, e_{r-1}
     k = np.einsum("qk,jk,pk->jqp", u, basis, v).reshape(2, -1)
     k.setflags(write=False)
-    return k
-
-
-@lru_cache(maxsize=16)
-def _class_table(d: int, r: int, kind: LutKind) -> np.ndarray:
-    """Read-only (2, d^4) table (a_k, c_k) of _class_terms for every class
-    k = ((a0 d + a1) d + b0) d + b1 under a strategy with fixed unitaries;
-    32 d^4 bytes, built once per process and (d, r, kind)."""
+    if d > TABLE_MAX_D:
+        return partial(_class_terms, *k, d)
     lv = np.arange(d)
-    a, c = _class_terms(*_k_tables(d, r, kind), d, lv[:, None, None, None], lv[:, None, None],
-                        lv[:, None], lv)
-    table = np.stack([a.ravel(), c.ravel()])
+    table = np.stack(_class_terms(*k, d, lv[:, None, None, None], lv[:, None, None], lv[:, None],
+                                  lv)).reshape(2, -1)
     table.setflags(write=False)
-    return table
+    return lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
 
 
 def _pair_max(det, sel: np.ndarray) -> np.ndarray:
@@ -130,23 +124,19 @@ def _schmidt_dets(sel: np.ndarray, kind: LutKind, u, v, alpha, alpha_r, d: int, 
     random_both's drawn (rows, d, d) stacks (u, v), read at each sample's selected rows and
     first r columns (s is 0 past them) and contracted by one einsum per block of pairs; a
     kind with unitaries fixed by d ignores (u, v).  There M = alpha K0 + alpha_r K1 and
-    |det M_k| = alpha |alpha a_k + alpha_r c_k| (_class_terms): (a_k, c_k) is read from
-    _class_table at each row's class index up to TABLE_MAX_D, else computed from _k_tables.
+    |det M_k| = alpha |alpha a_k + alpha_r c_k|, with (a_k, c_k) from _fixed_terms at each
+    block's levels, written C-ordered so each max over pairs runs over whole rows.
     """
     if kind is LutKind.RANDOM_BOTH:
         s = np.where(np.arange(r) < r - 1, alpha[:, None], alpha_r[:, None])
         rows, u, v = np.arange(len(sel))[:, None, None], u[..., :r], v[..., :r]
         return _pair_max(lambda b: _det2(np.einsum("nyqk,nk,nypk->nyqp", u[rows, b[..., :2]], s,
                                                    v[rows, b[..., 2:]]).reshape(b.shape)).T, sel)
-    if d <= TABLE_MAX_D:
-        table = _class_table(d, r, kind)
-        terms = lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
-    else:
-        terms = partial(_class_terms, *_k_tables(d, r, kind), d)
+    terms = _fixed_terms(d, r, kind)
 
-    def det(block):  # (a, c) at the block's (k, rows) levels a0, a1, b0, b1
+    def det(block):  # C-ordered |alpha a + alpha_r c| at the block's (k, rows) levels a0, ..., b1
         a, c = terms(*block.T)
-        return np.abs(alpha * a + alpha_r * c)
+        return np.abs(alpha * a + alpha_r * c, out=np.empty(a.shape))
     return alpha * _pair_max(det, sel)
 
 

@@ -38,13 +38,18 @@ def density_to_json(rho: DensityMatrix) -> str:
 def density_from_json(text: str) -> DensityMatrix:
     try:
         obj = json.loads(text)
-        dim_a, dim_b = obj["dimA"], obj["dimB"]
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        dim_a, dim_b, re, im = obj["dimA"], obj["dimB"], obj["re"], obj["im"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed density-matrix JSON: {exc}") from exc
     if type(dim_a) is not int or type(dim_b) is not int:  # bool is an int subclass
         raise ParseError(f"dimA and dimB must be JSON integers, got {dim_a!r} and {dim_b!r}")
+    for key, entries in (("re", re), ("im", im)):
+        if type(entries) is not list or any(type(x) not in (int, float) for x in entries):
+            raise ParseError(f"{key} must be a JSON array of numbers, not of strings or booleans")
+    try:
+        re, im = np.array(re, dtype=float), np.array(im, dtype=float)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ParseError(f"re/im entry out of range: {exc}") from exc
     d = _dim(dim_a, dim_b)
     if re.shape != (d * d,) or im.shape != (d * d,):
         raise ParseError(f"expected {d * d} re/im entries for dims {dim_a}x{dim_b}, "

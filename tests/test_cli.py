@@ -85,6 +85,12 @@ BAD_STATES = {  # file name -> (bytes, expected message)
     "not-utf8.csv": (NOT_UTF8 + csv_state("dimA=2 dimB=2", MIXED).encode(), "not UTF-8"),
     "float-dims.json": (json_state(2.7, 2).encode(), "JSON integers"),
     "bool-dims.json": (json_state(True, 2).encode(), "JSON integers"),
+    "string-entry.json": (json_state(2, 2).replace("0.25", '"0.25"', 1).encode(),
+                          "re must be a JSON array of numbers"),
+    "bool-entry.json": (json_state(2, 2).replace("0.0", "true", 1).encode(),
+                        "re must be a JSON array of numbers"),
+    "huge-entry.json": (json_state(2, 2).replace("0.0", "1" + "0" * 400, 1).encode(),
+                        "out of range"),
 }
 
 

@@ -2,6 +2,7 @@ import os
 import signal
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -347,7 +348,7 @@ def test_class_table_counts_equal_enumeration_oracle(d):
         for alpha in (0.2 * amax, 0.55 * amax, 0.9 * amax, amax):
             alpha_r = last_schmidt_coefficient(r, alpha)
             for kind in FIXED_KINDS:
-                a, c = engine._class_table(d, r, kind)
+                a, c = engine._fixed_terms(d, r, kind)(a0, a1, b0, b1)
                 det = alpha * np.abs(alpha * a + alpha_r * c)[valid]
                 threshold = 1 / (1 + d * d * det)
                 edges = np.unique(np.concatenate([[0.0, 1.0], threshold]))
@@ -364,68 +365,93 @@ def test_class_table_counts_equal_enumeration_oracle(d):
 @pytest.mark.parametrize("d", [5, 9, 16])
 def test_class_table_equals_drawn_classes(d, rng, monkeypatch):
     # the table path and the drawn-class path evaluate the same expressions, so
-    # they give the same |det M| bit for bit
+    # they give the same |det M| bit for bit; each path builds one evaluator per
+    # (r, kind), and the cache is cleared around the patch so no drawn-class
+    # evaluator outlives it
     n = 500
-    engine._class_table.cache_clear()
     ranks = sorted({2, 3, d // 2, d})
+    cases = []
     for r in ranks:
         alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
         alpha[0] = 1 / np.sqrt(r - 1)
         alpha_r = last_schmidt_coefficient(r, alpha)
         for kind in FIXED_KINDS:
             u, v = _local_unitaries(d, LutStrategy(kind), None)
-            for mode in ("single", "parallel"):
-                sel = random_selections(rng, d, n, mode)
-                table = engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r)
-                with monkeypatch.context() as patch:
-                    patch.setattr(engine, "TABLE_MAX_D", d - 1)
-                    assert_array_equal(engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r),
-                                       table)
-    assert engine._class_table.cache_info().misses == len(ranks) * len(FIXED_KINDS)
+            cases += [(random_selections(rng, d, n, mode), kind, u, v, alpha, alpha_r, d, r)
+                      for mode in ("single", "parallel")]
+    engine._fixed_terms.cache_clear()
+    table = [engine._schmidt_dets(*case) for case in cases]
+    assert engine._fixed_terms.cache_info().misses == len(ranks) * len(FIXED_KINDS)
+    engine._fixed_terms.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "TABLE_MAX_D", d - 1)
+            for case, want in zip(cases, table):
+                assert_array_equal(engine._schmidt_dets(*case), want)
+        assert engine._fixed_terms.cache_info().misses == len(ranks) * len(FIXED_KINDS)
+    finally:
+        engine._fixed_terms.cache_clear()
 
 
 @pytest.mark.parametrize("d", [9, 20])
 def test_level_pair_block_size_changes_no_bit(d, rng, monkeypatch):
     # _pair_max walks the level pairs in blocks of CHUNK // rows: one pair per block, a
     # partial last block (3, ..., 3, rest) and all pairs in one block give the same maxima
-    # for every kind, on the class table (d = 9) and on the drawn classes (d = 20)
+    # for every kind, on the class table (d = 9) and on the drawn classes (d = 20); a fixed
+    # kind's (k, rows) |det M| blocks are C-ordered, so each max over pairs runs over whole rows
     n, r, pairs = 60, 3, d // 2
     alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
     alpha_r = last_schmidt_coefficient(r, alpha)
     stacks = [(kind, *_local_unitaries(d, LutStrategy(kind), rng, size=n)) for kind in LutKind]
     sels = {mode: random_selections(rng, d, n, mode) for mode in ("single", "parallel")}
-    pair_max, widths = engine._pair_max, []
-    monkeypatch.setattr(engine, "_pair_max", lambda det, sel: pair_max(
-        lambda block: widths.append(block.shape[1]) or det(block), sel))
+    pair_max, blocks = engine._pair_max, []
+
+    def spied_det(det, block):
+        dets = det(block)
+        assert dets.shape == (block.shape[1], n)
+        blocks.append((block.shape[1], dets.flags.c_contiguous))
+        return dets
+    monkeypatch.setattr(engine, "_pair_max", lambda det, sel: pair_max(partial(spied_det, det), sel))
     results = []
     for step in (1, 3, pairs):
         monkeypatch.setattr(engine, "CHUNK", step * n)
-        widths.clear()
-        results.append([engine._schmidt_dets(sels[mode], kind, u, v, alpha, alpha_r, d, r)
-                         for kind, u, v in stacks for mode in sels])
-        blocks = [step] * (pairs // step) + [pairs % step] * (pairs % step > 0)
-        assert widths == len(LutKind) * ([1] + blocks)  # per kind: single mode, then parallel
+        widths = [step] * (pairs // step) + [pairs % step] * (pairs % step > 0)
+        results.append([])
+        for kind, u, v in stacks:
+            blocks.clear()
+            results[-1] += [engine._schmidt_dets(sels[mode], kind, u, v, alpha, alpha_r, d, r)
+                            for mode in sels]
+            assert [k for k, _ in blocks] == [1] + widths  # single mode, then parallel
+            assert kind is LutKind.RANDOM_BOTH or all(c_order for _, c_order in blocks)
     for got in results[1:]:
         for a, b in zip(got, results[0]):
             assert_array_equal(a, b)
 
 
 def test_drawn_classes_above_table_cap_match_local_unitary_product(rng, monkeypatch):
-    # d = 17 has no class table: (a, c) come from the drawn classes alone
+    # d = 17 has no class table: (a, c) come from the drawn classes alone, so every
+    # _class_terms evaluation is at a block's (k, rows) levels, never at all d^4 classes
     d, n = 17, 200
     assert d > engine.TABLE_MAX_D
-    monkeypatch.setattr(engine, "_class_table", None)  # a table lookup would fail
-    for r in (2, 3, 9, 17):
-        alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
-        alpha[0] = 1 / np.sqrt(r - 1)
-        alpha_r = last_schmidt_coefficient(r, alpha)
-        for kind in FIXED_KINDS:
-            u, v = _local_unitaries(d, LutStrategy(kind), None)
-            m = schmidt_amplitude_matrices(alpha, r, d, u, v)
-            for mode in ("single", "parallel"):
-                sel = random_selections(rng, d, n, mode)
-                got = engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r)
-                assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
+    terms, shapes = engine._class_terms, set()
+    monkeypatch.setattr(engine, "_class_terms", lambda *args: shapes.add(np.shape(args[3]))
+                        or terms(*args))
+    engine._fixed_terms.cache_clear()  # the evaluators below bind the spy
+    try:
+        for r in (2, 3, 9, 17):
+            alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
+            alpha[0] = 1 / np.sqrt(r - 1)
+            alpha_r = last_schmidt_coefficient(r, alpha)
+            for kind in FIXED_KINDS:
+                u, v = _local_unitaries(d, LutStrategy(kind), None)
+                m = schmidt_amplitude_matrices(alpha, r, d, u, v)
+                for mode in ("single", "parallel"):
+                    sel = random_selections(rng, d, n, mode)
+                    got = engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r)
+                    assert_allclose(got, explicit_max_det(m, sel), atol=1e-14)
+    finally:
+        engine._fixed_terms.cache_clear()
+    assert shapes == {(1, n), (d // 2, n)}  # single mode's pair and parallel mode's block
 
 
 @pytest.mark.parametrize("d, r", [(5, 2), (9, 3), (9, 9), (20, 7), (32, 2)])
@@ -467,8 +493,9 @@ def test_hits_computes_schmidt_weights_once_per_task(monkeypatch, rng):
 
 @pytest.mark.parametrize("d", [5, 17])
 def test_fixed_kinds_build_unitaries_once_per_process(monkeypatch, d):
-    # once the class tables (d <= TABLE_MAX_D) or the (K0, K1) tables (above it)
-    # exist, a chunk reads no fixed-kind unitary, so it builds none
+    # once engine._fixed_terms has built a fixed kind's terms (a class table up to
+    # TABLE_MAX_D, the (K0, K1) tables above it), a chunk reads no fixed-kind
+    # unitary, so it builds none
     task = (5, 0, 300, d, 3, tuple(LutKind), ("single", "parallel"), False, IcpsGroundTruth.NPT)
     first = engine._counts(engine._icps_flags, *task)
     monkeypatch.setattr(transforms, "qudit_hadamard", None)  # a Hadamard build would fail
