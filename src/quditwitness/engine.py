@@ -20,13 +20,14 @@ transforms.random_selections, as detection.run_trial does, so a one-sample
 chunk gives run_trial's flags.  Every sampled state is pure plus white noise,
 so a sample is detected when witness.pure_noise_detected accepts its largest
 |det M| over level pairs (_schmidt_dets, at Schmidt weights _hits computes once
-per task).  _pair_max is the one loop over level pairs: a running maximum over
-blocks of max(1, CHUNK // rows) pairs, each block's |det M| pairs first, so a
-full chunk takes one pair per numpy call and the few-row chunks above
-TABLE_MAX_D take many.  random-sweep (_quasi_flags) draws each mode's
-selections from a second substream of its chunk, streams its Haar states one
-slice at a time (a stack is its single draws in sequence) and gathers their
-entries under the identity strategy.  icps samples are entangled by
+per task) on RUN_ROWS rows at a time.  _pair_max is the one loop over level
+pairs: a running maximum over blocks of max(1, CHUNK // rows) pairs, each
+block's |det M| written pairs first and C-ordered, so a RUN_ROWS slice takes
+eight pairs per numpy call and the few-row chunks above TABLE_MAX_D take
+many.  random-sweep (_quasi_flags) draws each mode's selections from a second
+substream of its chunk, streams its Haar states one slice at a time (a stack
+is its single draws in sequence) and gathers their entries under the identity
+strategy.  icps samples are entangled by
 oracles.conditioning_threshold alone, Haar samples by _npt_masks:
 Cauchy-Binet bounds on lam0 lam1 settle most rows, and only the rows they
 leave open get an SVD.
@@ -34,10 +35,17 @@ leave open get an SVD.
 An icps chunk or grid run holds its states (alpha and v), its flags and one
 strategy's draws at a time: random_both's two (rows, d, d) unitary stacks,
 QR'd in place by linalg.haar_unitary, and one (rows, pairs, 4) selection
-array, whose parallel-mode permutations share one (rows, d) buffer.  A
-random-sweep chunk holds every mode's selections, its flags and one slice of
-linalg.SLICE_ENTRIES state entries.  Other working arrays are built per block
-of level pairs or per slice (random_both's block: r columns of U and V).
+array of one-byte levels (two bytes above d = 256), whose parallel-mode
+permutations share one (rows, d) intp buffer.  A random-sweep chunk holds
+every mode's selections, its flags and one slice of linalg.SLICE_ENTRIES
+state entries.  Other working arrays are built per RUN_ROWS rows, per block
+of level pairs or per slice (random_both's block: r columns of U and V), so
+none grows with the chunk.  A fixed-kind icps chunk of n rows thus holds
+about n (10 d + 24) bytes in parallel mode (permutations, selections, states
+and flags) plus the kernel's RUN_ROWS-sized temporaries; since
+n <= CHUNK_ENTRIES / d^2 above TABLE_MAX_D, that is largest at d = 16, where
+tracemalloc peaks at 3.0 MiB (1.9 MiB at d = 9, 2.8 MiB at d = 17, 0.9 MiB at d = 256).
+random_both adds its two stacks, up to 2 x 64 MiB.
 """
 from __future__ import annotations
 
@@ -55,13 +63,15 @@ from . import linalg
 from .oracles import IcpsGroundTruth, conditioning_threshold
 from .rng import substream
 from .states import InvalidParamsError, last_schmidt_coefficient
-from .transforms import LutKind, LutStrategy, _local_unitaries, block_indices, random_selections
+from .transforms import (LutKind, LutStrategy, _local_unitaries, block_indices, level_index,
+                         random_selections)
 from .witness import pure_noise_detected
 
 CHUNK = 16384
 TABLE_MAX_D = 16  # largest d with a _fixed_terms class table (32 d^4 bytes, 2 MiB), full CHUNK rows
 CHUNK_ENTRIES = CHUNK * TABLE_MAX_D ** 2  # rows * d^2 cap: a complex (n, d, d) stack <= 64 MiB
-RUN_ROWS = 2048  # rows of a grid run of one-chunk cells, capped at a chunk's rows for d
+RUN_ROWS = 2048  # rows of a grid run of one-chunk cells (capped at a chunk's rows for d), and
+# of each slice _hits evaluates: the kernel's temporaries stay small and reused, not chunk-sized
 
 _TAG_ICPS = 0
 _TAG_QUASI = 1
@@ -77,7 +87,7 @@ def _class_terms(k0: np.ndarray, k1: np.ndarray, d: int, a0, a1, b0, b1):
     because K1 has rank 1.  Both paths of _fixed_terms (the class table and the
     drawn classes) evaluate these expressions, so their values agree bit for bit.
     """
-    i00, i01, i10, i11 = a0 * d + b0, a0 * d + b1, a1 * d + b0, a1 * d + b1
+    i00, i01, i10, i11 = (level_index(d, a, b) for a in (a0, a1) for b in (b0, b1))
     a = k0[i00] * k0[i11] - k0[i01] * k0[i10]
     c = k0[i00] * k1[i11] + k1[i00] * k0[i11] - k0[i01] * k1[i10] - k1[i01] * k0[i10]
     return a, c
@@ -100,7 +110,7 @@ def _fixed_terms(d: int, r: int, kind: LutKind):
     table = np.stack(_class_terms(*k, d, lv[:, None, None, None], lv[:, None, None], lv[:, None],
                                   lv)).reshape(2, -1)
     table.setflags(write=False)
-    return lambda a0, a1, b0, b1: np.take(table, ((a0 * d + a1) * d + b0) * d + b1, axis=1)
+    return lambda a0, a1, b0, b1: np.take(table, level_index(d, a0, a1, b0, b1), axis=1)
 
 
 def _pair_max(det, sel: np.ndarray) -> np.ndarray:
@@ -114,8 +124,9 @@ def _pair_max(det, sel: np.ndarray) -> np.ndarray:
 
 
 def _det2(m: np.ndarray) -> np.ndarray:
-    """|m0 m3 - m1 m2| of the 2x2 blocks m[..., (a0b0, a0b1, a1b0, a1b1)]."""
-    return np.abs(m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2])
+    """|m0 m3 - m1 m2| of the 2x2 blocks m[..., (a0b0, a0b1, a1b0, a1b1)], written C-ordered
+    whatever m's strides, so a block's (pairs, rows) maxima run over whole rows."""
+    return np.abs(m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2], out=np.empty(m.shape[:-1]))
 
 
 def _schmidt_dets(sel: np.ndarray, kind: LutKind, u, v, alpha, alpha_r, d: int, r: int):
@@ -130,8 +141,11 @@ def _schmidt_dets(sel: np.ndarray, kind: LutKind, u, v, alpha, alpha_r, d: int, 
     if kind is LutKind.RANDOM_BOTH:
         s = np.where(np.arange(r) < r - 1, alpha[:, None], alpha_r[:, None])
         rows, u, v = np.arange(len(sel))[:, None, None], u[..., :r], v[..., :r]
-        return _pair_max(lambda b: _det2(np.einsum("nyqk,nk,nypk->nyqp", u[rows, b[..., :2]], s,
-                                                   v[rows, b[..., 2:]]).reshape(b.shape)).T, sel)
+
+        def det(b):  # each (rows, k) block's M read pairs first, so _det2 writes (k, rows)
+            m = np.einsum("nyqk,nk,nypk->nyqp", u[rows, b[..., :2]], s, v[rows, b[..., 2:]])
+            return _det2(m.reshape(b.shape).swapaxes(0, 1))
+        return _pair_max(det, sel)
     terms = _fixed_terms(d, r, kind)
 
     def det(block):  # C-ordered |alpha a + alpha_r c| at the block's (k, rows) levels a0, ..., b1
@@ -163,8 +177,9 @@ def _hits(rngs: list[np.random.Generator], n: int, alpha: np.ndarray, vis: np.nd
     witness.pure_noise_detected accepts its _schmidt_dets at vis.  Draw order per mode:
     shared selections (if shared), then per strategy its local unitaries (Haar U then
     V for random_both) and its selections (if not shared); a second mode replays each
-    member's generator from its state at the call.  Each strategy is evaluated once
-    over the run's rows and its draws are freed before the next one's are drawn.
+    member's generator from its state at the call.  Each strategy is evaluated over the
+    run's rows RUN_ROWS at a time (each row's flag is its own, so no bit depends on the
+    slicing) and its draws are freed before the next one's are drawn.
     """
     alpha_r = last_schmidt_coefficient(r, alpha)
     starts = [rng.bit_generator.state for rng in rngs] if len(modes) > 1 else []
@@ -178,8 +193,10 @@ def _hits(rngs: list[np.random.Generator], n: int, alpha: np.ndarray, vis: np.nd
             u, v = (_stacked(partial(_local_unitaries, d, LutStrategy(kind)), rngs, n)
                     if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
             sel = shared_sel if shared else select()
-            hit[j, k] = pure_noise_detected(_schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r),
-                                            vis, d * d)
+            for s in linalg.row_slices(len(alpha), 1, RUN_ROWS):
+                hit[j, k, s] = pure_noise_detected(
+                    _schmidt_dets(sel[s], kind, u if u is None else u[s], v if v is None else v[s],
+                                  alpha[s], alpha_r[s], d, r), vis[s], d * d)
             del u, v, sel  # freed before the next strategy draws its own
         del shared_sel
         hit[j, -1] = hit[j, :-1].any(axis=0)

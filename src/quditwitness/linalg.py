@@ -14,12 +14,16 @@ import math
 
 import numpy as np
 
-SLICE_ENTRIES = 1 << 15  # per slice of the fill, QR, normalisation and a random-sweep chunk
+SLICE_ENTRIES = 1 << 15  # per slice of the fill, normalisation and a random-sweep chunk
+# per QR slice: 112 KiB of complex entries, so each of numpy.linalg.qr's temporaries stays
+# under glibc's default 128 KiB mmap threshold and is not mapped and faulted in per slice
+QR_ENTRIES = 7 << 10
 
 
-def row_slices(n: int, row_entries: int):
-    """Slices of rows 0..n-1 of row_entries entries: SLICE_ENTRIES entries or one row each."""
-    step = max(1, SLICE_ENTRIES // max(row_entries, 1))
+def row_slices(n: int, row_entries: int, budget: int | None = None):
+    """Slices of rows 0..n-1 of row_entries entries: budget (default SLICE_ENTRIES) entries
+    or one row each."""
+    step = max(1, (SLICE_ENTRIES if budget is None else budget) // max(row_entries, 1))
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
@@ -57,13 +61,15 @@ def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None) ->
     """Haar-distributed random unitary, via the phase-fixed QR of a Ginibre matrix.
 
     Each matrix's QR is its own, so a stack is factored in slices of
-    SLICE_ENTRIES entries (at least one matrix) and each Q is written back
-    over its Ginibre matrix: the values of one QR of the whole stack, holding
-    one slice's Q and R at a time.
+    QR_ENTRIES entries (at least one matrix) and each Q is written back over
+    its Ginibre matrix: the values of one QR of the whole stack, holding one
+    slice's Q and R at a time.  A slice's arrays then stay under glibc's
+    default mmap threshold (up to d = 90, where one matrix is 127 KiB), so
+    they reuse heap memory instead of being mapped and faulted in per slice.
     """
     g = ginibre(dim, rng, size=size)
     stack = g if g.ndim == 3 else g[None]
-    for s in row_slices(len(stack), dim * dim):
+    for s in row_slices(len(stack), dim * dim, QR_ENTRIES):
         stack[s] = _phase_fixed_q(stack[s])
     return g
 

@@ -43,10 +43,20 @@ class LevelSelection:
         return block_indices(np.array([self.a0, self.a1, self.b0, self.b1]), d)
 
 
+def level_index(d: int, first, *rest) -> np.ndarray:
+    """The base-d index (..(first d + rest[0]) d + ..) d + rest[-1] of broadcasting level
+    arrays, in intp: the one place levels become indices.  random_selections' levels are
+    narrower, and under NEP 50 their products with d would wrap (or raise) in their dtype."""
+    index = np.asarray(first, dtype=np.intp)
+    for level in rest:
+        index = index * d + level
+    return index
+
+
 def block_indices(sel: np.ndarray, d: int) -> np.ndarray:
     """Product-basis rows (a0 b0, a0 b1, a1 b0, a1 b1) of selections sel[..., (a0, a1, b0, b1)]."""
     a, b = sel[..., :2], sel[..., 2:]
-    return (a[..., :, None] * d + b[..., None, :]).reshape(*sel.shape[:-1], 4)
+    return level_index(d, a[..., :, None], b[..., None, :]).reshape(*sel.shape[:-1], 4)
 
 
 class LutKind(str, Enum):
@@ -165,15 +175,19 @@ def random_selections(rng: np.random.Generator, d: int, n: int, mode: Mode | str
 
     Single mode: one ordered distinct pair per side.  Parallel mode: one
     permutation per side whose columns 2k, 2k+1 form pair k, i.e. d // 2
-    disjoint pairs; both sides are permuted in one reused (n, d) buffer.
-    Side A is drawn before side B, each straight into its half of one
-    preallocated array.  An unknown mode raises ValueError before any draw.
+    disjoint pairs; both sides are permuted in one reused (n, d) intp buffer
+    (rng.permuted runs about 1.5x slower on a narrow one).  Side A is drawn
+    before side B, each straight into its half of one preallocated array.
+    The levels are stored in np.min_scalar_type(d - 1), the narrowest
+    unsigned dtype that holds d - 1 (uint8 up to d = 256): arithmetic on them
+    wraps there, so level_index turns them into indices.  An unknown mode
+    raises ValueError before any draw.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     parallel = Mode(mode) is Mode.PARALLEL
     pairs = d // 2 if parallel else 1
-    sel = np.empty((n, pairs, 2, 2), dtype=np.intp)  # (sample, pair, side, level)
+    sel = np.empty((n, pairs, 2, 2), dtype=np.min_scalar_type(d - 1))  # (sample, pair, side, level)
     perm = np.empty((n, d), dtype=np.intp) if parallel else None
     for side in range(2):
         if parallel:
@@ -183,8 +197,9 @@ def random_selections(rng: np.random.Generator, d: int, n: int, mode: Mode | str
         else:
             i = rng.integers(0, d, size=n)
             j = rng.integers(0, d - 1, size=n)
+            j += j >= i
             sel[:, 0, side, 0] = i
-            np.add(j, j >= i, out=sel[:, 0, side, 1])
+            sel[:, 0, side, 1] = j
     return sel.reshape(n, pairs, 4)
 
 

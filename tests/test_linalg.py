@@ -138,7 +138,7 @@ def test_haar_state_holds_one_result_sized_array():
 @pytest.mark.parametrize("dim", [0, 1, 2, 3, 8, 9, 17, 64])
 @pytest.mark.parametrize("size", [None, 1, "past a slice"])
 def test_sliced_qr_equals_one_call_qr(dim, size):
-    if size == "past a slice":  # one matrix more than a QR slice holds
+    if size == "past a slice":  # one matrix more than a fill slice holds: several QR slices
         size = max(1, linalg.SLICE_ENTRIES // max(dim * dim, 1)) + 1
     new, old = np.random.default_rng(dim), np.random.default_rng(dim)
     got, expected = haar_unitary(dim, new, size=size), one_call_haar_unitary(dim, old, size)
@@ -157,6 +157,18 @@ def test_haar_unitary_holds_one_result_sized_array():
     finally:
         tracemalloc.stop()
     assert peak <= u.nbytes + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("dim", [9, 32, 90, 91])
+def test_qr_slices_stay_under_the_mmap_threshold(monkeypatch, dim):
+    # a QR slice is QR_ENTRIES entries or one matrix, so up to d = 90 each array of a slice
+    # stays under glibc's default 128 KiB mmap threshold and reuses heap memory
+    slices, phase_fixed_q = [], linalg._phase_fixed_q
+    monkeypatch.setattr(linalg, "_phase_fixed_q", lambda g: slices.append(g.shape) or phase_fixed_q(g))
+    haar_unitary(dim, np.random.default_rng(dim), size=40)
+    assert sum(n for n, *_ in slices) == 40
+    assert all(n == max(1, linalg.QR_ENTRIES // (dim * dim)) for n, *_ in slices[:-1])
+    assert all((n * dim * dim * 16 < 128 * 1024) == (dim <= 90) for n, *_ in slices)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 1 << 15])

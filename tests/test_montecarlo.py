@@ -397,7 +397,7 @@ def test_class_table_equals_drawn_classes(d, rng, monkeypatch):
 def test_level_pair_block_size_changes_no_bit(d, rng, monkeypatch):
     # _pair_max walks the level pairs in blocks of CHUNK // rows: one pair per block, a
     # partial last block (3, ..., 3, rest) and all pairs in one block give the same maxima
-    # for every kind, on the class table (d = 9) and on the drawn classes (d = 20); a fixed
+    # for every kind, on the class table (d = 9) and on the drawn classes (d = 20); every
     # kind's (k, rows) |det M| blocks are C-ordered, so each max over pairs runs over whole rows
     n, r, pairs = 60, 3, d // 2
     alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
@@ -422,10 +422,51 @@ def test_level_pair_block_size_changes_no_bit(d, rng, monkeypatch):
             results[-1] += [engine._schmidt_dets(sels[mode], kind, u, v, alpha, alpha_r, d, r)
                             for mode in sels]
             assert [k for k, _ in blocks] == [1] + widths  # single mode, then parallel
-            assert kind is LutKind.RANDOM_BOTH or all(c_order for _, c_order in blocks)
+            assert all(c_order for _, c_order in blocks)
     for got in results[1:]:
         for a, b in zip(got, results[0]):
             assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("d, kinds", [(16, tuple(LutKind)), (17, tuple(LutKind))] +
+                         [(d, (LutKind.IDENTITY, LutKind.HADAMARD_B)) for d in (255, 256, 257)])
+def test_narrow_selections_equal_intp_selections(d, kinds, rng):
+    # random_selections stores levels in one byte up to d = 256 and two bytes above it:
+    # every index made from them (the class index up to 65535 at d = 16, a0 d + b0 on the
+    # drawn classes, past 2^16 at d = 257) must be the one made from intp levels; the
+    # first two rows hold the largest levels, so a product taken in the levels' dtype wraps
+    # (hadamard_b, whose K entries are all nonzero, reads a wrapped index as a wrong value)
+    n, r = 40, 3
+    alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
+    alpha_r = last_schmidt_coefficient(r, alpha)
+    for mode in ("single", "parallel"):
+        sel = random_selections(rng, d, n, mode)
+        assert sel.dtype == (np.uint8 if d <= 256 else np.uint16)
+        sel[0, 0], sel[1, 0] = (d - 1, d - 2, d - 1, d - 2), (d - 2, d - 1, d - 1, d - 2)
+        for kind in kinds:
+            u, v = _local_unitaries(d, LutStrategy(kind), rng, size=n)
+            assert_array_equal(engine._schmidt_dets(sel, kind, u, v, alpha, alpha_r, d, r),
+                               engine._schmidt_dets(sel.astype(np.intp), kind, u, v, alpha,
+                                                    alpha_r, d, r))
+
+
+def test_random_sweep_gathers_narrow_selections_as_intp(monkeypatch):
+    # at d = 17 random-sweep's gather index a d + b reaches 288, past uint8: the chunk's
+    # flags must equal those of the same draws widened to intp
+    d, draws = 17, []
+
+    def recorded(*args):
+        draws.append(random_selections(*args))
+        return draws[-1]
+    task = (3, 0, 300, d, (0.3, 0.6), ("single", "parallel"))
+    monkeypatch.setattr(engine, "random_selections", recorded)
+    narrow = engine._quasi_flags(*task)
+    assert [s.dtype for s in draws] == [np.uint8] * 2
+    assert max(transforms.block_indices(s, d).max() for s in draws) == d * d - 1
+    monkeypatch.setattr(engine, "random_selections",
+                        lambda *args: random_selections(*args).astype(np.intp))
+    for got, want in zip(narrow, engine._quasi_flags(*task)):
+        assert_array_equal(got, want)
 
 
 def test_drawn_classes_above_table_cap_match_local_unitary_product(rng, monkeypatch):
@@ -502,20 +543,32 @@ def test_fixed_kinds_build_unitaries_once_per_process(monkeypatch, d):
     assert_array_equal(engine._counts(engine._icps_flags, *task), first)
 
 
-def test_icps_chunk_holds_one_draw_at_a_time():
-    # an icps-table chunk (d = 9, both modes, three strategies): each strategy's
-    # selections are freed before the next are drawn, and the parallel-mode
-    # permutations share one buffer; numpy reports its allocations to tracemalloc
-    task = (11, 0, engine.CHUNK, 9, 9, DEFAULT_STRATEGIES, ("single", "parallel"), False,
-            IcpsGroundTruth.RANK2)
-    engine._icps_flags(*task[:2], 10, *task[3:])  # the class tables are built once per process
+def icps_chunk_peak(d: int, r: int) -> int:
+    """tracemalloc's peak over one full icps chunk at d (both modes, three strategies),
+    after a first chunk has built the fixed kinds' terms, as each process does once."""
+    task = (11, 0, engine.chunk_sizes(engine.CHUNK, d)[0], d, r, DEFAULT_STRATEGIES,
+            ("single", "parallel"), False, IcpsGroundTruth.RANK2)
+    engine._icps_flags(*task[:2], 10, *task[3:])
     tracemalloc.start()
     try:
         engine._icps_flags(*task)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 2 ** 20
+
+
+def test_icps_chunk_holds_one_draw_at_a_time():
+    # an icps-table chunk (d = 9): each strategy's one-byte selections are freed before
+    # the next are drawn, the parallel-mode permutations share one buffer and the
+    # level-pair kernel works on RUN_ROWS rows at a time; numpy reports its allocations
+    # to tracemalloc (intp selections and whole-chunk kernel temporaries peaked at 4.0 MiB)
+    assert icps_chunk_peak(9, 9) <= 3 * 2 ** 20
+
+
+def test_icps_chunk_above_table_cap_holds_one_draw_at_a_time():
+    # the same bound for a 14513-row chunk on the drawn classes (d = 17), whose (rows, 17)
+    # permutation buffer alone is 1.9 MiB (intp selections peaked at 5.9 MiB)
+    assert icps_chunk_peak(17, 3) <= 3 * 2 ** 20
 
 
 @pytest.mark.parametrize("d, noises", [(3, (0.2, 0.5, 0.8)), (9, (0.8, 0.9))])
@@ -541,8 +594,9 @@ def test_npt_masks_do_not_depend_on_slice_size(monkeypatch, d, noises):
 
 def test_quasi_chunk_streams_its_states():
     # a random-table chunk (d = 9, three noise levels, both modes) holds one
-    # slice of its Haar states at a time, not a (rows, d^2) array (20.25 MiB);
-    # numpy reports its allocations to tracemalloc
+    # slice of its Haar states at a time, not a (rows, d^2) array (20.25 MiB),
+    # and one-byte selections (intp ones peaked at 4.6 MiB); numpy reports its
+    # allocations to tracemalloc
     task = (12, 0, engine.CHUNK, 9, (0.2, 0.4, 0.6), ("single", "parallel"))
     tracemalloc.start()
     try:
@@ -550,7 +604,7 @@ def test_quasi_chunk_streams_its_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2 ** 20
+    assert peak <= 3 * 2 ** 20
 
 
 @pytest.mark.parametrize("shared", [False, True])
