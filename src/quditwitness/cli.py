@@ -10,6 +10,13 @@ same seed produces byte-identical files for any worker count.
 Exit codes: 0 success, 2 usage error, 3 parse/validation or I/O error (a
 sweep worker killed by a signal included), 4 numeric failure; the console
 script exits 128 + N on signal N: 130 on SIGINT, 143 on SIGTERM, 129 on SIGHUP.
+
+The console script runs without OpenSSL: before any work it marks _hashlib
+unavailable (_console_setup), so hashlib and hmac take CPython's built-in
+hashes, their documented path on builds without OpenSSL.  A sweep worker's
+first draw imports numpy.random, which reaches hmac through secrets for
+entropy the seeded sweeps never draw; libcrypto alone added about 3.4 MB to
+every worker.  Importing the package or calling main changes none of this.
 """
 from __future__ import annotations
 
@@ -262,13 +269,20 @@ def _terminate(signum, frame):
     raise Terminated(signum)
 
 
-def cli_entry() -> None:
-    # Frozen, no collection walks the import-time objects (so a forked sweep worker copies
-    # none of their pages); every exit flushes stdout and stderr, then skips teardown.
+def _console_setup() -> None:
+    """The console script's process-wide set-up, before main: no OpenSSL (an _hashlib
+    already imported stays), the import-time objects frozen (no collection walks them, so a
+    forked sweep worker copies none of their pages), SIGTERM and SIGHUP raising Terminated."""
+    sys.modules.setdefault("_hashlib", None)
     gc.freeze()
     for name in ("SIGTERM", "SIGHUP"):
         if hasattr(signal, name):
             signal.signal(getattr(signal, name), _terminate)
+
+
+def cli_entry() -> None:
+    # every exit flushes stdout and stderr, then skips teardown
+    _console_setup()
     try:
         code = main()
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help or --version

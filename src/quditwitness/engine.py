@@ -29,18 +29,23 @@ substream of its chunk, streams its Haar states one slice at a time (a stack
 is its single draws in sequence) and gathers their entries under the identity
 strategy.  icps samples are entangled by
 oracles.conditioning_threshold alone, Haar samples by _npt_masks:
-Cauchy-Binet bounds on lam0 lam1 settle most rows, and only the rows they
-leave open get an SVD.
+Cauchy-Binet bounds on lam0 lam1 settle most rows, and an SVD scores only
+the rows they leave open (none, in most slices).
 
 An icps chunk or grid run holds its states (alpha and v), its flags and one
 strategy's draws at a time: random_both's two (rows, d, d) unitary stacks,
 QR'd in place by linalg.haar_unitary, and one (rows, pairs, 4) selection
 array of one-byte levels (two bytes above d = 256), whose parallel-mode
 permutations share one (rows, d) intp buffer.  A random-sweep chunk holds
-every mode's selections, its flags and one slice of linalg.SLICE_ENTRIES
-state entries.  Other working arrays are built per RUN_ROWS rows, per block
-of level pairs or per slice (random_both's block: r columns of U and V), so
-none grows with the chunk.  A fixed-kind icps chunk of n rows thus holds
+every mode's selections, its flags and three arrays of one slice's
+linalg.SLICE_ENTRIES complex entries (256 KiB each), allocated once per
+chunk and refilled by every slice: the states, their scratch (the fill's
+normals, the norms' squares, conj(z), then |G|_F's squares) and the Gram
+matrices G.  A slice's other arrays are row vectors, level-pair blocks
+(52 KiB at most at d = 9) and numpy's 128 KiB ufunc buffer, so a chunk
+maps and faults in no memory per slice once its first chunk has run.  Other working arrays are built per RUN_ROWS rows,
+per block of level pairs or per slice (random_both's block: r columns of U
+and V), so none grows with the chunk.  A fixed-kind icps chunk of n rows thus holds
 about n (10 d + 24) bytes in parallel mode (permutations, selections, states
 and flags) plus the kernel's RUN_ROWS-sized temporaries; since
 n <= CHUNK_ENTRIES / d^2 above TABLE_MAX_D, that is largest at d = 16, where
@@ -223,7 +228,8 @@ def _grid_flags(seed: int, cells: range, chunk_idx: int, n: int, d: int, r: int,
     return len(cells) * n, True, hit[0].reshape(-1, len(cells), n).swapaxes(0, 1)
 
 
-def _npt_masks(z: np.ndarray, d: int, vis: np.ndarray) -> np.ndarray:
+def _npt_masks(z: np.ndarray, d: int, vis: np.ndarray, work: np.ndarray | None = None,
+               gram: np.ndarray | None = None) -> np.ndarray:
     """NPT flags (len(vis), n) of the states z (n, d, d) mixed with white noise.
 
     Row i at visibility v is NPT iff v lam0 lam1 - (1 - v) / d^2 > NPT_TOL,
@@ -235,22 +241,28 @@ def _npt_masks(z: np.ndarray, d: int, vis: np.ndarray) -> np.ndarray:
     so no sqrt of a tiny e2 magnifies its rounding, and with a slack of
     64 d^2 eps on e2 and on v lam0 lam1: e2 rounds within about d^2 eps, the
     SVD's product and the expression within about d eps.  A row the bounds
-    settle at every level keeps those flags; every other row is scored by
-    the expression above from an SVD.  Each row's flags are its own, so a
-    caller may pass any run of rows: _quasi_flags passes one slice of at most
-    linalg.SLICE_ENTRIES entries at a time.
+    settle at every level keeps those flags; the rows they leave open, if
+    any, are scored by the expression above from an SVD.  Each row's flags
+    are its own, so a caller may pass any run of rows: _quasi_flags passes
+    one slice of at most linalg.SLICE_ENTRIES entries at a time, with work
+    (for conj(z), then |G|_F's squares) and gram (for G), two complex arrays of
+    z's shape that it allocates once per chunk; without them they are allocated here.
     """
     v = np.asarray(vis, dtype=float)[:, None]
     floor = (1.0 - v) / (d * d) + NPT_TOL
     slack = 64 * d * d * np.finfo(float).eps
-    g = z @ z.conj().transpose(0, 2, 1)
+    zc = np.conjugate(z, out=work)
+    g = np.matmul(z, zc.transpose(0, 2, 1), out=gram)
     tr = np.einsum("nii->n", g).real
-    e2 = (tr * tr - (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))) / 2
+    sq = np.square(g.real, out=zc.reshape(-1).view(float)[:g.size].reshape(g.shape))
+    sq += np.square(g.imag, out=g.imag)  # G's real squares, then its imaginary ones added
+    e2 = (tr * tr - sq.sum(axis=(1, 2))) / 2
     ent = v * v * (e2 - slack) > (d * (d - 1) / 2) * (floor + slack) ** 2  # NPT for sure
     ppt = v * v * (e2 + slack) < np.maximum(floor - slack, 0.0) ** 2  # PPT for sure
     open_rows = ~(ent | ppt).all(axis=0)
-    lam = np.linalg.svd(z[open_rows], compute_uv=False)
-    ent[:, open_rows] = v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL
+    if open_rows.any():
+        lam = np.linalg.svd(z[open_rows], compute_uv=False)
+        ent[:, open_rows] = v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL
     return ent
 
 
@@ -261,27 +273,29 @@ def _quasi_flags(seed: int, chunk_idx: int, n: int, d: int, noises: tuple[float,
     Two streams: each mode draws its level selections from the start of
     substream(seed, _TAG_QUASI, chunk_idx, 1), as if it ran alone, and the
     states come from substream(seed, _TAG_QUASI, chunk_idx), one
-    linalg.row_slices(n, d^2) slice at a time (a stack of Haar states equals
+    linalg.haar_state_slices slice at a time (a stack of Haar states equals
     its slices drawn in sequence).  Each slice serves every noise level and
-    mode, then is freed: its ground truth (_npt_masks) and, per mode, each
-    sample's _pair_max of |det M| over its level pairs, gathered at
-    block_indices under the identity strategy (the Haar ensemble is invariant
-    under local unitaries).  So a chunk holds one slice of states, every mode's
-    selections and (modes, n) maxima.
+    mode before the next is drawn over it: its ground truth (_npt_masks) and,
+    per mode, the detection flags of each sample's _pair_max of |det M| over
+    its level pairs, gathered at block_indices under the identity strategy
+    (the Haar ensemble is invariant under local unitaries).  So a chunk holds
+    every mode's selections, its flags and three slice-sized complex arrays,
+    allocated once: the slice's states, its scratch and its Gram matrices.
     """
     sels = [random_selections(substream(seed, _TAG_QUASI, chunk_idx, 1), d, n, mode)
             for mode in modes]
     rng = substream(seed, _TAG_QUASI, chunk_idx)
     vis = 1.0 - np.array(noises)
     ent = np.empty((len(noises), 1, n), dtype=bool)
-    det = np.empty((len(modes), n))
-    for s in linalg.row_slices(n, d * d):
-        z = linalg.haar_state(d * d, rng, size=len(range(n)[s]))
-        ent[:, 0, s] = _npt_masks(z.reshape(-1, d, d), d, vis)
+    hit = np.empty((len(noises), len(modes), n), dtype=bool)
+    gram = np.empty((min(n, linalg.slice_rows(d * d)), d, d), dtype=complex)
+    for s, z, work in linalg.haar_state_slices(d * d, rng, n):
+        ent[:, 0, s] = _npt_masks(z.reshape(-1, d, d), d, vis, work.reshape(-1, d, d),
+                                  gram[:len(z)])
         gather = lambda b: _det2(z[np.arange(len(z))[:, None], block_indices(b.swapaxes(0, 1), d)])
         for j, sel in enumerate(sels):
-            det[j, s] = _pair_max(gather, sel[s])
-    return n, ent, pure_noise_detected(det, vis[:, None, None], d * d)
+            hit[:, j, s] = pure_noise_detected(_pair_max(gather, sel[s]), vis[:, None], d * d)
+    return n, ent, hit
 
 
 def _counts(flags_fn, *task) -> np.ndarray:

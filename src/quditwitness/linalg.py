@@ -1,12 +1,16 @@
 """Random matrices and states: Ginibre matrices, Haar unitaries, Haar pure states.
 
-All three draw their complex Gaussians through one fill, _complex_normal:
-item after item (one matrix or vector), its real parts and then its
-imaginary parts, in place in slices of SLICE_ENTRIES entries.  So a stack of
-n equals n single draws in sequence, and any run of rows can be drawn alone
-with the values it has inside the whole stack.  haar_unitary then factors
-its stack and haar_state normalises its vectors in place, in slices of the
-same budget, so a draw holds its result and no other array of that size.
+All three draw their complex Gaussians through one fill, _fill: item after
+item (one matrix or vector), its real parts and then its imaginary parts,
+in slices of SLICE_ENTRIES entries.  So a stack of n equals n single draws in
+sequence, and any run of rows can be drawn alone with the values it has
+inside the whole stack.  haar_unitary factors its stack in place in QR
+slices.  haar_state_slices draws and normalises Haar states one slice at a
+time in two slice-sized complex arrays (256 KiB each), allocated once per
+call and refilled by every slice: the states, and a scratch array whose
+memory holds the fill's normals, then the norms' squares, then whatever the
+caller puts there.  random-sweep streams a chunk through it, so its slices
+allocate no arrays of their own; haar_state copies a stack out of it.
 """
 from __future__ import annotations
 
@@ -14,17 +18,41 @@ import math
 
 import numpy as np
 
-SLICE_ENTRIES = 1 << 15  # per slice of the fill, normalisation and a random-sweep chunk
+SLICE_ENTRIES = 1 << 14  # complex entries (256 KiB) per slice of a fill or random-sweep chunk
 # per QR slice: 112 KiB of complex entries, so each of numpy.linalg.qr's temporaries stays
 # under glibc's default 128 KiB mmap threshold and is not mapped and faulted in per slice
 QR_ENTRIES = 7 << 10
 
 
+def slice_rows(row_entries: int, budget: int | None = None) -> int:
+    """Rows per slice of row_entries-entry rows: budget (default SLICE_ENTRIES) entries, or one."""
+    return max(1, (SLICE_ENTRIES if budget is None else budget) // max(row_entries, 1))
+
+
 def row_slices(n: int, row_entries: int, budget: int | None = None):
-    """Slices of rows 0..n-1 of row_entries entries: budget (default SLICE_ENTRIES) entries
-    or one row each."""
-    step = max(1, (SLICE_ENTRIES if budget is None else budget) // max(row_entries, 1))
+    """Slices of rows 0..n-1, slice_rows(row_entries, budget) rows each (the last may be short)."""
+    step = slice_rows(row_entries, budget)
     return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _fill(rng: np.random.Generator, z: np.ndarray, work: np.ndarray) -> None:
+    """Writes standard complex Gaussians over z (rows, entries): per row, the values and
+    draw order of rng.standard_normal(entries) + 1j * rng.standard_normal(entries), drawn
+    as one (rows, 2, entries) float block into the memory of work[:rows] (z's row shape)."""
+    normals = rng.standard_normal(out=work[:len(z)].view(float).reshape(len(z), 2, z.shape[1]))
+    z.real, z.imag = normals.transpose(1, 0, 2)
+
+
+def _normalise(z: np.ndarray, work: np.ndarray) -> None:
+    """Divides each row of z (rows, dim) by its norm, bit for bit as
+    z /= np.linalg.norm(z, axis=-1, keepdims=True) does: numpy's own
+    sqrt(add.reduce((x.conj() * x).real, axis=-1)), its squares written into work[:rows].
+    A one-entry z gets a fresh product: numpy multiplies a single element in place by
+    another loop, whose real part can differ in the last bit."""
+    conj = np.conjugate(z, out=work[:len(z)])
+    sq = np.multiply(conj, z, out=conj if z.size > 1 else None)
+    norm = np.add.reduce(sq.real, axis=-1, keepdims=True)
+    z /= np.sqrt(norm, out=norm)
 
 
 def _complex_normal(rng: np.random.Generator, item: tuple[int, ...],
@@ -36,9 +64,9 @@ def _complex_normal(rng: np.random.Generator, item: tuple[int, ...],
     """
     n, entries = 1 if size is None else size, math.prod(item)
     z = np.empty((n, entries), dtype=complex)
+    work = np.empty((min(n, slice_rows(entries)), entries), dtype=complex)
     for s in row_slices(n, entries):
-        zs = z[s]
-        zs.real, zs.imag = rng.standard_normal((len(zs), 2, entries)).transpose(1, 0, 2)
+        _fill(rng, z[s], work)
     return z.reshape(item if size is None else (size, *item))
 
 
@@ -74,15 +102,30 @@ def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None) ->
     return g
 
 
+def haar_state_slices(dim: int, rng: np.random.Generator, n: int):
+    """The n states of haar_state(dim, rng, size=n), one row_slices(n, dim) slice at a time.
+
+    Yields (s, z, work) per slice s: z (rows, dim) holds the slice's states and work, of
+    z's shape, is scratch the caller may overwrite.  Both are views of two arrays allocated
+    once per call and refilled by every slice, so a slice's values last until the next is
+    drawn.
+    """
+    z, work = np.empty((2, min(n, slice_rows(dim)), dim), dtype=complex)
+    for s in row_slices(n, dim):
+        rows = len(range(n)[s])
+        zs, ws = z[:rows], work[:rows]
+        _fill(rng, zs, ws)
+        _normalise(zs, ws)
+        yield s, zs, ws
+
+
 def haar_state(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Haar-random pure state vector(s): normalised complex Gaussian vectors.
 
     Identical in distribution to applying a Haar unitary to any fixed
-    reference vector.
+    reference vector.  A stack is copied slice by slice out of haar_state_slices.
     """
-    z = _complex_normal(rng, (dim,), size)
-    rows = z if z.ndim == 2 else z[None]
-    for s in row_slices(len(rows), dim):
-        zs = rows[s]
-        zs /= np.linalg.norm(zs, axis=-1, keepdims=True)
-    return z
+    z = np.empty((1 if size is None else size, dim), dtype=complex)
+    for s, zs, _ in haar_state_slices(dim, rng, len(z)):
+        z[s] = zs
+    return z[0] if size is None else z

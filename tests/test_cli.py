@@ -497,3 +497,35 @@ def test_import_leaves_one_blas_thread_unless_set():
                               capture_output=True, text=True).stdout.split()
     assert run() == ["1", "1"]
     assert run(OPENBLAS_NUM_THREADS="2")[1] == "2"
+
+
+def run_python(code: str) -> str:
+    """stdout of a fresh interpreter running code, with this checkout's package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
+def test_console_setup_keeps_openssl_out_of_a_sweep(tmp_path):
+    # a --workers 1 sweep imports numpy.random in this process, which reaches hmac through
+    # secrets; after the console script's set-up no libcrypto is mapped and hashlib still
+    # hashes, with CPython's built-in sha256
+    out = tmp_path / "random.csv"
+    argv = ["random-sweep", "--d", "3", "--noise", "0.5", "--samples", "50", "--seed", "1",
+            "--workers", "1", "--out", str(out)]
+    stdout = run_python(
+        "import sys\n"
+        "from quditwitness import cli\n"
+        "cli._console_setup()\n"
+        f"assert cli.main({argv!r}) == 0 and 'numpy.random' in sys.modules\n"
+        "import hashlib\n"
+        "print('libcrypto' in open('/proc/self/maps').read(), hashlib.sha256(b'abc').hexdigest())")
+    assert stdout.split() == [
+        "False", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"]
+
+
+def test_import_leaves_hashlib_alone():
+    # only the console script's own process gives up OpenSSL; importing the package does not
+    assert run_python("import sys, quditwitness, quditwitness.cli; "
+                      "print('_hashlib' in sys.modules)") == "False\n"

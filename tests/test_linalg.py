@@ -123,6 +123,22 @@ def test_stack_equals_single_draws_in_sequence(monkeypatch, draw, per_sample, di
     assert new.random() == old.random()  # the next draw too
 
 
+def test_haar_state_slices_refill_two_arrays(monkeypatch):
+    # random-sweep's chunks draw through it: every slice is written over the same two
+    # arrays, and the caller may overwrite the scratch one without changing a later slice
+    monkeypatch.setattr(linalg, "SLICE_ENTRIES", 50)  # slices of 5 rows, the last of 3
+    n, dim = 23, 9
+    rng = np.random.default_rng(1)
+    expected = np.stack([two_array_haar_state(dim, rng) for _ in range(n)])
+    first = None
+    for s, z, work in linalg.haar_state_slices(dim, np.random.default_rng(1), n):
+        assert z.tobytes() == expected[s].tobytes() and work.shape == z.shape
+        first = first or (z, work)
+        assert np.shares_memory(z, first[0]) and np.shares_memory(work, first[1])
+        work[:] = np.nan
+    assert s == slice(20, 25)
+
+
 def test_haar_state_holds_one_result_sized_array():
     # numpy reports its allocations to tracemalloc; the random-sweep chunk at d = 9
     rng = np.random.default_rng(4)

@@ -607,6 +607,40 @@ def test_quasi_chunk_streams_its_states():
     assert peak <= 3 * 2 ** 20
 
 
+@pytest.mark.parametrize("d, n, noises, modes", [
+    (9, 2048, (0.2, 0.4, 0.6), ("single", "parallel")), (64, 16, (0.5,), ("single",))])
+def test_random_sweep_slices_allocate_no_slice_arrays(monkeypatch, d, n, noises, modes):
+    # a chunk allocates its slice arrays (states, scratch, Gram matrices) before its first
+    # slice; each later slice's draw, ground truth and gathers allocate less than one of them
+    # (row vectors, level-pair blocks, numpy's ufunc buffer), where a slice that allocated
+    # its own arrays took over 1 MiB; numpy reports its allocations to tracemalloc
+    marks, npt_masks = [], engine._npt_masks
+
+    def traced(*args):  # called once per slice, after its draw
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return npt_masks(*args)
+    monkeypatch.setattr(engine, "_npt_masks", traced)
+    tracemalloc.start()
+    try:
+        engine._quasi_flags(3, 0, n, d, noises, modes)
+    finally:
+        tracemalloc.stop()
+    grown = [peak - before for (before, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(grown) >= 3
+    assert max(grown) < linalg.SLICE_ENTRIES * 16  # bytes of one slice's complex entries
+
+
+def test_npt_masks_skip_the_svd_when_the_bounds_settle_every_row(monkeypatch):
+    # random-table's noise levels at d = 9: the Cauchy-Binet bounds settle every row of
+    # every slice, so no SVD runs, not even on an empty stack
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(len(a))
+                        or svd(a, *args, **kwargs))
+    engine._quasi_flags(1, 0, 4096, 9, (0.2, 0.4, 0.6), ("single",))
+    assert calls == []
+
+
 @pytest.mark.parametrize("shared", [False, True])
 def test_icps_sweep_equals_per_mode_estimates(shared):
     # modes in reversed order; 17000 samples span two chunks, so workers=2 splits them
