@@ -3,54 +3,60 @@
 Work is split into chunks sized from n and d alone (chunk_sizes); chunk c of
 a task draws every random number it needs, in a fixed order, from
 substream(seed, tag, ..., c).  A task is one chunk or, for a grid, a run of
-whole cells (_hits), each with its own substream.  A flags function
-(_icps_flags, _grid_flags, _quasi_flags) draws a task's states once and
-returns (rows, ent, hit), one hit row of per-sample flags per output entry;
-_counts reduces them in the worker to one integer vector [rows, entangled per
-entry..., detected per entry...], so results are bit-identical for any worker
-count.  run_tasks forks W workers, each computing every W-th task, and only
+whole cells (_hits) of one chunk's rows at most, each cell with its own
+substream.  A flags function (_icps_flags, _grid_flags, _quasi_flags) draws a
+task's states once and returns (rows, ent, hit), one hit row of per-sample
+flags per output entry; _counts reduces them in the worker to one integer
+vector [rows, entangled per entry..., detected per entry...], so results are
+bit-identical for any worker count.  run_tasks forks W workers, each computing every W-th task, and only
 these vectors cross a pipe back.
 
 One kernel, _hits, decides detection for icps and grid.  Each mode replays
 the generator from the state right after the chunk's state draw, so its flags
 equal a one-mode chunk's; each strategy draws its unitaries (U, V) from
 transforms._local_unitaries (random_both alone draws; the fixed kinds' are
-read once per process, by _fixed_terms) and its level selections from
-transforms.random_selections, as detection.run_trial does, so a one-sample
+read once per process, by _fixed_terms) and its level selections by
+transforms.random_selections' draw, as detection.run_trial does, so a one-sample
 chunk gives run_trial's flags.  Every sampled state is pure plus white noise,
 so a sample is detected when witness.pure_noise_detected accepts its largest
 |det M| over level pairs (_schmidt_dets, at Schmidt weights _hits computes once
 per task) on RUN_ROWS rows at a time.  _pair_max is the one loop over level
-pairs: a running maximum over blocks of max(1, CHUNK // rows) pairs, each
+pairs: a running maximum over blocks of max(1, CHUNK // (4 rows)) pairs, each
 block's |det M| written pairs first and C-ordered, so a RUN_ROWS slice takes
-eight pairs per numpy call and the few-row chunks above TABLE_MAX_D take
-many.  random-sweep (_quasi_flags) draws each mode's selections from a second
+two pairs per numpy call, the few-row chunks above TABLE_MAX_D take many, and
+no fixed-kind block's temporaries reach glibc's 128 KiB mmap threshold.
+random-sweep (_quasi_flags) draws each mode's selections from a second
 substream of its chunk, streams its Haar states one slice at a time (a stack
 is its single draws in sequence) and gathers their entries under the identity
-strategy.  icps samples are entangled by
-oracles.conditioning_threshold alone, Haar samples by _npt_masks:
-Cauchy-Binet bounds on lam0 lam1 settle most rows, and an SVD scores only
-the rows they leave open (none, in most slices).
+strategy.  icps samples are entangled by oracles.conditioning_threshold alone,
+Haar samples by _npt_masks: Cauchy-Binet bounds on lam0 lam1 settle most rows,
+and an SVD scores only the rows they leave open (none, in most slices).
 
-An icps chunk or grid run holds its states (alpha and v), its flags and one
-strategy's draws at a time: random_both's two (rows, d, d) unitary stacks,
-QR'd in place by linalg.haar_unitary, and one (rows, pairs, 4) selection
-array of one-byte levels (two bytes above d = 256), whose parallel-mode
-permutations share one (rows, d) intp buffer.  A random-sweep chunk holds
-every mode's selections, its flags and three arrays of one slice's
-linalg.SLICE_ENTRIES complex entries (256 KiB each), allocated once per
-chunk and refilled by every slice: the states, their scratch (the fill's
-normals, the norms' squares, conj(z), then |G|_F's squares) and the Gram
-matrices G.  A slice's other arrays are row vectors, level-pair blocks
-(52 KiB at most at d = 9) and numpy's 128 KiB ufunc buffer, so a chunk
-maps and faults in no memory per slice once its first chunk has run.  Other working arrays are built per RUN_ROWS rows,
-per block of level pairs or per slice (random_both's block: r columns of U
-and V), so none grows with the chunk.  A fixed-kind icps chunk of n rows thus holds
+A grid run holds as many rows as an icps chunk at its d (chunk_sizes(CHUNK, d)[0]),
+so the bounds below hold for both.  Each holds its states (alpha and v), its flags
+and one strategy's draws at a time: random_both's two (rows, d, d) unitary
+stacks, QR'd in place by linalg.haar_unitary (a run's cells each draw theirs and
+copy them in, _stacked), and per mode one (rows, pairs, 4) selection array of
+one-byte levels (two bytes above d = 256) that each of its cells fills in turn
+and every fresh draw refills (transforms._fill_selections), its parallel-mode
+permutations sharing one (rows of a cell, d) intp buffer per draw.  A
+random-sweep chunk holds every mode's selections, its flags and three arrays
+of one slice's linalg.SLICE_ENTRIES complex entries (256 KiB each),
+allocated once per chunk and refilled by every slice: the states, their
+scratch (the fill's normals, the norms' squares, conj(z), then |G|_F's
+squares) and the Gram matrices G.  A slice's other arrays are row vectors,
+level-pair blocks (52 KiB at most at d = 9) and numpy's 128 KiB ufunc
+buffer, so a chunk maps and faults in no memory per slice once its first
+chunk has run.  Other working arrays are built per RUN_ROWS rows, per block
+of level pairs or per slice (random_both's block: r columns of U and V), so
+none grows with the chunk.  A fixed-kind icps chunk of n rows thus holds
 about n (10 d + 24) bytes in parallel mode (permutations, selections, states
 and flags) plus the kernel's RUN_ROWS-sized temporaries; since
 n <= CHUNK_ENTRIES / d^2 above TABLE_MAX_D, that is largest at d = 16, where
-tracemalloc peaks at 3.0 MiB (1.9 MiB at d = 9, 2.8 MiB at d = 17, 0.9 MiB at d = 256).
-random_both adds its two stacks, up to 2 x 64 MiB.
+tracemalloc peaks at 3.0 MiB (1.9 MiB at d = 9, 2.8 MiB at d = 17, 0.5 MiB at d = 256;
+0.7 MiB for a d = 5 grid run of 16 cells of 1000 trials).  random_both adds its two
+stacks, up to 2 x 64 MiB in a grid run as in an icps chunk (a d = 9 parallel run of
+16 cells of 1000 trials peaks at 45.5 MiB).
 """
 from __future__ import annotations
 
@@ -68,15 +74,15 @@ from . import linalg
 from .oracles import IcpsGroundTruth, conditioning_threshold
 from .rng import substream
 from .states import InvalidParamsError, last_schmidt_coefficient
-from .transforms import (LutKind, LutStrategy, _local_unitaries, block_indices, level_index,
-                         random_selections)
+from .transforms import (LutKind, LutStrategy, _fill_selections, _local_unitaries,
+                         _selection_array, block_indices, level_index, random_selections)
 from .witness import pure_noise_detected
 
 CHUNK = 16384
 TABLE_MAX_D = 16  # largest d with a _fixed_terms class table (32 d^4 bytes, 2 MiB), full CHUNK rows
 CHUNK_ENTRIES = CHUNK * TABLE_MAX_D ** 2  # rows * d^2 cap: a complex (n, d, d) stack <= 64 MiB
-RUN_ROWS = 2048  # rows of a grid run of one-chunk cells (capped at a chunk's rows for d), and
-# of each slice _hits evaluates: the kernel's temporaries stay small and reused, not chunk-sized
+RUN_ROWS = 2048  # rows of each slice _hits evaluates: the kernel's temporaries stay small and
+# reused, not chunk-sized
 
 _TAG_ICPS = 0
 _TAG_QUASI = 1
@@ -121,9 +127,12 @@ def _fixed_terms(d: int, r: int, kind: LutKind):
 def _pair_max(det, sel: np.ndarray) -> np.ndarray:
     """Each row's max over the level pairs of sel (rows, pairs, 4) of det(block), the
     (k, rows) |det M| of a block of k pairs (pairs first: a max over whole rows): the one
-    level-pair loop, in blocks of max(1, CHUNK // rows) pairs.  A maximum is exact, so the
-    block size changes no bit."""
-    step = max(1, CHUNK // len(sel))
+    level-pair loop, in blocks of max(1, CHUNK // (4 rows)) pairs.  A fixed kind's block of
+    k rows entries makes float64 and intp temporaries of 8 k rows bytes (the class table's
+    (a, c) twice that): at CHUNK // 4 entries, 64 KiB at most, under glibc's 128 KiB mmap
+    threshold, so they are not mapped and faulted in again block after block.  A maximum
+    is exact, so the block size changes no bit."""
+    step = max(1, CHUNK // (4 * len(sel)))
     return reduce(np.maximum, (det(sel[:, i:i + step]).max(axis=0)
                                for i in range(0, sel.shape[1], step)))
 
@@ -140,8 +149,8 @@ def _schmidt_dets(sel: np.ndarray, kind: LutKind, u, v, alpha, alpha_r, d: int, 
     random_both's drawn (rows, d, d) stacks (u, v), read at each sample's selected rows and
     first r columns (s is 0 past them) and contracted by one einsum per block of pairs; a
     kind with unitaries fixed by d ignores (u, v).  There M = alpha K0 + alpha_r K1 and
-    |det M_k| = alpha |alpha a_k + alpha_r c_k|, with (a_k, c_k) from _fixed_terms at each
-    block's levels, written C-ordered so each max over pairs runs over whole rows.
+    |det M_k| = alpha |alpha a_k + alpha_r c_k|, with (a_k, c_k) from _fixed_terms at a
+    C-ordered copy of each block's levels, so each max over pairs runs over whole rows.
     """
     if kind is LutKind.RANDOM_BOTH:
         s = np.where(np.arange(r) < r - 1, alpha[:, None], alpha_r[:, None])
@@ -153,9 +162,11 @@ def _schmidt_dets(sel: np.ndarray, kind: LutKind, u, v, alpha, alpha_r, d: int, 
         return _pair_max(det, sel)
     terms = _fixed_terms(d, r, kind)
 
-    def det(block):  # C-ordered |alpha a + alpha_r c| at the block's (k, rows) levels a0, ..., b1
-        a, c = terms(*block.T)
-        return np.abs(alpha * a + alpha_r * c, out=np.empty(a.shape))
+    def det(block):  # |alpha a + alpha_r c| at the block's levels a0, ..., b1, copied C-ordered
+        a, c = terms(*block.T.copy())  # so (a, c) are (k, rows) C-ordered, and every loop runs
+        m = alpha * a  # over whole rows, not over the k pairs of a rows-first view
+        m += alpha_r * c
+        return np.abs(m, out=m)
     return alpha * _pair_max(det, sel)
 
 
@@ -182,9 +193,12 @@ def _hits(rngs: list[np.random.Generator], n: int, alpha: np.ndarray, vis: np.nd
     witness.pure_noise_detected accepts its _schmidt_dets at vis.  Draw order per mode:
     shared selections (if shared), then per strategy its local unitaries (Haar U then
     V for random_both) and its selections (if not shared); a second mode replays each
-    member's generator from its state at the call.  Each strategy is evaluated over the
-    run's rows RUN_ROWS at a time (each row's flag is its own, so no bit depends on the
-    slicing) and its draws are freed before the next one's are drawn.
+    member's generator from its state at the call.  Each mode's selections are written,
+    member after member, into one run-sized array (transforms._fill_selections, as
+    random_selections draws them), which every fresh draw of the mode refills.  Each
+    strategy is evaluated over the run's rows RUN_ROWS at a time (each row's flag is its own,
+    so no bit depends on the slicing) and its unitaries are freed before the next one's are
+    drawn.
     """
     alpha_r = last_schmidt_coefficient(r, alpha)
     starts = [rng.bit_generator.state for rng in rngs] if len(modes) > 1 else []
@@ -192,18 +206,21 @@ def _hits(rngs: list[np.random.Generator], n: int, alpha: np.ndarray, vis: np.nd
     for j, mode in enumerate(modes):
         for rng, start in zip(rngs, starts if j else ()):
             rng.bit_generator.state = start
-        select = lambda: _stacked(lambda rng, m: [random_selections(rng, d, m, mode)], rngs, n)[0]
-        shared_sel = select() if shared else None
+        sel = _selection_array(d, len(alpha), mode)
+        select = partial(_fill_selections, rngs, d, mode, sel)
+        if shared:
+            select()
         for k, kind in enumerate(kinds):
             u, v = (_stacked(partial(_local_unitaries, d, LutStrategy(kind)), rngs, n)
                     if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
-            sel = shared_sel if shared else select()
+            if not shared:
+                select()
             for s in linalg.row_slices(len(alpha), 1, RUN_ROWS):
                 hit[j, k, s] = pure_noise_detected(
                     _schmidt_dets(sel[s], kind, u if u is None else u[s], v if v is None else v[s],
                                   alpha[s], alpha_r[s], d, r), vis[s], d * d)
-            del u, v, sel  # freed before the next strategy draws its own
-        del shared_sel
+            del u, v  # freed before the next strategy draws its own
+        del sel
         hit[j, -1] = hit[j, :-1].any(axis=0)
     return hit
 

@@ -183,24 +183,39 @@ def random_selections(rng: np.random.Generator, d: int, n: int, mode: Mode | str
     wraps there, so level_index turns them into indices.  An unknown mode
     raises ValueError before any draw.
     """
+    sel = _selection_array(d, n, mode)
+    _fill_selections([rng], d, mode, sel)
+    return sel
+
+
+def _selection_array(d: int, rows: int, mode: Mode | str) -> np.ndarray:
+    """An empty (rows, pairs, 4) selection array in np.min_scalar_type(d - 1); raises
+    ValueError for d < 2 or an unknown mode."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    parallel = Mode(mode) is Mode.PARALLEL
-    pairs = d // 2 if parallel else 1
-    sel = np.empty((n, pairs, 2, 2), dtype=np.min_scalar_type(d - 1))  # (sample, pair, side, level)
-    perm = np.empty((n, d), dtype=np.intp) if parallel else None
-    for side in range(2):
-        if parallel:
-            perm[:] = np.arange(d)
-            rng.permuted(perm, axis=1, out=perm)
-            sel[:, :, side] = perm[:, : 2 * pairs].reshape(n, pairs, 2)
-        else:
-            i = rng.integers(0, d, size=n)
-            j = rng.integers(0, d - 1, size=n)
-            j += j >= i
-            sel[:, 0, side, 0] = i
-            sel[:, 0, side, 1] = j
-    return sel.reshape(n, pairs, 4)
+    pairs = d // 2 if Mode(mode) is Mode.PARALLEL else 1
+    return np.empty((rows, pairs, 4), dtype=np.min_scalar_type(d - 1))
+
+
+def _fill_selections(rngs: list[np.random.Generator], d: int, mode: Mode | str,
+                     sel: np.ndarray) -> None:
+    """random_selections' draw from each generator of rngs in turn, written into its equal
+    share of the rows of sel, a C-ordered _selection_array; in parallel mode every member
+    permutes both sides in one (rows / members, d) intp buffer, freed on return."""
+    n, pairs = len(sel) // len(rngs), sel.shape[1]
+    perm = np.empty((n, d), dtype=np.intp) if Mode(mode) is Mode.PARALLEL else None
+    for rng, member in zip(rngs, sel.reshape(len(rngs), n, pairs, 2, 2)):  # (.., pair, side, level)
+        for side in range(2):
+            if perm is not None:
+                perm[:] = np.arange(d)
+                rng.permuted(perm, axis=1, out=perm)
+                member[:, :, side] = perm[:, : 2 * pairs].reshape(n, pairs, 2)
+            else:
+                i = rng.integers(0, d, size=n)
+                j = rng.integers(0, d - 1, size=n)
+                j += j >= i
+                member[:, 0, side, 0] = i
+                member[:, 0, side, 1] = j
 
 
 def reduce_to_two_qubits(rho: DensityMatrix, sel: LevelSelection) -> tuple[DensityMatrix, float]:

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -265,6 +266,42 @@ def test_console_csv_on_stdout_equals_out_file(tmp_path):
     assert piped.communicate(timeout=60) == (out.read_bytes(), b"") and piped.returncode == 0
 
 
+def test_streamed_grid_on_stdout_equals_out_file(tmp_path, capsys):
+    # a grid table of 576 rows (about 60 KB, many write buffers) streamed row by row:
+    # stdout gets the bytes --out gets
+    argv = ["grid", "--d", "3", "--r", "2", "--alpha-steps", "12", "--v-steps", "12",
+            "--trials", "5", "--seed", "3", "--workers", "1"]
+    out = tmp_path / "grid.csv"
+    assert main(argv) == 0
+    piped = capsys.readouterr().out.encode()
+    assert main(argv + ["--out", str(out)]) == 0
+    assert piped == out.read_bytes() and piped.count(b"\n") == 4 + 12 * 12 * 4
+
+
+def grid_rows(count: int):
+    """count rows of a grid table, each made as it is asked for."""
+    return ([5, 5, (i + 0.5) / count, 0.5, "identity", "single", 20, 20, 7, 0.35, 0.2, 1,
+             "false"] for i in range(count))
+
+
+def test_write_table_peak_does_not_grow_with_rows(tmp_path):
+    # _write_table writes each row as it is formatted: its peak of Python allocations over
+    # a generator of 16 000 grid rows is that of 1000 rows (a table joined into one text
+    # before writing grows by about 100 bytes a row)
+    out = tmp_path / "grid.csv"
+    args = cli.build_parser().parse_args(GRID_RUN + ["--out", str(out)])
+    peaks = []
+    for count in (1000, 16_000):
+        tracemalloc.start()
+        try:
+            cli._write_table(args, grid_rows(count), cli.COLUMNS + ["separable"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().count("\n") == 4 + count
+    assert peaks[1] <= peaks[0] + 2 ** 12
+
+
 @pytest.mark.parametrize("argv, code, stdout", [
     (["--version"], 0, f"quditwitness {cli.__version__}\n".encode()),
     (["grid", "--d", "0", "--r", "2"], 2, b""),
@@ -439,6 +476,16 @@ def test_out_into_missing_directory_exit_3(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "missing" / "x.csv"
     assert main(["random-sweep", "--d", "3", "--noise", "0.2", "--samples", "100",
                  "--workers", "1", "--out", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err) and "missing directory" in err
+    assert not out_path.parent.exists()
+
+
+def test_grid_out_into_missing_directory_exit_3(tmp_path, capsys, monkeypatch):
+    # a grid's table is streamed after the sweep, but --out is still checked before it
+    monkeypatch.setattr(cli, "sweep_icps_grid", None)
+    out_path = tmp_path / "missing" / "x.csv"
+    assert main(["grid", "--d", "3", "--r", "2", "--workers", "1", "--out", str(out_path)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and one_error_line(err) and "missing directory" in err
     assert not out_path.parent.exists()

@@ -129,10 +129,10 @@ def test_grid_separable_flag_is_exact_ppt(d, r):
 @pytest.mark.parametrize("mode", ["single", "parallel"])
 @pytest.mark.parametrize("selection", ["fresh", "shared"])
 def test_run_budget_does_not_change_a_count(monkeypatch, chunk, mode, selection):
-    # six cells of 1000 trials as one-cell tasks (a budget of 1 row), in runs of three,
-    # of two (the default budget) and as one run: the same counts for every strategy;
-    # with 512-row chunks each cell spans 2 chunks and is a one-cell run per chunk
-    monkeypatch.setattr(engine, "CHUNK", chunk)
+    # a run holds one chunk's rows (engine.CHUNK at d = 4): six cells of 1000 trials as
+    # one-cell tasks (1000-row chunks), in runs of three, of two and as one run (the default
+    # chunk), each with another kernel row slice (RUN_ROWS): the same counts for every
+    # strategy; with 512-row chunks each cell spans 2 chunks and is a one-cell run per chunk
     run_tasks, tasks = engine.run_tasks, []
 
     def counted(flags_fn, batch, workers):
@@ -140,8 +140,11 @@ def test_run_budget_does_not_change_a_count(monkeypatch, chunk, mode, selection)
         return run_tasks(flags_fn, batch, workers)
     monkeypatch.setattr(engine, "run_tasks", counted)
     grids = []
-    for budget in (1, 3 * 1000 + 1, engine.RUN_ROWS, 6 * 1000):
-        monkeypatch.setattr(engine, "RUN_ROWS", budget)
+    budgets = ((1000, 3 * 1000 + 1, 2 * 1000, engine.CHUNK) if chunk == engine.CHUNK
+               else (chunk,) * 4)
+    for budget, slice_rows in zip(budgets, (333, 3 * 1000 + 1, engine.RUN_ROWS, 6 * 1000)):
+        monkeypatch.setattr(engine, "CHUNK", budget)
+        monkeypatch.setattr(engine, "RUN_ROWS", slice_rows)
         grids.append(sweep_icps_grid(4, 3, GridSpec(2, 3, 1000), mode, tuple(LutKind), selection,
                                      seed=17))
     assert all(grid == grids[0] for grid in grids[1:])
@@ -395,7 +398,7 @@ def test_class_table_equals_drawn_classes(d, rng, monkeypatch):
 
 @pytest.mark.parametrize("d", [9, 20])
 def test_level_pair_block_size_changes_no_bit(d, rng, monkeypatch):
-    # _pair_max walks the level pairs in blocks of CHUNK // rows: one pair per block, a
+    # _pair_max walks the level pairs in blocks of CHUNK // (4 rows): one pair per block, a
     # partial last block (3, ..., 3, rest) and all pairs in one block give the same maxima
     # for every kind, on the class table (d = 9) and on the drawn classes (d = 20); every
     # kind's (k, rows) |det M| blocks are C-ordered, so each max over pairs runs over whole rows
@@ -414,7 +417,7 @@ def test_level_pair_block_size_changes_no_bit(d, rng, monkeypatch):
     monkeypatch.setattr(engine, "_pair_max", lambda det, sel: pair_max(partial(spied_det, det), sel))
     results = []
     for step in (1, 3, pairs):
-        monkeypatch.setattr(engine, "CHUNK", step * n)
+        monkeypatch.setattr(engine, "CHUNK", 4 * step * n)
         widths = [step] * (pairs // step) + [pairs % step] * (pairs % step > 0)
         results.append([])
         for kind, u, v in stacks:

@@ -106,9 +106,9 @@ RUNS = {
                 "--samples", "17000", "--seed", "1"],
     "npt": ["icps-sweep", "--d", "4", "--r", "3", "--ground-truth", "npt", "--mode", "both",
             "--samples", "17000", "--seed", "1"],
-    # level pairs in blocks of CHUNK // rows per RUN_ROWS slice: a 2621-row chunk as 2048 rows
-    # in blocks of 8, 8 and 4 of its 20 pairs and 573 rows in one block, then a 379-row chunk
-    # in one block; random_both's 16 pairs in blocks of 10, 6
+    # level pairs in blocks of CHUNK // (4 rows) per RUN_ROWS slice: a 2621-row chunk as 2048
+    # rows in ten blocks of 2 of its 20 pairs and 573 rows in blocks of 7, 7 and 6, then a
+    # 379-row chunk in two blocks of 10; random_both's 16 pairs in eight blocks of 2
     "icps40": ["icps-sweep", "--d", "40", "--r", "7", "--mode", "parallel", "--samples", "3000",
                "--seed", "1"],
     "rb32par": ["icps-sweep", "--d", "32", "--r", "4", "--strategies", "random_both",

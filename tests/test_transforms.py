@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 
 from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelection, LutKind,
                           LutStrategy, Mode, QuasiPureParams, ZeroProbabilityError, apply_lut,
@@ -8,7 +8,7 @@ from quditwitness import (DensityMatrix, IcpsGroundTruth, IcpsParams, LevelSelec
                           make_quasi_pure, maximally_mixed, qudit_hadamard, random_selections,
                           reduce_to_two_qubits, substream)
 from quditwitness import linalg
-from quditwitness.transforms import _local_unitaries
+from quditwitness.transforms import _fill_selections, _local_unitaries, _selection_array
 from conftest import conjugated_by_kron, ordered_classes, random_density, tiled_selections
 
 
@@ -158,6 +158,24 @@ def test_random_selections_equal_stacked_construction(d):
                 assert got.dtype == np.min_scalar_type(d - 1) and got.shape == expected.shape
                 assert_array_equal(got, expected)
                 assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [5, 9, 17, 257])
+@pytest.mark.parametrize("mode", ["single", "parallel"])
+def test_run_fill_equals_each_members_own_draws(d, mode):
+    # a grid run's selections are one array that each of its cells (members) fills in turn
+    # from its own generator, and a fresh draw refills: every member's rows must be the
+    # random_selections draws it would make alone, two-byte levels at d = 257 included, and
+    # leave its generator where those draws leave it
+    n, members = 37, 3
+    run, alone = ([substream(d, cell) for cell in range(members)] for _ in range(2))
+    sel = _selection_array(d, members * n, mode)
+    for _ in range(2):  # the second fill overwrites the first
+        _fill_selections(run, d, mode, sel)
+        assert sel.dtype == np.min_scalar_type(d - 1)
+        for i, (got, own) in enumerate(zip(run, alone)):
+            assert_array_equal(sel[i * n:(i + 1) * n], random_selections(own, d, n, mode))
+            assert_equal(got.bit_generator.state, own.bit_generator.state)  # Philox: arrays
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 9, 17, 64])
