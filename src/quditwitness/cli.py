@@ -7,8 +7,7 @@ check).  Every output file starts with comment lines recording the version,
 the command and every option but --workers and --out; re-running with the
 same seed produces byte-identical files for any worker count.  Tables are
 streamed: each row is written to --out or stdout as soon as it is formatted,
-so no command holds its table's text (a 150 x 150 grid's parent peaked at
-105 MB when it did).
+so no command holds its table's text.
 
 Exit codes: 0 success, 2 usage error, 3 parse/validation or I/O error (a
 sweep worker killed by a signal included), 4 numeric failure; the console
@@ -16,10 +15,10 @@ script exits 128 + N on signal N: 130 on SIGINT, 143 on SIGTERM, 129 on SIGHUP.
 
 The console script runs without OpenSSL: before any work it marks _hashlib
 unavailable (_console_setup), so hashlib and hmac take CPython's built-in
-hashes, their documented path on builds without OpenSSL.  A sweep worker's
+hashes, their documented path on builds without OpenSSL: a sweep worker's
 first draw imports numpy.random, which reaches hmac through secrets for
-entropy the seeded sweeps never draw; libcrypto alone added about 3.4 MB to
-every worker.  Importing the package or calling main changes none of this.
+entropy the seeded sweeps never draw.  Importing the package or calling main
+changes none of this.
 """
 from __future__ import annotations
 

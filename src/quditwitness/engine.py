@@ -2,61 +2,32 @@
 
 Work is split into chunks sized from n and d alone (chunk_sizes); chunk c of
 a task draws every random number it needs, in a fixed order, from
-substream(seed, tag, ..., c).  A task is one chunk or, for a grid, a run of
-whole cells (_hits) of one chunk's rows at most, each cell with its own
-substream.  A flags function (_icps_flags, _grid_flags, _quasi_flags) draws a
-task's states once and returns (rows, ent, hit), one hit row of per-sample
-flags per output entry; _counts reduces them in the worker to one integer
-vector [rows, entangled per entry..., detected per entry...], so results are
-bit-identical for any worker count.  run_tasks forks W workers, each computing every W-th task, and only
+substream(seed, tag, ..., c).  An icps task is one (mode, chunk), a grid task
+a run of whole cells (_hits) of one chunk's rows at most, each cell with its
+own substream, and a random-sweep task one chunk of every mode.  A flags
+function (_icps_flags, _grid_flags, _quasi_flags) draws a task's states and
+returns (rows, ent, hit), one hit row of per-sample flags per output entry;
+_counts reduces them in the worker to one integer vector [rows, entangled per
+entry..., detected per entry...], so results are bit-identical for any worker
+count.  run_tasks forks W workers, each computing every W-th task, and only
 these vectors cross a pipe back.
 
-One kernel, _hits, decides detection for icps and grid.  Each mode replays
-the generator from the state right after the chunk's state draw, so its flags
-equal a one-mode chunk's; each strategy draws its unitaries (U, V) from
-transforms._local_unitaries (random_both alone draws; the fixed kinds' are
-read once per process, by _fixed_terms) and its level selections by
-transforms.random_selections' draw, as detection.run_trial does, so a one-sample
-chunk gives run_trial's flags.  Every sampled state is pure plus white noise,
-so a sample is detected when witness.pure_noise_detected accepts its largest
-|det M| over level pairs (_schmidt_dets, at Schmidt weights _hits computes once
-per task) on RUN_ROWS rows at a time.  _pair_max is the one loop over level
-pairs: a running maximum over blocks of max(1, CHUNK // (4 rows)) pairs, each
-block's |det M| written pairs first and C-ordered, so a RUN_ROWS slice takes
-two pairs per numpy call, the few-row chunks above TABLE_MAX_D take many, and
-no fixed-kind block's temporaries reach glibc's 128 KiB mmap threshold.
-random-sweep (_quasi_flags) draws each mode's selections from a second
-substream of its chunk, streams its Haar states one slice at a time (a stack
-is its single draws in sequence) and gathers their entries under the identity
-strategy.  icps samples are entangled by oracles.conditioning_threshold alone,
-Haar samples by _npt_masks: Cauchy-Binet bounds on lam0 lam1 settle most rows,
-and an SVD scores only the rows they leave open (none, in most slices).
-
-A grid run holds as many rows as an icps chunk at its d (chunk_sizes(CHUNK, d)[0]),
-so the bounds below hold for both.  Each holds its states (alpha and v), its flags
-and one strategy's draws at a time: random_both's two (rows, d, d) unitary
-stacks, QR'd in place by linalg.haar_unitary (a run's cells each draw theirs and
-copy them in, _stacked), and per mode one (rows, pairs, 4) selection array of
-one-byte levels (two bytes above d = 256) that each of its cells fills in turn
-and every fresh draw refills (transforms._fill_selections), its parallel-mode
-permutations sharing one (rows of a cell, d) intp buffer per draw.  A
-random-sweep chunk holds every mode's selections, its flags and three arrays
-of one slice's linalg.SLICE_ENTRIES complex entries (256 KiB each),
-allocated once per chunk and refilled by every slice: the states, their
-scratch (the fill's normals, the norms' squares, conj(z), then |G|_F's
-squares) and the Gram matrices G.  A slice's other arrays are row vectors,
-level-pair blocks (52 KiB at most at d = 9) and numpy's 128 KiB ufunc
-buffer, so a chunk maps and faults in no memory per slice once its first
-chunk has run.  Other working arrays are built per RUN_ROWS rows, per block
-of level pairs or per slice (random_both's block: r columns of U and V), so
-none grows with the chunk.  A fixed-kind icps chunk of n rows thus holds
-about n (10 d + 24) bytes in parallel mode (permutations, selections, states
-and flags) plus the kernel's RUN_ROWS-sized temporaries; since
-n <= CHUNK_ENTRIES / d^2 above TABLE_MAX_D, that is largest at d = 16, where
-tracemalloc peaks at 3.0 MiB (1.9 MiB at d = 9, 2.8 MiB at d = 17, 0.5 MiB at d = 256;
-0.7 MiB for a d = 5 grid run of 16 cells of 1000 trials).  random_both adds its two
-stacks, up to 2 x 64 MiB in a grid run as in an icps chunk (a d = 9 parallel run of
-16 cells of 1000 trials peaks at 45.5 MiB).
+One kernel, _hits, decides detection for icps and grid, one mode per call.
+Each strategy draws its unitaries (U, V) from transforms._local_unitaries
+(random_both alone draws; the fixed kinds' are read once per process, by
+_fixed_terms) and its level selections by transforms.random_selections'
+draw, as detection.run_trial does, so a one-sample chunk gives run_trial's
+flags.  Every sampled state is pure plus white noise, so a sample is detected
+when witness.pure_noise_detected accepts its largest |det M| over level pairs
+(_schmidt_dets) on RUN_ROWS rows at a time; _pair_max is the one loop over
+level pairs.  random-sweep (_quasi_flags) draws each mode's selections from a
+second substream of its chunk, streams its Haar states one slice at a time
+and gathers their entries under the identity strategy.  icps samples are
+entangled by oracles.conditioning_threshold alone, Haar samples by
+_npt_masks.  A task holds its states, its flags and one strategy's draws at a
+time, and builds every other working array per RUN_ROWS rows, per block of
+level pairs or per slice, so none grows with the chunk; README derives the
+kernel, the ground truth and these memory bounds.
 """
 from __future__ import annotations
 
@@ -127,14 +98,13 @@ def _fixed_terms(d: int, r: int, kind: LutKind):
 def _pair_max(det, sel: np.ndarray) -> np.ndarray:
     """Each row's max over the level pairs of sel (rows, pairs, 4) of det(block), the
     (k, rows) |det M| of a block of k pairs (pairs first: a max over whole rows): the one
-    level-pair loop, in blocks of max(1, CHUNK // (4 rows)) pairs.  A fixed kind's block of
-    k rows entries makes float64 and intp temporaries of 8 k rows bytes (the class table's
-    (a, c) twice that): at CHUNK // 4 entries, 64 KiB at most, under glibc's 128 KiB mmap
-    threshold, so they are not mapped and faulted in again block after block.  A maximum
-    is exact, so the block size changes no bit."""
-    step = max(1, CHUNK // (4 * len(sel)))
-    return reduce(np.maximum, (det(sel[:, i:i + step]).max(axis=0)
-                               for i in range(0, sel.shape[1], step)))
+    level-pair loop, in linalg.row_slices blocks of CHUNK entries, 4 per row and pair.  A
+    fixed kind's block of k rows entries makes float64 and intp temporaries of 8 k rows
+    bytes (the class table's (a, c) twice that): at CHUNK // 4 entries, 64 KiB at most,
+    under glibc's 128 KiB mmap threshold, so they are not mapped and faulted in again block
+    after block.  A maximum is exact, so the block size changes no bit."""
+    return reduce(np.maximum, (det(sel[:, s]).max(axis=0)
+                               for s in linalg.row_slices(sel.shape[1], 4 * len(sel), CHUNK)))
 
 
 def _det2(m: np.ndarray) -> np.ndarray:
@@ -185,55 +155,48 @@ def _stacked(draw, rngs: list[np.random.Generator], n: int) -> list[np.ndarray]:
 
 
 def _hits(rngs: list[np.random.Generator], n: int, alpha: np.ndarray, vis: np.ndarray, d: int,
-          r: int, kinds: tuple[LutKind, ...], modes: tuple[str, ...], shared: bool) -> np.ndarray:
-    """Detection flags (modes, strategies + 1, rows): per mode, each strategy then their OR.
+          r: int, kinds: tuple[LutKind, ...], mode: str, shared: bool) -> np.ndarray:
+    """Detection flags (strategies + 1, rows) in one mode: each strategy, then their OR.
 
     A run is len(rngs) members of n rows (an icps chunk is one), each drawing from its
     own generator what it would draw alone.  A row of state (alpha, vis) is detected when
-    witness.pure_noise_detected accepts its _schmidt_dets at vis.  Draw order per mode:
-    shared selections (if shared), then per strategy its local unitaries (Haar U then
-    V for random_both) and its selections (if not shared); a second mode replays each
-    member's generator from its state at the call.  Each mode's selections are written,
-    member after member, into one run-sized array (transforms._fill_selections, as
-    random_selections draws them), which every fresh draw of the mode refills.  Each
-    strategy is evaluated over the run's rows RUN_ROWS at a time (each row's flag is its own,
-    so no bit depends on the slicing) and its unitaries are freed before the next one's are
-    drawn.
+    witness.pure_noise_detected accepts its _schmidt_dets at vis.  Draw order: shared
+    selections (if shared), then per strategy its local unitaries (Haar U then V for
+    random_both) and its selections (if not shared).  The selections are written, member
+    after member, into one run-sized array (transforms._fill_selections, as
+    random_selections draws them), which every fresh draw refills.  Each strategy is
+    evaluated over the run's rows RUN_ROWS at a time (each row's flag is its own, so no bit
+    depends on the slicing) and its unitaries are freed before the next one's are drawn.
     """
     alpha_r = last_schmidt_coefficient(r, alpha)
-    starts = [rng.bit_generator.state for rng in rngs] if len(modes) > 1 else []
-    hit = np.empty((len(modes), len(kinds) + 1, len(rngs) * n), dtype=bool)
-    for j, mode in enumerate(modes):
-        for rng, start in zip(rngs, starts if j else ()):
-            rng.bit_generator.state = start
-        sel = _selection_array(d, len(alpha), mode)
-        select = partial(_fill_selections, rngs, d, mode, sel)
-        if shared:
+    hit = np.empty((len(kinds) + 1, len(rngs) * n), dtype=bool)
+    sel = _selection_array(d, len(alpha), mode)
+    select = partial(_fill_selections, rngs, d, mode, sel)
+    if shared:
+        select()
+    for k, kind in enumerate(kinds):
+        u, v = (_stacked(partial(_local_unitaries, d, LutStrategy(kind)), rngs, n)
+                if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
+        if not shared:
             select()
-        for k, kind in enumerate(kinds):
-            u, v = (_stacked(partial(_local_unitaries, d, LutStrategy(kind)), rngs, n)
-                    if kind is LutKind.RANDOM_BOTH else (None, None))  # fixed kinds draw nothing
-            if not shared:
-                select()
-            for s in linalg.row_slices(len(alpha), 1, RUN_ROWS):
-                hit[j, k, s] = pure_noise_detected(
-                    _schmidt_dets(sel[s], kind, u if u is None else u[s], v if v is None else v[s],
-                                  alpha[s], alpha_r[s], d, r), vis[s], d * d)
-            del u, v  # freed before the next strategy draws its own
-        del sel
-        hit[j, -1] = hit[j, :-1].any(axis=0)
+        for s in linalg.row_slices(len(alpha), 1, RUN_ROWS):
+            hit[k, s] = pure_noise_detected(
+                _schmidt_dets(sel[s], kind, u if u is None else u[s], v if v is None else v[s],
+                              alpha[s], alpha_r[s], d, r), vis[s], d * d)
+        del u, v  # freed before the next strategy draws its own
+    hit[-1] = hit[:-1].any(axis=0)
     return hit
 
 
 def _icps_flags(seed: int, chunk_idx: int, n: int, d: int, r: int, kinds: tuple[LutKind, ...],
-                modes: tuple[str, ...], shared: bool, ground_truth: IcpsGroundTruth):
+                mode: str, shared: bool, ground_truth: IcpsGroundTruth):
     """(n, ent (n,), _hits) for alpha ~ U[0, 1/sqrt(r-1)] and v ~ U[0, 1]; a
     sample is entangled when v exceeds oracles.conditioning_threshold."""
     rng = substream(seed, _TAG_ICPS, chunk_idx)
     alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), n)
     vis = rng.uniform(0.0, 1.0, n)
     return (n, vis > conditioning_threshold(d, r, alpha, ground_truth),
-            _hits([rng], n, alpha, vis, d, r, kinds, modes, shared))
+            _hits([rng], n, alpha, vis, d, r, kinds, mode, shared))
 
 
 def _grid_flags(seed: int, cells: range, chunk_idx: int, n: int, d: int, r: int, alphas: tuple,
@@ -241,12 +204,12 @@ def _grid_flags(seed: int, cells: range, chunk_idx: int, n: int, d: int, r: int,
     """(rows, True, hit (cells, strategies + 1, n)) of a run of cells: cell i, state (alphas[i],
     vis[i]), draws from substream(seed, _TAG_GRID, cells[i], chunk_idx); every trial counts."""
     rngs = [substream(seed, _TAG_GRID, cell, chunk_idx) for cell in cells]
-    hit = _hits(rngs, n, np.repeat(alphas, n), np.repeat(vis, n), d, r, kinds, (mode,), shared)
-    return len(cells) * n, True, hit[0].reshape(-1, len(cells), n).swapaxes(0, 1)
+    hit = _hits(rngs, n, np.repeat(alphas, n), np.repeat(vis, n), d, r, kinds, mode, shared)
+    return len(cells) * n, True, hit.reshape(-1, len(cells), n).swapaxes(0, 1)
 
 
-def _npt_masks(z: np.ndarray, d: int, vis: np.ndarray, work: np.ndarray | None = None,
-               gram: np.ndarray | None = None) -> np.ndarray:
+def _npt_masks(z: np.ndarray, d: int, vis: np.ndarray, work: np.ndarray,
+               gram: np.ndarray) -> np.ndarray:
     """NPT flags (len(vis), n) of the states z (n, d, d) mixed with white noise.
 
     Row i at visibility v is NPT iff v lam0 lam1 - (1 - v) / d^2 > NPT_TOL,
@@ -261,9 +224,9 @@ def _npt_masks(z: np.ndarray, d: int, vis: np.ndarray, work: np.ndarray | None =
     settle at every level keeps those flags; the rows they leave open, if
     any, are scored by the expression above from an SVD.  Each row's flags
     are its own, so a caller may pass any run of rows: _quasi_flags passes
-    one slice of at most linalg.SLICE_ENTRIES entries at a time, with work
-    (for conj(z), then |G|_F's squares) and gram (for G), two complex arrays of
-    z's shape that it allocates once per chunk; without them they are allocated here.
+    one slice of at most linalg.SLICE_ENTRIES entries at a time.  work (for
+    conj(z), then |G|_F's squares) and gram (for G) are complex arrays of z's
+    shape, which _quasi_flags allocates once per chunk.
     """
     v = np.asarray(vis, dtype=float)[:, None]
     floor = (1.0 - v) / (d * d) + NPT_TOL

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
+from . import engine, linalg
 from .detection import DEFAULT_STRATEGIES, CombinedSelection, _nonempty
 from .states import IcpsParams, InvalidParamsError, QuasiPureParams
 from .oracles import IcpsGroundTruth, conditioning_threshold
@@ -36,7 +36,7 @@ def wilson_halfwidth(k: int, n: int, z: float = 1.96) -> float:
     return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / (1.0 + z * z / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensitivityEstimate:
     """Detection counts conditioned on ground-truth entanglement."""
 
@@ -69,7 +69,7 @@ class GridSpec:
             raise InvalidParamsError("grid steps and trials must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridCell:
     """Per-cell detection estimates at the cell-centre state (alpha, v).
 
@@ -111,12 +111,6 @@ def _estimates(total: np.ndarray, width: int) -> list[list[SensitivityEstimate]]
             for row in zip(entangled, detected)]
 
 
-def _by_strategy(kinds: tuple[LutKind, ...], total: np.ndarray) -> list[dict]:
-    """Per row of _estimates, each strategy's estimate and then the combined one."""
-    labels = [kind.value for kind in kinds] + [COMBINED_KEY]
-    return [dict(zip(labels, row)) for row in _estimates(total, len(labels))]
-
-
 def sweep_icps(d: int, r: int, modes: Sequence[Mode],
                strategies: Sequence[LutKind | str | LutStrategy] = DEFAULT_STRATEGIES,
                combined_selection: CombinedSelection = CombinedSelection.FRESH,
@@ -129,15 +123,16 @@ def sweep_icps(d: int, r: int, modes: Sequence[Mode],
     entangled per ground_truth enter the denominator.  The combined entry is
     the OR over the strategies within each sample.  Returns one estimate
     dict per entry of modes; each equals a one-mode sweep at the same seed.
-    Every chunk draws its (alpha, v) samples once for all modes, and one
-    set of forked workers serves the whole run.
+    A task is one (mode, chunk), and one set of forked workers serves the whole run.
     """
     kinds, shared = _icps_setup(d, r, strategies, combined_selection)
     mode_names = _nonempty("mode", tuple(Mode(m).value for m in modes))
-    tasks = [(seed, c, size, d, r, kinds, mode_names, shared, IcpsGroundTruth(ground_truth))
-             for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
-    total = np.sum(engine.run_tasks(engine._icps_flags, tasks, workers), axis=0)
-    return _by_strategy(kinds, total)
+    tasks = [(seed, c, size, d, r, kinds, mode, shared, IcpsGroundTruth(ground_truth))
+             for mode in mode_names for c, size in enumerate(engine.chunk_sizes(n_samples, d))]
+    counts = np.reshape(engine.run_tasks(engine._icps_flags, tasks, workers),
+                        (len(mode_names), len(tasks) // len(mode_names), -1))
+    labels = [kind.value for kind in kinds] + [COMBINED_KEY]
+    return [dict(zip(labels, _estimates(total, len(labels))[0])) for total in counts.sum(axis=1)]
 
 
 def sweep_quasi_pure(d: int, noise_levels: Sequence[float], modes: Sequence[Mode],
@@ -182,8 +177,8 @@ def sweep_icps_grid(d: int, r: int, grid: GridSpec, mode: Mode = Mode.SINGLE,
              for ia in range(grid.alpha_steps) for iv in range(grid.v_steps)]
     sizes = engine.chunk_sizes(grid.trials_per_cell, d)
     # a task: a run of one-chunk cells holding one chunk's rows at most, or a chunk of a larger cell
-    per_run = max(1, engine.chunk_sizes(engine.CHUNK, d)[0] // sizes[0])
-    runs = [range(len(cells))[i:i + per_run] for i in range(0, len(cells), per_run)]
+    runs = [range(len(cells))[s] for s in
+            linalg.row_slices(len(cells), sizes[0], engine.chunk_sizes(engine.CHUNK, d)[0])]
     tasks = [(seed, run, c, size, d, r, *zip(*cells[run.start:run.stop]), kinds, mode, shared)
              for run in runs for c, size in enumerate(sizes)]
     counts = np.zeros((len(cells), 2, len(kinds) + 1), dtype=np.int64)  # entangled, detected

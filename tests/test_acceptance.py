@@ -257,7 +257,8 @@ def test_criterion_8_determinism_across_workers(tmp_path):
     # one-task job runs serially at every --workers and would check nothing
     jobs = [
         (["icps-sweep", "--d", "4", "--r", "3", "--mode", "both",
-          "--samples", "17000", "--seed", "99"], "icps-sweep", len(engine.chunk_sizes(17000, 4))),
+          "--samples", "17000", "--seed", "99"], "icps-sweep",
+         2 * len(engine.chunk_sizes(17000, 4))),  # one task per (mode, chunk)
         (["random-sweep", "--d", "3", "--noise", "0.4", "--mode", "both",
           "--samples", "17000", "--seed", "99"], "random-sweep", len(engine.chunk_sizes(17000, 3))),
         (["grid", "--d", "3", "--r", "2", "--alpha-steps", "2", "--v-steps", "3",

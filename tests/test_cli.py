@@ -124,13 +124,14 @@ def test_icps_sweep_deterministic_across_workers(tmp_path):
 
 @needs_fork
 def test_workers_beyond_chunk_count_start_one_process_per_chunk(tmp_path, monkeypatch, forks):
-    # the fork stand-in records each child; 40000 samples are 3 chunks
+    # the fork stand-in records each child; 40000 samples are 3 chunks in each of two modes,
+    # one task per (mode, chunk)
     set_usable_cpus(monkeypatch, 64)
     base = ["icps-sweep", "--d", "3", "--r", "2", "--samples", "40000", "--seed", "3"]
     paths = [tmp_path / f"w{w}.csv" for w in (1, 5000)]
     assert main(base + ["--workers", "1", "--out", str(paths[0])]) == 0
     assert main(base + ["--workers", "5000", "--out", str(paths[1])]) == 0
-    assert len(forks) == 3
+    assert len(forks) == 6
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quditwitness import ginibre, haar_state, haar_unitary, linalg, substream
+from quditwitness import engine, ginibre, haar_state, haar_unitary, linalg, substream
 from quditwitness.witness import score_from_t
 from conftest import one_call_haar_unitary
 
@@ -197,3 +197,23 @@ def test_row_slices_cover_rows_within_the_budget(monkeypatch, cap, n, row_entrie
     # every slice but the last is as long as the budget allows, and none is empty
     step = max(1, cap // max(row_entries, 1))
     assert all(len(r) == step for r in rows[:-1]) and all(rows)
+
+
+def test_row_slices_cover_grid_runs_and_level_pair_blocks():
+    # the grid's runs of one-chunk cells (a chunk's rows per run) and _pair_max's blocks of
+    # level pairs (4 entries per row and pair, CHUNK entries per block) are row_slices: their
+    # widths are those of the per-run and per-block arithmetic they replaced
+    for d in (3, 5, 17, 64):
+        run_rows = engine.chunk_sizes(engine.CHUNK, d)[0]
+        for trials in range(1, 3 * engine.CHUNK + 1):
+            cell_rows = engine.chunk_sizes(trials, d)[0]
+            per_run = max(1, run_rows // cell_rows)
+            runs = linalg.row_slices(2 * per_run + 1, cell_rows, run_rows)
+            assert [len(range(2 * per_run + 1)[s]) for s in runs] == [per_run, per_run, 1]
+    for d in (64, 1024):
+        pairs = d // 2
+        for rows in range(1, engine.RUN_ROWS + 1):
+            step = max(1, engine.CHUNK // (4 * rows))
+            blocks = linalg.row_slices(pairs, 4 * rows, engine.CHUNK)
+            assert ([len(range(pairs)[s]) for s in blocks]
+                    == [min(step, pairs - lo) for lo in range(0, pairs, step)])

@@ -521,18 +521,20 @@ def test_random_both_first_r_columns_equal_full_contraction(d, r, rng):
 
 
 def test_hits_computes_schmidt_weights_once_per_task(monkeypatch, rng):
-    # alpha_r is a function of the task's states alone, so every strategy and
-    # mode of a _hits call reads the one vector computed at its start
+    # alpha_r is a function of the task's states alone, so every strategy of a
+    # _hits call, in either mode, reads the one vector computed at its start
     calls = []
     weights = engine.last_schmidt_coefficient
     monkeypatch.setattr(engine, "last_schmidt_coefficient",
                         lambda r, alpha: calls.append(r) or weights(r, alpha))
     d, r, n = 5, 3, 100
     alpha = rng.uniform(0, 1 / np.sqrt(r - 1), n)
-    hit = engine._hits([np.random.default_rng(1)], n, alpha, rng.uniform(0, 1, n), d, r,
-                       DEFAULT_STRATEGIES, ("single", "parallel"), False)
-    assert hit.shape == (2, len(DEFAULT_STRATEGIES) + 1, n)
-    assert calls == [r]
+    for mode in ("single", "parallel"):
+        calls.clear()
+        hit = engine._hits([np.random.default_rng(1)], n, alpha, rng.uniform(0, 1, n), d, r,
+                           DEFAULT_STRATEGIES, mode, False)
+        assert hit.shape == (len(DEFAULT_STRATEGIES) + 1, n)
+        assert calls == [r]
 
 
 @pytest.mark.parametrize("d", [5, 17])
@@ -540,24 +542,30 @@ def test_fixed_kinds_build_unitaries_once_per_process(monkeypatch, d):
     # once engine._fixed_terms has built a fixed kind's terms (a class table up to
     # TABLE_MAX_D, the (K0, K1) tables above it), a chunk reads no fixed-kind
     # unitary, so it builds none
-    task = (5, 0, 300, d, 3, tuple(LutKind), ("single", "parallel"), False, IcpsGroundTruth.NPT)
-    first = engine._counts(engine._icps_flags, *task)
+    tasks = [(5, 0, 300, d, 3, tuple(LutKind), mode, False, IcpsGroundTruth.NPT)
+             for mode in ("single", "parallel")]
+    first = [engine._counts(engine._icps_flags, *task) for task in tasks]
     monkeypatch.setattr(transforms, "qudit_hadamard", None)  # a Hadamard build would fail
-    assert_array_equal(engine._counts(engine._icps_flags, *task), first)
+    for task, counts in zip(tasks, first):
+        assert_array_equal(engine._counts(engine._icps_flags, *task), counts)
 
 
 def icps_chunk_peak(d: int, r: int) -> int:
-    """tracemalloc's peak over one full icps chunk at d (both modes, three strategies),
-    after a first chunk has built the fixed kinds' terms, as each process does once."""
-    task = (11, 0, engine.chunk_sizes(engine.CHUNK, d)[0], d, r, DEFAULT_STRATEGIES,
-            ("single", "parallel"), False, IcpsGroundTruth.RANK2)
-    engine._icps_flags(*task[:2], 10, *task[3:])
-    tracemalloc.start()
-    try:
-        engine._icps_flags(*task)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """tracemalloc's largest peak over one full icps chunk at d in each mode (three
+    strategies), after a first chunk has built the fixed kinds' terms, as each process does
+    once."""
+    peaks = []
+    for mode in ("single", "parallel"):
+        task = (11, 0, engine.chunk_sizes(engine.CHUNK, d)[0], d, r, DEFAULT_STRATEGIES, mode,
+                False, IcpsGroundTruth.RANK2)
+        engine._icps_flags(*task[:2], 10, *task[3:])
+        tracemalloc.start()
+        try:
+            engine._icps_flags(*task)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return max(peaks)
 
 
 def test_icps_chunk_holds_one_draw_at_a_time():
@@ -645,14 +653,23 @@ def test_npt_masks_skip_the_svd_when_the_bounds_settle_every_row(monkeypatch):
 
 
 @pytest.mark.parametrize("shared", [False, True])
-def test_icps_sweep_equals_per_mode_estimates(shared):
-    # modes in reversed order; 17000 samples span two chunks, so workers=2 splits them
+def test_icps_sweep_equals_per_mode_estimates(monkeypatch, shared):
+    # modes in reversed order; 17000 samples span two chunks, so workers=2 splits the
+    # four tasks, one per (mode, chunk)
+    run_tasks, tasks = engine.run_tasks, []
+
+    def counted(flags_fn, batch, workers):
+        tasks.append([(task[1], task[6]) for task in batch])  # (chunk, mode)
+        return run_tasks(flags_fn, batch, workers)
+    monkeypatch.setattr(engine, "run_tasks", counted)
     modes = (Mode.PARALLEL, Mode.SINGLE)
     combined = CombinedSelection.SHARED if shared else CombinedSelection.FRESH
     kwargs = dict(strategies=tuple(LutKind), combined_selection=combined, n_samples=17_000,
                   seed=15, ground_truth=IcpsGroundTruth.NPT)
     tables = [sweep_icps(5, 3, modes, workers=w, **kwargs) for w in (1, 2)]
     assert tables[0] == tables[1]
+    per_mode = [(c, mode.value) for mode in modes for c in range(2)]
+    assert tasks == [per_mode, per_mode]
     for mode, est in zip(modes, tables[0]):
         assert est == sweep_icps(5, 3, [mode], **kwargs)[0]
     assert tables[0][0] != tables[0][1]

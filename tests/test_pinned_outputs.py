@@ -32,7 +32,7 @@ RUNS = {
     **{f"icps-d4r2-fresh-{gt}": ["icps-sweep", "--d", "4", "--r", "2", *ALL4, "--mode", "both",
                                  "--ground-truth", gt, "--samples", "3000", "--seed", "22"]
        for gt in ("npt", "rank2")},
-    # two full chunks and a short one, both modes from one draw per chunk
+    # two full chunks and a short one per mode, each mode's task redrawing the chunk's (alpha, v)
     "icps-d5r3-all4-both-shared-npt-40000": ["icps-sweep", "--d", "5", "--r", "3", *ALL4,
                                              "--mode", "both", "--combined-selection", "shared",
                                              "--ground-truth", "npt", "--samples", "40000",

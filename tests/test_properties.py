@@ -53,8 +53,8 @@ def test_sweep_kernel_never_detects_below_npt_threshold(case, data, shared, seed
     frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(alpha), max_size=len(alpha)))
     vis = np.array(frac) * (1 - 1e-9) * conditioning_threshold(d, r, alpha, IcpsGroundTruth.NPT)
     hit = engine._hits([np.random.default_rng(seed)], len(alpha), alpha, vis, d, r, tuple(LutKind),
-                       (mode,), shared)
-    assert hit.shape == (1, len(LutKind) + 1, len(alpha)) and not hit.any()
+                       mode, shared)
+    assert hit.shape == (len(LutKind) + 1, len(alpha)) and not hit.any()
 
 
 @st.composite
@@ -86,7 +86,7 @@ def test_npt_masks_equal_the_svd_expression(case):
     z, d, vis = case
     lam = np.linalg.svd(z, compute_uv=False)
     expected = [v * lam[:, 0] * lam[:, 1] - (1.0 - v) / (d * d) > NPT_TOL for v in vis.tolist()]
-    assert_array_equal(engine._npt_masks(z, d, vis), expected)
+    assert_array_equal(engine._npt_masks(z, d, vis, np.empty_like(z), np.empty_like(z)), expected)
 
 
 @st.composite

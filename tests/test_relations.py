@@ -22,7 +22,7 @@ def test_hits_never_drop_a_flag_as_visibility_rises(d, r, mode, shared):
     low = rng.uniform(0.0, 1.0, n)
     high = np.minimum(low + rng.uniform(0.0, 0.2, n) * (rng.random(n) < 0.8), 1.0)
     low_hit, high_hit = (engine._hits([np.random.default_rng(7)], n, alpha, vis, d, r,
-                                      tuple(LutKind), (mode,), shared) for vis in (low, high))
+                                      tuple(LutKind), mode, shared) for vis in (low, high))
     assert not (low_hit & ~high_hit).any()
     assert (high_hit & ~low_hit).any()  # some flag rises: the relation is not vacuous
 

@@ -80,21 +80,21 @@ def _icps_draws(seed: int, r: int):
 @pytest.mark.parametrize("d, r", [(d, r) for d in range(2, 6) for r in range(2, d + 1)])
 def test_icps_flags_replay_the_scalar_protocol(d, r, shared):
     seed = 1000 * d + 10 * r + shared
-    flags = {gt: engine._icps_flags(seed, 0, N, d, r, KINDS, MODES, shared, gt)
-             for gt in IcpsGroundTruth}
-    hit = flags[IcpsGroundTruth.NPT][2]
-    assert_array_equal(flags[IcpsGroundTruth.RANK2][2], hit)
-    for j, mode in enumerate(MODES):
-        # every mode draws as if it ran alone, right after the (alpha, v) draw
+    for mode in MODES:
+        # every mode's chunk draws (alpha, v) and then its own selections and unitaries
+        flags = {gt: engine._icps_flags(seed, 0, N, d, r, KINDS, mode, shared, gt)
+                 for gt in IcpsGroundTruth}
+        hit = flags[IcpsGroundTruth.NPT][2]
+        assert_array_equal(flags[IcpsGroundTruth.RANK2][2], hit)
         rng, alpha, vis = _icps_draws(seed, r)
         states = [make_icps(IcpsParams(d, r, float(a), float(v))) for a, v in zip(alpha, vis)]
         expected, near = reference_hits(rng, states, d, mode, shared)
         assert near == 0
-        assert_array_equal(hit[j], expected)
-    for gt in IcpsGroundTruth:
-        threshold = np.array([conditioning_threshold(d, r, float(a), gt) for a in alpha])
-        assert np.sum(np.abs(vis - threshold) < NEAR) == 0
-        assert_array_equal(flags[gt][1], vis > threshold)
+        assert_array_equal(hit, expected)
+        for gt in IcpsGroundTruth:
+            threshold = np.array([conditioning_threshold(d, r, float(a), gt) for a in alpha])
+            assert np.sum(np.abs(vis - threshold) < NEAR) == 0
+            assert_array_equal(flags[gt][1], vis > threshold)
 
 
 @pytest.mark.parametrize("mode, shared", [("single", False), ("parallel", True)])
@@ -167,18 +167,16 @@ def test_one_sample_chunks_are_run_trial_calls(d):
                     seen.update(expected.tolist())
                     assert_array_equal(hit[0, :, 0], expected)
 
-                _, _, hit = engine._icps_flags(seed, c, 1, d, r, KINDS, MODES, shared,
-                                               IcpsGroundTruth.NPT)
-                rng = substream(seed, engine._TAG_ICPS, c)
-                alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), 1)[0]
-                vis = rng.uniform(0.0, 1.0, 1)[0]
-                rho = make_icps(IcpsParams(d, r, alpha, vis))
-                start = rng.bit_generator.state
-                for j, mode in enumerate(MODES):
-                    rng.bit_generator.state = start
+                for mode in MODES:
+                    _, _, hit = engine._icps_flags(seed, c, 1, d, r, KINDS, mode, shared,
+                                                   IcpsGroundTruth.NPT)
+                    rng = substream(seed, engine._TAG_ICPS, c)
+                    alpha = rng.uniform(0.0, 1.0 / np.sqrt(r - 1), 1)[0]
+                    vis = rng.uniform(0.0, 1.0, 1)[0]
+                    rho = make_icps(IcpsParams(d, r, alpha, vis))
                     expected, close = _trial_flags(rho, KINDS, mode, shared, rng)
                     near += close
-                    assert_array_equal(hit[j, :, 0], expected)
+                    assert_array_equal(hit[:, 0], expected)
 
     seed, noises = 500 + d, (0.7, 0.2, 0.5)
     for c in range(40):
